@@ -14,12 +14,12 @@ shortest-loop by BFS layering, so regression outputs stay readable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
-from .formula import Formula, f_and, neg, subformulas, t_true
+from .formula import Formula, dnf_units, f_and, neg, subformulas, t_true
 from .machine import MooreMachine
 from .rewrite import af
-from .traces import Cube, LassoTrace, Letter
+from .traces import Cube, LassoTrace, Letter, all_letters
 
 __all__ = [
     "BuchiAutomaton",
@@ -27,6 +27,7 @@ __all__ = [
     "Verdict",
     "AutomatonBudgetError",
     "ltl_to_nba",
+    "accepting_lasso",
     "nba_emptiness",
     "accepts_lasso",
     "mc_ltl",
@@ -78,41 +79,11 @@ class Verdict:
 # -- LTL -> NBA ---------------------------------------------------------------
 
 
-def _dnf(f: Formula) -> list[frozenset[Formula]]:
-    """Disjuncts of a positive boolean combination, as sets of non-boolean
-    conjunct units; subsumed (strictly stronger) disjuncts are pruned."""
-    if f.kind == "true":
-        return [frozenset()]
-    if f.kind == "false":
-        return []
-    if f.kind == "or":
-        out: list[frozenset[Formula]] = []
-        for c in f.children:
-            out.extend(_dnf(c))
-        return _prune(out)
-    if f.kind == "and":
-        acc: list[frozenset[Formula]] = [frozenset()]
-        for c in f.children:
-            parts = _dnf(c)
-            acc = [a | p for a in acc for p in parts]
-        return _prune(acc)
-    return [frozenset((f,))]
-
-
-def _prune(disjuncts: list[frozenset[Formula]]) -> list[frozenset[Formula]]:
-    uniq = list(dict.fromkeys(disjuncts))
-    kept = []
-    for d in uniq:
-        if not any(other < d for other in uniq):
-            kept.append(d)
-    return kept
-
-
 def _conj(units: frozenset[Formula]) -> Formula:
     return f_and(sorted(units, key=lambda g: g.key)) if units else t_true()
 
 
-def ltl_to_nba(f: Formula, max_states: int = 20000, prune: bool = True) -> BuchiAutomaton:
+def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
     """Translate a PNF formula into an NBA over its atoms."""
     untils = tuple(g for g in subformulas(f) if g.kind == "U")
     m = len(untils)
@@ -135,14 +106,13 @@ def ltl_to_nba(f: Formula, max_states: int = 20000, prune: bool = True) -> Buchi
         state_formula = _conj(units)
         atoms = sorted(state_formula.atoms)
         out: list[tuple[Cube, int, frozenset[int]]] = []
-        for bits in range(1 << len(atoms)):
-            letter = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
+        for letter in all_letters(atoms):
             cube = Cube(letter, frozenset(atoms) - letter)
             succ = af(state_formula, letter)
-            for d in _dnf(succ):
+            for d in dnf_units(succ):
                 fulfilled = frozenset(
                     i for i, u in enumerate(untils)
-                    if u not in d or any(rd <= d for rd in _dnf(af(u.right, letter)))
+                    if u not in d or any(rd <= d for rd in dnf_units(af(u.right, letter)))
                 )
                 if d not in gstates:
                     if len(gstates) >= max_states:
@@ -204,9 +174,7 @@ def ltl_to_nba(f: Formula, max_states: int = 20000, prune: bool = True) -> Buchi
             accepting=frozenset(i for i, (_, c) in enumerate(labels) if c == m),
             edges=edges,
         )
-    if prune:
-        nba = _prune_coreachable(nba)
-    return nba
+    return _prune_coreachable(nba)
 
 
 def _sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -256,23 +224,21 @@ def _sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _accepting_cycle_states(nba: BuchiAutomaton) -> set[int]:
-    """States that lie on a cycle through an accepting state."""
-    n = len(nba.labels)
-    succ = [[dst for _, dst in row] for row in nba.edges]
+def _cycles_through(succ: list[list[int]], accepting: Callable[[int], bool]) -> set[int]:
+    """Nodes of the SCCs that contain a cycle through an accepting node."""
     good: set[int] = set()
-    for comp in _sccs(n, succ):
-        comp_set = set(comp)
-        nontrivial = len(comp) > 1 or any(d == comp[0] for d in succ[comp[0]])
-        if nontrivial and any(q in nba.accepting for q in comp):
-            good |= comp_set
+    for comp in _sccs(len(succ), succ):
+        cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
+        if cyclic and any(accepting(v) for v in comp):
+            good.update(comp)
     return good
 
 
 def _prune_coreachable(nba: BuchiAutomaton) -> BuchiAutomaton:
     """Keep only states from which some accepting cycle is reachable."""
     n = len(nba.labels)
-    targets = _accepting_cycle_states(nba)
+    targets = _cycles_through([[dst for _, dst in row] for row in nba.edges],
+                              nba.accepting.__contains__)
     pred: list[list[int]] = [[] for _ in range(n)]
     for src, row in enumerate(nba.edges):
         for _, dst in row:
@@ -300,130 +266,116 @@ def _prune_coreachable(nba: BuchiAutomaton) -> BuchiAutomaton:
     )
 
 
-# -- emptiness and membership -------------------------------------------------
+# -- accepting lassos ---------------------------------------------------------
+
+Step = tuple[Hashable, Hashable]  # (edge label, node the edge enters)
 
 
-def nba_emptiness(nba: BuchiAutomaton) -> LassoTrace | None:
-    """None if the language is empty, else a shortest-prefix witness lasso."""
-    n = len(nba.labels)
-    if n == 0 or not nba.initial:
+def accepting_lasso(initials: Iterable[Hashable],
+                    successors: Callable[[Hashable], Iterable[Step]],
+                    accepting: Callable[[Hashable], bool]) -> tuple[list[Step], list[Step]] | None:
+    """An accepting lasso of an implicitly given graph, or None if there is none.
+
+    ``successors(v)`` lists the ``(label, w)`` edges leaving ``v``.  The result
+    is ``(prefix, loop)``: the fewest steps from an initial node to an
+    accepting node on a cycle, then a loop back to that node -- a self-loop if
+    there is one, else through the first successor with a path back.
+    """
+    index: dict[Hashable, int] = {}
+    nodes: list[Hashable] = []
+    rows: list[list[tuple[Hashable, int]]] = []
+
+    def node(v: Hashable) -> int:
+        i = index.get(v)
+        if i is None:
+            i = index[v] = len(nodes)
+            nodes.append(v)
+        return i
+
+    starts = [node(v) for v in initials]
+    while len(rows) < len(nodes):
+        rows.append([(label, node(w)) for label, w in successors(nodes[len(rows)])])
+    acc = [accepting(v) for v in nodes]
+    good = {v for v in _cycles_through([[w for _, w in row] for row in rows], acc.__getitem__)
+            if acc[v]}
+    if not good:
         return None
-    good = _accepting_cycle_states(nba) & set(_reachable(nba))
-    good_accepting = [q for q in good if q in nba.accepting]
-    if not good_accepting:
-        return None
-    prefix_path = _bfs_path(nba, nba.initial, set(good_accepting))
-    assert prefix_path is not None
-    target = prefix_path[-1][1] if prefix_path else nba.initial[0]
-    loop_path = _bfs_cycle(nba, target)
-    assert loop_path
-    prefix = tuple(cube.pos for cube, _ in prefix_path)
-    loop = tuple(cube.pos for cube, _ in loop_path)
-    return LassoTrace(prefix, loop)
+    anchor, prefix = _shortest_path(rows, starts, good)
+    loop = _loop(rows, anchor)
+    return ([(label, nodes[w]) for label, w in prefix],
+            [(label, nodes[w]) for label, w in loop])
 
 
-def _reachable(nba: BuchiAutomaton) -> list[int]:
-    seen = set(nba.initial)
-    todo = list(nba.initial)
-    while todo:
-        v = todo.pop()
-        for _, dst in nba.edges[v]:
-            if dst not in seen:
-                seen.add(dst)
-                todo.append(dst)
-    return sorted(seen)
+def _loop(rows: list[list[tuple[Hashable, int]]], anchor: int) -> list[tuple[Hashable, int]]:
+    for label, w in rows[anchor]:
+        if w == anchor:
+            return [(label, w)]
+    for label, w in rows[anchor]:
+        back = _shortest_path(rows, [w], {anchor})
+        if back is not None:
+            return [(label, w)] + back[1]
+    raise AssertionError("anchor lies on no cycle")
 
 
-def _bfs_path(nba: BuchiAutomaton, sources: Iterable[int], targets: set[int]) -> list[tuple[Cube, int]] | None:
-    frontier = list(sources)
-    parents: dict[int, tuple[int, Cube] | None] = {s: None for s in frontier}
-    for s in frontier:
+def _shortest_path(rows: list[list[tuple[Hashable, int]]], sources: list[int],
+                   targets: set[int]) -> tuple[int, list[tuple[Hashable, int]]] | None:
+    """Breadth-first search: the target reached and the steps to it."""
+    for s in sources:
         if s in targets:
-            return []
+            return s, []
+    parents: dict[int, tuple[int, Hashable] | None] = dict.fromkeys(sources)
+    frontier = list(parents)
     while frontier:
         nxt = []
         for v in frontier:
-            for cube, dst in nba.edges[v]:
-                if dst in parents:
+            for label, w in rows[v]:
+                if w in parents:
                     continue
-                parents[dst] = (v, cube)
-                if dst in targets:
+                parents[w] = (v, label)
+                if w in targets:
                     path = []
-                    cur = dst
+                    cur = w
                     while parents[cur] is not None:
-                        prev, c = parents[cur]
-                        path.append((c, cur))
+                        prev, step = parents[cur]
+                        path.append((step, cur))
                         cur = prev
-                    return list(reversed(path))
-                nxt.append(dst)
+                    return w, path[::-1]
+                nxt.append(w)
         frontier = nxt
     return None
 
 
-def _bfs_cycle(nba: BuchiAutomaton, q: int) -> list[tuple[Cube, int]] | None:
-    first: list[tuple[Cube, int]] = []
-    for cube, dst in nba.edges[q]:
-        if dst == q:
-            return [(cube, q)]
-        first.append((cube, dst))
-    for cube, dst in first:
-        back = _bfs_path(nba, [dst], {q})
-        if back is not None:
-            return [(cube, dst)] + back
-    return None
+def nba_emptiness(nba: BuchiAutomaton) -> LassoTrace | None:
+    """None if the language is empty, else a shortest-prefix witness lasso."""
+    found = accepting_lasso(nba.initial, nba.edges.__getitem__, nba.accepting.__contains__)
+    if found is None:
+        return None
+    prefix, loop = found
+    return LassoTrace(tuple(cube.pos for cube, _ in prefix), tuple(cube.pos for cube, _ in loop))
 
 
 def accepts_lasso(nba: BuchiAutomaton, sigma: LassoTrace) -> bool:
     """Exact membership of an ultimately periodic word."""
-    p, total = len(sigma.prefix), sigma.positions
-    nodes: dict[tuple[int, int], int] = {}
-    succ: list[list[int]] = []
-    acc: list[bool] = []
 
-    def node(q: int, pos: int) -> int:
-        key = (q, pos)
-        if key not in nodes:
-            nodes[key] = len(succ)
-            succ.append([])
-            acc.append(q in nba.accepting)
-        return nodes[key]
+    def successors(node: tuple[int, int]) -> list[Step]:
+        q, pos = node
+        letter, nxt = sigma.letter(pos), sigma.succ(pos)
+        return [(None, (dst, nxt)) for cube, dst in nba.edges[q] if cube.matches(letter)]
 
-    todo = [(q, 0) for q in nba.initial]
-    for q in nba.initial:
-        node(q, 0)
-    seen = set(todo)
-    while todo:
-        q, pos = todo.pop()
-        letter = sigma.letter(pos)
-        nxt_pos = sigma.succ(pos)
-        src = node(q, pos)
-        for cube, dst in nba.edges[q]:
-            if cube.matches(letter):
-                tgt = (dst, nxt_pos)
-                succ[src].append(node(*tgt))
-                if tgt not in seen:
-                    seen.add(tgt)
-                    todo.append(tgt)
-    for comp in _sccs(len(succ), succ):
-        comp_set = set(comp)
-        nontrivial = len(comp) > 1 or any(d == comp[0] for d in succ[comp[0]])
-        if nontrivial and any(acc[v] for v in comp):
-            return True
-    return False
+    return accepting_lasso([(q, 0) for q in nba.initial], successors,
+                           lambda node: node[0] in nba.accepting) is not None
 
 
 # -- model checking -----------------------------------------------------------
 
 
-def mc_ltl(machine: MooreMachine, f: Formula, nba: BuchiAutomaton | None = None) -> Verdict:
+def mc_ltl(machine: MooreMachine, f: Formula) -> Verdict:
     """Check that every trace of the machine satisfies ``f``.
 
     A failure carries a counterexample lasso found via the product with the
     automaton for the negation (shortest prefix, then shortest loop).
     """
-    if nba is None:
-        nba = ltl_to_nba(neg(f))
-    ce = product_counterexample(machine, nba)
+    ce = product_counterexample(machine, ltl_to_nba(neg(f)))
     if ce is None:
         return Verdict("pass")
     return Verdict("fail", witness=ce)
@@ -431,108 +383,25 @@ def mc_ltl(machine: MooreMachine, f: Formula, nba: BuchiAutomaton | None = None)
 
 def product_counterexample(machine: MooreMachine, nba: BuchiAutomaton) -> CounterexampleLasso | None:
     """Search the machine x automaton product for an accepting lasso."""
-    if not nba.initial or not nba.labels:
-        return None
     letters = machine.input_letters()
-    n_m = len(machine)
-    n_q = len(nba.labels)
 
-    def nid(ms: int, q: int) -> int:
-        return ms * n_q + q
-
-    succ_cache: dict[int, list[tuple[Letter, int]]] = {}
-
-    def psucc(node: int) -> list[tuple[Letter, int]]:
-        got = succ_cache.get(node)
-        if got is not None:
-            return got
-        ms, q = divmod(node, n_q)
+    def successors(node: tuple[int, int]) -> list[Step]:
+        ms, q = node
         out = []
         for inp in letters:
-            letter = machine.letter(ms, inp)
-            ms2 = machine.delta(ms, inp)
-            for cube, q2 in nba.edges[q]:
-                if cube.matches(letter):
-                    out.append((inp, nid(ms2, q2)))
-        succ_cache[node] = out
+            letter, ms2 = machine.letter(ms, inp), machine.delta(ms, inp)
+            out.extend((inp, (ms2, q2)) for cube, q2 in nba.edges[q] if cube.matches(letter))
         return out
 
-    initials = [nid(machine.initial, q) for q in nba.initial]
-    seen = set(initials)
-    todo = list(initials)
-    order = []
-    while todo:
-        v = todo.pop()
-        order.append(v)
-        for _, w in psucc(v):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    remap = {v: i for i, v in enumerate(order)}
-    succ_list = [[remap[w] for _, w in psucc(v)] for v in order]
-    good: set[int] = set()
-    for comp in _sccs(len(order), succ_list):
-        comp_set = set(comp)
-        nontrivial = len(comp) > 1 or any(d == comp[0] for d in succ_list[comp[0]])
-        if not nontrivial:
-            continue
-        if any(order[v] % n_q in nba.accepting for v in comp):
-            good |= {order[v] for v in comp if order[v] % n_q in nba.accepting}
-    if not good:
+    found = accepting_lasso([(machine.initial, q) for q in nba.initial], successors,
+                            lambda node: node[1] in nba.accepting)
+    if found is None:
         return None
-
-    # shortest prefix to an accepting product node on a cycle, then shortest loop
-    def bfs(srcs: list[int], targets: set[int], forbid_empty: bool) -> list[tuple[Letter, int]] | None:
-        parents: dict[int, tuple[int, Letter] | None] = {s: None for s in srcs}
-        if not forbid_empty and any(s in targets for s in srcs):
-            return []
-        frontier = list(srcs)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for inp, w in psucc(v):
-                    if w in parents:
-                        continue
-                    parents[w] = (v, inp)
-                    if w in targets:
-                        path = []
-                        cur = w
-                        while parents[cur] is not None:
-                            prev, i2 = parents[cur]
-                            path.append((i2, cur))
-                            cur = prev
-                        return list(reversed(path))
-                    nxt.append(w)
-            frontier = nxt
-        return None
-
-    prefix_path = bfs(initials, good, forbid_empty=False)
-    assert prefix_path is not None
-    anchor = prefix_path[-1][1] if prefix_path else initials[0]
-    if anchor not in good:
-        anchor = next(iter(good))
-        prefix_path = bfs(initials, {anchor}, forbid_empty=False)
-    loop_path = None
-    for inp, w in psucc(anchor):
-        if w == anchor:
-            loop_path = [(inp, w)]
-            break
-    if loop_path is None:
-        for inp, w in psucc(anchor):
-            back = bfs([w], {anchor}, forbid_empty=False)
-            if back is not None:
-                loop_path = [(inp, w)] + back
-                break
-    assert loop_path is not None
-
-    def mstate(node: int) -> int:
-        return node // n_q
-
-    in_pre = tuple(inp for inp, _ in prefix_path)
-    in_loop = tuple(inp for inp, _ in loop_path)
-    lasso = machine.lasso_for(in_pre, in_loop)
-    cycle_states = tuple(mstate(w) for _, w in loop_path)
-    return CounterexampleLasso(lasso, cycle_states, in_pre, in_loop)
+    prefix, loop = found
+    in_pre = tuple(inp for inp, _ in prefix)
+    in_loop = tuple(inp for inp, _ in loop)
+    cycle_states = tuple(ms for _, (ms, _) in loop)
+    return CounterexampleLasso(machine.lasso_for(in_pre, in_loop), cycle_states, in_pre, in_loop)
 
 
 # -- HOA export ---------------------------------------------------------------

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
 
+from .automata import AutomatonBudgetError
 from .benchmarks import ACCEPTANCE_ROWS, TABLE1_ROWS, family, update_pair
 from .machine import serialize_machine, to_dot as machine_dot
 from .modelcheck import LiveProblem, mc_finite_live, mc_universal_live
-from .monitor import build_monitor, cut_monitor, reachable_obligations
+from .monitor import MonitorBudgetError, build_monitor, cut_monitor, reachable_obligations
 from .problem import ProblemFormatError, load_problem
 from .rewrite import evolve
 from .synthesis import DEFAULT_BOUNDS, SynthesisProblem, synth_finite_live, synth_ltl, synth_universal_live
@@ -156,7 +156,6 @@ def cmd_bench(args) -> int:
     rows = [r for r in TABLE1_ROWS if not args.rows or any(f in r.key for f in args.rows)]
     if args.acceptance:
         rows = [r for r in rows if r.key in ACCEPTANCE_ROWS]
-    random.Random(args.seed)  # the generators are deterministic; seed kept for reproducibility flags
     report = []
     machines = {}
     kwargs = {"time_budget": args.timeout, "cap": args.bound_max, "solver": args.solver}
@@ -173,11 +172,12 @@ def cmd_bench(args) -> int:
             result = synth_universal_live(ts_i, bi.spec, bu.spec, ap,
                                           monitor_budget=args.monitor_budget, **kwargs)
             verdict = {"realizable": "real", "unrealizable": "unreal"}.get(result.outcome, "unknown")
-            n_real = sum(1 for e in result.per_obligation if e["outcome"] == "realizable")
+            outcomes = [e["outcome"] for e in result.per_obligation]
             report.append({
                 "row": row.key,
-                "om_labels": len(result.per_obligation),
-                "fin_trace_realizable": n_real,
+                "om_labels": len(outcomes),
+                "fin_trace_realizable": outcomes.count("realizable"),
+                "fin_trace_unknown": outcomes.count("unknown"),
                 "universal": verdict,
                 "expected": row.expected,
                 "time": round(time.monotonic() - t0, 2),
@@ -188,11 +188,12 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print(f"{'row':30s} {'#OM':>4s} {'#fin':>5s} {'universal':>10s} {'expected':>9s} {'time':>8s}")
+        print(f"{'row':30s} {'#OM':>4s} {'#fin':>5s} {'#unk':>5s} {'universal':>10s} "
+              f"{'expected':>9s} {'time':>8s}")
         for e in report:
             print(f"{e['row']:30s} {e.get('om_labels', '-'):>4} "
-                  f"{e.get('fin_trace_realizable', '-'):>5} {e['universal']:>10s} "
-                  f"{e['expected']:>9s} {e['time']:>7.1f}s")
+                  f"{e.get('fin_trace_realizable', '-'):>5} {e.get('fin_trace_unknown', '-'):>5} "
+                  f"{e['universal']:>10s} {e['expected']:>9s} {e['time']:>7.1f}s")
     bad = [e for e in report if e["universal"] in ("error", "unknown")]
     mismatched = [e for e in report if e["universal"] in ("real", "unreal") and e["universal"] != e["expected"]]
     if mismatched:
@@ -254,7 +255,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("bench", help="run the built-in update regression table")
-    p.add_argument("--table1", action="store_true", help="run the full table (default)")
     p.add_argument("--acceptance", action="store_true", help="verdict-asserted subset only")
     p.add_argument("--rows", nargs="*", default=None, help="substring filters on row keys")
     p.add_argument("--json", action="store_true")
@@ -262,7 +262,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-max", type=int, default=16)
     p.add_argument("--timeout", type=float, default=600.0, help="per synthesis call, seconds")
     p.add_argument("--solver", default="internal")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gen", help="print a benchmark family instance as a problem skeleton")
@@ -279,6 +278,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (MonitorBudgetError, AutomatonBudgetError) as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        if getattr(args, "json", False):
+            print(json.dumps({"outcome": "unknown", "reason": str(exc)}, indent=2))
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

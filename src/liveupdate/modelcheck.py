@@ -24,7 +24,8 @@ from .monitor import build_monitor, cut_monitor, reachable_obligations
 from .rewrite import evolve, strip
 from .traces import APTable, Cube, FiniteTrace
 
-__all__ = ["LiveProblem", "Verdict", "mc_finite_live", "mc_universal_live", "mc_universal_product"]
+__all__ = ["LiveProblem", "Verdict", "mc_finite_live", "mc_universal_live", "mc_obligations",
+           "mc_universal_product"]
 
 
 @dataclass
@@ -76,18 +77,24 @@ def mc_universal_live(ts_u: MooreMachine, problem: LiveProblem,
         raise ValueError("universal checking needs the initial system")
     mon = build_monitor(problem.phi, problem.ap, max_states=max_states, anchor="state")
     cut = cut_monitor(mon, problem.ts_i, max_states=max_states)
-    obligations = reachable_obligations(cut)
+    result = mc_obligations(ts_u, reachable_obligations(cut), problem.psi)
+    result.details["monitor_states"] = len(cut)
+    return result
+
+
+def mc_obligations(ts_u: MooreMachine, obligations: list[Formula], psi: Formula) -> Verdict:
+    """Check ``o && psi`` for every obligation ``o``; the first failure is
+    reported with its obligation and counterexample."""
     table = []
     failure: Verdict | None = None
     for o in obligations:
-        v = mc_ltl(ts_u, f_and((o, problem.psi)))
+        v = mc_ltl(ts_u, f_and((o, psi)))
         table.append({"obligation": str(o), "outcome": v.outcome})
         if not v.passed and failure is None:
             failure = v
             failure.failing_obligation = o
     result = failure if failure is not None else Verdict("pass")
     result.details["obligations"] = table
-    result.details["monitor_states"] = len(cut)
     return result
 
 

@@ -34,7 +34,7 @@ from typing import Literal
 from .formula import Formula, prop_equivalent
 from .machine import MooreMachine
 from .rewrite import af, edge_step, strip
-from .traces import APTable, Letter
+from .traces import APTable, Letter, all_letters
 
 __all__ = ["ObligationMonitor", "MonitorBudgetError", "build_monitor", "cut_monitor", "reachable_obligations"]
 
@@ -154,7 +154,7 @@ def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
     ap.check_formula(phi)
     step = _step_fn(anchor)
     relevant = sorted(phi.atoms)
-    letters = [frozenset(c) for c in _subsets(relevant)]
+    letters = all_letters(relevant)
     index: dict[Formula, int] = {phi: 0}
     nodes = [MonitorNode(phi)]
     edges: list[dict[Letter, int]] = []
@@ -235,9 +235,3 @@ def _equiv(f: Formula, g: Formula) -> bool:
         return prop_equivalent(f, g)
     except ValueError:
         return False
-
-
-def _subsets(items: list[str]):
-    n = len(items)
-    for bits in range(1 << n):
-        yield [items[k] for k in range(n) if bits >> k & 1]

@@ -79,12 +79,8 @@ def af_word(f: Formula, word: FiniteTrace) -> Formula:
     return f
 
 
-def _pe(f: Formula, letter: Letter) -> Formula:
-    """Positional evaluation: like ``af`` but next-guarded parts stay guarded."""
-    return canonical(_pe_raw(f, letter))
-
-
 def _pe_raw(f: Formula, letter: Letter) -> Formula:
+    """Positional evaluation: like ``af`` but next-guarded parts stay guarded."""
     k = f.kind
     if k in ("true", "false"):
         return f
@@ -221,8 +217,3 @@ def liveltl_to_ltl(phi: Formula, psi: Formula, eta: FiniteTrace, all_aps: frozen
         strip(expand_n(phi, n)),
         trace_formula(eta, all_aps),
     ))
-
-
-def eval_now(f: Formula, letter: Letter) -> Formula:
-    """Public alias of the positional evaluation used by ``edge_step``."""
-    return _pe(f, letter)

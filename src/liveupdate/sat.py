@@ -329,16 +329,21 @@ def parse_dimacs_model(text: str) -> tuple[bool | None, set[int]]:
 
 def solve_external(solver_path: str, nvars: int, clauses: list[list[int]],
                    timeout: float | None = None) -> tuple[bool | None, set[int]]:
-    """Run an external DIMACS solver; returns (verdict, positive literals)."""
+    """Run an external DIMACS solver; returns (verdict, positive literals).
+
+    Raises ``TimeoutError`` when the solver runs past ``timeout`` seconds."""
     if shutil.which(solver_path) is None and not Path(solver_path).exists():
         raise FileNotFoundError(f"external solver not found: {solver_path}")
     with tempfile.TemporaryDirectory(prefix="liveupdate-sat-") as tmp:
         cnf = Path(tmp) / "problem.cnf"
         cnf.write_text(to_dimacs(nvars, clauses))
-        proc = subprocess.run(
-            [solver_path, str(cnf)],
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
+        try:
+            proc = subprocess.run(
+                [solver_path, str(cnf)],
+                capture_output=True,
+                text=True,
+                timeout=timeout,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise TimeoutError(f"external solver ran past {timeout} s") from exc
         return parse_dimacs_model(proc.stdout)

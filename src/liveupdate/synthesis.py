@@ -19,14 +19,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .automata import BuchiAutomaton, ltl_to_nba, mc_ltl, _sccs
+from .automata import AutomatonBudgetError, BuchiAutomaton, accepting_lasso, ltl_to_nba, mc_ltl
 from .formula import Formula, f_and, neg
 from .machine import MooreMachine
-from .modelcheck import LiveProblem, mc_finite_live, mc_universal_live
+from .modelcheck import LiveProblem, mc_finite_live, mc_obligations
 from .monitor import build_monitor, cut_monitor, reachable_obligations
 from .rewrite import evolve
 from .sat import Solver, solve_external, to_dimacs
-from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter
+from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
 
 __all__ = [
     "SynthesisProblem",
@@ -92,13 +92,6 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return list(f.children) if f.kind == "and" else [f]
 
 
-def _subsets(items: tuple[str, ...]) -> list[Letter]:
-    out = []
-    for bits in range(1 << len(items)):
-        out.append(frozenset(a for i, a in enumerate(items) if bits >> i & 1))
-    return out
-
-
 class _Encoder:
     """CNF encoding of one bounded-synthesis instance.
 
@@ -113,7 +106,7 @@ class _Encoder:
         self.k = k
         self.kcount = kcount
         self.mode = mode
-        self.read = _subsets(ap.inputs if mode == "moore" else ap.outputs)
+        self.read = all_letters(ap.inputs if mode == "moore" else ap.outputs)
         self.emit = ap.outputs if mode == "moore" else ap.inputs
         self.nv = 0
         self.clauses: list[list[int]] = []
@@ -251,99 +244,38 @@ class _Encoder:
 def env_counterexample(env: EnvMachine, nba: BuchiAutomaton) -> LassoTrace | None:
     """An accepting trace of the product of an environment strategy with an
     automaton, quantifying over all output letters; None if there is none."""
-    if not nba.initial or not nba.labels:
-        return None
-    read = _subsets(env.ap.outputs)
-    n_q = len(nba.labels)
-    succ: dict[int, list[int]] = {}
-    nodes: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
+    read = all_letters(env.ap.outputs)
 
-    def nid(e: int, q: int) -> int:
-        key = (e, q)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(key)
-        return index[key]
-
-    todo = [nid(env.initial, q) for q in nba.initial]
-    letters: dict[tuple[int, int], Letter] = {}
-    while todo:
-        v = todo.pop()
-        if v in succ:
-            continue
-        e, q = nodes[v]
-        row = []
+    def successors(node: tuple[int, int]) -> list[tuple[Letter, tuple[int, int]]]:
+        e, q = node
+        out = []
         for a in read:
             emit, e2 = env.move(e, a)
             letter = a | emit
-            for cube, q2 in nba.edges[q]:
-                if cube.matches(letter):
-                    w = nid(e2, q2)
-                    row.append(w)
-                    letters[(v, w)] = letter
-                    if w not in succ:
-                        todo.append(w)
-        succ[v] = row
-    size = len(nodes)
-    succ_list = [succ.get(i, []) for i in range(size)]
-    accepting = {i for i, (e, q) in enumerate(nodes) if q in nba.accepting}
-    good = set()
-    for comp in _sccs(size, succ_list):
-        nontrivial = len(comp) > 1 or comp[0] in succ_list[comp[0]]
-        if nontrivial and any(v in accepting for v in comp):
-            good |= set(comp) & accepting
-    if not good:
+            out.extend((letter, (e2, q2)) for cube, q2 in nba.edges[q] if cube.matches(letter))
+        return out
+
+    found = accepting_lasso([(env.initial, q) for q in nba.initial], successors,
+                            lambda node: node[1] in nba.accepting)
+    if found is None:
         return None
-
-    def bfs(srcs: list[int], targets: set[int]) -> list[int] | None:
-        parents = {s: None for s in srcs}
-        for s in srcs:
-            if s in targets:
-                return [s]
-        frontier = list(srcs)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in succ_list[v]:
-                    if w in parents:
-                        continue
-                    parents[w] = v
-                    if w in targets:
-                        path = [w]
-                        while parents[path[-1]] is not None:
-                            path.append(parents[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(w)
-            frontier = nxt
-        return None
-
-    starts = [nid(env.initial, q) for q in nba.initial]
-    path = bfs(starts, good)
-    assert path is not None
-    anchor = path[-1]
-    cyc = None
-    if anchor in succ_list[anchor]:
-        cyc = [anchor, anchor]
-    else:
-        for w in succ_list[anchor]:
-            back = bfs([w], {anchor})
-            if back is not None:
-                cyc = [anchor] + back
-                break
-    assert cyc is not None
-    prefix = tuple(letters[(path[i], path[i + 1])] for i in range(len(path) - 1))
-    loop = tuple(letters[(cyc[i], cyc[i + 1])] for i in range(len(cyc) - 1))
-    return LassoTrace(prefix, loop)
+    prefix, loop = found
+    return LassoTrace(tuple(l for l, _ in prefix), tuple(l for l, _ in loop))
 
 
-def _env_ok(env: EnvMachine, spec_nba: BuchiAutomaton) -> bool:
-    """The environment certificate is valid iff no consistent trace satisfies
-    the specification."""
-    return env_counterexample(env, spec_nba) is None
+def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomaton]:
+    """One automaton per top-level conjunct of ``f``, for its negation; the
+    empty ones (conjuncts that always hold) are dropped."""
+    out = []
+    for c in _conjuncts(f):
+        nba = ltl_to_nba(neg(c), max_states=max_states)
+        if len(nba.labels) and nba.initial:
+            out.append(nba)
+    return out
 
 
 _ENV_DEFER_STATES = 120  # defer dual attempts while their automaton is this big
+_ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
 
 
 def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
@@ -358,23 +290,14 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     """
     spec = problem.spec
     deadline = None if problem.time_budget is None else time.monotonic() + problem.time_budget
-    sys_automata = []
-    for c in _conjuncts(spec):
-        nba = ltl_to_nba(neg(c))
-        if len(nba.labels) and nba.initial:
-            sys_automata.append(nba)
+    sys_automata = _conjunct_automata(spec)
     lazy: dict = {}
 
     def env_automata() -> list[BuchiAutomaton] | None:
         """Automata for the dual search, or None when they blow the budget."""
         if "env" not in lazy:
             try:
-                out = []
-                for c in _conjuncts(neg(spec)):
-                    nba = ltl_to_nba(neg(c), max_states=4000)
-                    if len(nba.labels) and nba.initial:
-                        out.append(nba)
-                lazy["env"] = out
+                lazy["env"] = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
             except AutomatonBudgetError:
                 lazy["env"] = None
         return lazy["env"]
@@ -423,7 +346,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                 raise AssertionError("internal error: synthesized machine failed verification")
             return SynthesisResult("realizable", machine=machine, stats=stats)
         env = enc.extract_env(model)
-        if not _env_ok(env, spec_nba()):
+        if env_counterexample(env, spec_nba()) is not None:
             raise AssertionError("internal error: environment certificate failed verification")
         return SynthesisResult("unrealizable", certificate=env, stats=stats)
 
@@ -488,7 +411,7 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
     universal.per_obligation = table
     if universal.realizable:
-        check = mc_universal_live(universal.machine, LiveProblem(phi, psi, ap, ts_i=ts_i))
+        check = mc_obligations(universal.machine, obligations, psi)
         if not check.passed:
             raise AssertionError("internal error: universal update failed verification")
     return universal
@@ -496,12 +419,7 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
 
 def emit_dimacs(problem: SynthesisProblem, k: int, side: str = "system") -> str:
     """CNF for one bound, for use with external solvers."""
-    spec = problem.spec if side == "system" else neg(problem.spec)
-    automata = []
-    for c in _conjuncts(spec):
-        nba = ltl_to_nba(neg(c))
-        if len(nba.labels) and nba.initial:
-            automata.append(nba)
+    automata = _conjunct_automata(problem.spec if side == "system" else neg(problem.spec))
     kcount = problem.counter_bound if problem.counter_bound is not None else max(3, k)
     enc = _Encoder(automata, problem.ap, k, kcount,
                    "moore" if side == "system" else "mealy-env")

@@ -7,11 +7,12 @@ letters, and a lasso the ultimately periodic word ``prefix . loop^omega``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .formula import Formula
 
-__all__ = ["APTable", "Cube", "FiniteTrace", "Letter", "LassoTrace", "parse_trace", "format_trace"]
+__all__ = ["APTable", "Cube", "FiniteTrace", "Letter", "LassoTrace", "all_letters", "parse_trace",
+           "format_trace"]
 
 Letter = frozenset
 FiniteTrace = tuple  # tuple[Letter, ...]
@@ -132,6 +133,12 @@ class LassoTrace:
 
     def finite(self, n: int) -> FiniteTrace:
         return tuple(self.letter(i) for i in range(n))
+
+
+def all_letters(props: Sequence[str]) -> list[Letter]:
+    """Every letter over ``props``; bit i of the position says whether the
+    i-th proposition holds."""
+    return [frozenset(a for i, a in enumerate(props) if bits >> i & 1) for bits in range(1 << len(props))]
 
 
 def parse_trace(text: str) -> FiniteTrace:

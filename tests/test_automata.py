@@ -151,3 +151,15 @@ def test_hoa_export():
     assert text.startswith("HOA: v1")
     assert "Acceptance: 1 Inf(0)" in text
     assert "--END--" in text
+
+
+def test_emptiness_second_initial_state():
+    from liveupdate.automata import BuchiAutomaton
+    from liveupdate.traces import Cube
+
+    # state 0 is a dead end; only initial state 1 carries an accepting cycle
+    a = Cube(frozenset(("a",)), frozenset())
+    nba = BuchiAutomaton(("a",), [0, 1], [0, 1], [[], [(a, 1)]], frozenset((1,)))
+    witness = nba_emptiness(nba)
+    assert witness is not None
+    assert accepts_lasso(nba, witness)

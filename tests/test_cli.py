@@ -169,9 +169,47 @@ def test_bench_robot_row(capsys):
     assert code == 0
     assert out[0]["universal"] == "real"
     assert out[0]["fin_trace_realizable"] == out[0]["om_labels"]
+    assert out[0]["fin_trace_unknown"] == 0
 
 
 def test_gen_command(capsys):
     assert main(["gen", "relay", "1"]) == 0
     out = capsys.readouterr().out
     assert "INPUTS: m0" in out and "INITIAL:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["monitor"],
+    ["mc", "--universal"],
+    ["synth", "--universal"],
+])
+def test_monitor_budget_is_unknown(tmp_path, capsys, argv):
+    path = tmp_path / "u.problem"
+    path.write_text(UNIVERSAL_PROBLEM)
+    code = main(argv + [str(path), "--monitor-budget", "1", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["outcome"] == "unknown"
+    assert "monitor exceeds 1 states" in data["reason"]
+    assert data["reason"] in captured.err
+
+
+def test_automaton_budget_is_unknown(problem_dir, capsys, monkeypatch):
+    from liveupdate import automata
+    monkeypatch.setattr(automata.ltl_to_nba, "__defaults__", (1,))
+    code = main(["mc", "--finite", str(problem_dir / "mc.problem")])
+    assert code == 2
+    assert "automaton exceeds 1 states" in capsys.readouterr().err
+
+
+def test_external_solver_timeout_is_unknown(problem_dir, tmp_path, capsys):
+    solver = tmp_path / "slow-solver"
+    solver.write_text("#!/bin/sh\nexec sleep 30\n")
+    solver.chmod(0o755)
+    code = main(["synth", "--finite", str(problem_dir / "synth.problem"), "--json",
+                 "--timeout", "1", "--solver", str(solver)])
+    assert code == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["outcome"] == "unknown"
+    assert data["stats"][0]["timeout"]

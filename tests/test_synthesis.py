@@ -1,14 +1,16 @@
 import random
 
-from liveupdate.automata import ltl_to_nba, mc_ltl
+from liveupdate.automata import AutomatonBudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import family
-from liveupdate.formula import neg, t_true
+from liveupdate.formula import t_true
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
+from liveupdate.monitor import build_monitor
 from liveupdate.parser import parse_formula
+from liveupdate import synthesis
 from liveupdate.synthesis import (
     SynthesisProblem,
     _Encoder,
-    _conjuncts,
+    _conjunct_automata,
     emit_dimacs,
     env_counterexample,
     synth_finite_live,
@@ -59,7 +61,7 @@ def test_monotone_in_bound():
     assert res.realizable
     k = len(res.machine)
     for k2 in (k + 1, k + 2):
-        enc = _Encoder([ltl_to_nba(neg(c)) for c in _conjuncts(spec)], AP_RG, k2, max(3, k2), "moore")
+        enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, max(3, k2), "moore")
         assert enc.solve("internal", None) is not None
 
 
@@ -103,13 +105,30 @@ def test_finite_live_forced_grant_conflict():
     assert result.outcome == "unrealizable"
 
 
-def test_universal_trivial_initial():
+def test_universal_trivial_initial(monkeypatch):
     from liveupdate.machine import parse_machine
+    builds = []
+    monkeypatch.setattr(synthesis, "build_monitor",
+                        lambda *a, **kw: builds.append(a) or build_monitor(*a, **kw))
     ts_i = parse_machine("inputs: r\noutputs: g\nstate s0 initial { }\ns0 --*--> s0\n")
     psi = parse_formula("G (r -> F g)")
     result = synth_universal_live(ts_i, t_true(), psi, AP_RG)
     assert result.realizable
     assert [e["outcome"] for e in result.per_obligation] == ["realizable"]
+    assert len(builds) == 1  # re-verification reuses the obligations
+
+
+def test_env_automaton_budget_gives_unknown(monkeypatch):
+    def budgeted(f, max_states=20000):
+        if max_states == synthesis._ENV_MAX_STATES:
+            raise AutomatonBudgetError("forced")
+        return ltl_to_nba(f, max_states)
+
+    monkeypatch.setattr(synthesis, "ltl_to_nba", budgeted)
+    spec = parse_formula("G (r -> X g) && G (r -> X !g)")
+    result = synth_ltl(SynthesisProblem(spec, AP_RG, bounds=(1, 2), cap=2))
+    assert result.outcome == "unknown"
+    assert [s["side"] for s in result.stats] == ["system", "system"]
 
 
 def test_emit_dimacs():
