@@ -11,7 +11,7 @@ from .automata import BuchiAutomaton, CounterexampleLasso, Verdict, ltl_to_nba, 
 from .formula import Formula
 from .machine import MooreMachine, parse_machine, serialize_machine
 from .modelcheck import LiveProblem, mc_finite_live, mc_universal_live, mc_universal_product
-from .monitor import ObligationMonitor, build_monitor, cut_monitor, reachable_obligations
+from .monitor import ObligationMonitor, build_monitor, cut_from_phi, cut_monitor, reachable_obligations
 from .parser import parse_formula
 from .rewrite import af, af_word, evolve, expand, expand_n, liveltl_to_ltl, strip
 from .semantics import eval_initial, eval_ltl, eval_update, words_membership

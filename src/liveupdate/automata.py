@@ -7,8 +7,10 @@ until subformula (a transition fulfills an until when the target either drops
 it or carries a residue of its right-hand side).  The generalized condition is
 then degeneralized with the usual round-robin counter.
 
-Counterexamples and emptiness witnesses are extracted shortest-prefix,
-shortest-loop by BFS layering, so regression outputs stay readable.
+Every closure here -- the translation, the pruning and the lasso search --
+is one breadth-first ``explore`` of an implicit graph.  Counterexamples and
+emptiness witnesses are extracted shortest-prefix, shortest-loop by BFS
+layering, so regression outputs stay readable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ __all__ = [
     "BuchiAutomaton",
     "CounterexampleLasso",
     "Verdict",
-    "AutomatonBudgetError",
+    "BudgetError",
+    "explore",
     "ltl_to_nba",
     "accepting_lasso",
     "nba_emptiness",
@@ -35,8 +38,8 @@ __all__ = [
 ]
 
 
-class AutomatonBudgetError(RuntimeError):
-    pass
+class BudgetError(RuntimeError):
+    """A state budget ran out; the answer is unknown."""
 
 
 @dataclass
@@ -76,6 +79,43 @@ class Verdict:
         return self.outcome == "pass"
 
 
+# -- state-space exploration -------------------------------------------------
+
+Step = tuple[Hashable, Hashable]  # (edge label, node the edge enters)
+
+
+def explore(initials: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Step]],
+            max_states: int | None = None) -> tuple[list[Hashable], list[list[tuple[Hashable, int]]]]:
+    """Breadth-first closure of an implicitly given graph.
+
+    ``successors(v)`` lists the ``(label, w)`` edges leaving ``v``.  Returns
+    the nodes in discovery order, initials first, and for each node its
+    ``(label, node index)`` edges.  A node beyond ``max_states`` raises
+    ``BudgetError``; its message gives the frontier, the nodes found but not
+    yet expanded.
+    """
+    index: dict[Hashable, int] = {}
+    nodes: list[Hashable] = []
+    rows: list[list[tuple[Hashable, int]]] = []
+
+    def node(v: Hashable) -> int:
+        i = index.get(v)
+        if i is None:
+            if max_states is not None and len(nodes) >= max_states:
+                raise BudgetError(f"exceeds {max_states} states (frontier {len(nodes) - len(rows)})")
+            i = index[v] = len(nodes)
+            nodes.append(v)
+        return i
+
+    for v in initials:
+        node(v)
+    while len(rows) < len(nodes):
+        row: list[tuple[Hashable, int]] = []
+        rows.append(row)
+        row.extend((label, node(w)) for label, w in successors(nodes[len(rows) - 1]))
+    return nodes, rows
+
+
 # -- LTL -> NBA ---------------------------------------------------------------
 
 
@@ -95,38 +135,28 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
     else:
         init_units = frozenset((f,))
 
-    # generalized automaton over conjunct-set states
-    gstates: dict[frozenset[Formula], int] = {init_units: 0}
-    order: list[frozenset[Formula]] = [init_units]
-    gtrans: list[list[tuple[Cube, int, frozenset[int]]]] = []  # cube, dst, fulfilled untils
-    idx = 0
-    while idx < len(order):
-        units = order[idx]
-        idx += 1
+    def successors(units: frozenset[Formula]):
         state_formula = _conj(units)
         atoms = sorted(state_formula.atoms)
-        out: list[tuple[Cube, int, frozenset[int]]] = []
         for letter in all_letters(atoms):
             cube = Cube(letter, frozenset(atoms) - letter)
-            succ = af(state_formula, letter)
-            for d in dnf_units(succ):
+            for d in dnf_units(af(state_formula, letter)):
                 fulfilled = frozenset(
                     i for i, u in enumerate(untils)
                     if u not in d or any(rd <= d for rd in dnf_units(af(u.right, letter)))
                 )
-                if d not in gstates:
-                    if len(gstates) >= max_states:
-                        raise AutomatonBudgetError(
-                            f"automaton exceeds {max_states} states (frontier {len(order) - idx})")
-                    gstates[d] = len(order)
-                    order.append(d)
-                out.append((cube, gstates[d], fulfilled))
-        gtrans.append(out)
+                yield (cube, fulfilled), d
+
+    # generalized automaton over conjunct-set states; edges carry the untils they fulfill
+    try:
+        order, gtrans = explore([init_units], successors, max_states)
+    except BudgetError as exc:
+        raise BudgetError(f"automaton {exc}") from None
 
     # degeneralize with a round-robin counter; counter value m is accepting
     if m == 0:
         labels: list[Hashable] = [(_conj(u), 0) for u in order]
-        edges = [[(cube, dst) for cube, dst, _ in row] for row in gtrans]
+        edges = [[(cube, dst) for (cube, _), dst in row] for row in gtrans]
         nba = BuchiAutomaton(
             ap=tuple(sorted(f.atoms)),
             labels=labels,
@@ -156,7 +186,7 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
             g, c = rev[nid]
             row = []
             base = 0 if c == m else c
-            for cube, dst, fulfilled in gtrans[g]:
+            for (cube, fulfilled), dst in gtrans[g]:
                 j = base
                 while j < m and j in fulfilled:
                     j += 1
@@ -239,18 +269,11 @@ def _prune_coreachable(nba: BuchiAutomaton) -> BuchiAutomaton:
     n = len(nba.labels)
     targets = _cycles_through([[dst for _, dst in row] for row in nba.edges],
                               nba.accepting.__contains__)
-    pred: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[Step]] = [[] for _ in range(n)]
     for src, row in enumerate(nba.edges):
         for _, dst in row:
-            pred[dst].append(src)
-    keep = set(targets)
-    todo = list(targets)
-    while todo:
-        v = todo.pop()
-        for p in pred[v]:
-            if p not in keep:
-                keep.add(p)
-                todo.append(p)
+            pred[dst].append((None, src))
+    keep = set(explore(targets, pred.__getitem__)[0])
     if len(keep) == n:
         return nba
     remap = {old: new for new, old in enumerate(sorted(keep))}
@@ -268,8 +291,6 @@ def _prune_coreachable(nba: BuchiAutomaton) -> BuchiAutomaton:
 
 # -- accepting lassos ---------------------------------------------------------
 
-Step = tuple[Hashable, Hashable]  # (edge label, node the edge enters)
-
 
 def accepting_lasso(initials: Iterable[Hashable],
                     successors: Callable[[Hashable], Iterable[Step]],
@@ -281,20 +302,9 @@ def accepting_lasso(initials: Iterable[Hashable],
     accepting node on a cycle, then a loop back to that node -- a self-loop if
     there is one, else through the first successor with a path back.
     """
-    index: dict[Hashable, int] = {}
-    nodes: list[Hashable] = []
-    rows: list[list[tuple[Hashable, int]]] = []
-
-    def node(v: Hashable) -> int:
-        i = index.get(v)
-        if i is None:
-            i = index[v] = len(nodes)
-            nodes.append(v)
-        return i
-
-    starts = [node(v) for v in initials]
-    while len(rows) < len(nodes):
-        rows.append([(label, node(w)) for label, w in successors(nodes[len(rows)])])
+    initials = list(dict.fromkeys(initials))
+    nodes, rows = explore(initials, successors)
+    starts = list(range(len(initials)))
     acc = [accepting(v) for v in nodes]
     good = {v for v in _cycles_through([[w for _, w in row] for row in rows], acc.__getitem__)
             if acc[v]}

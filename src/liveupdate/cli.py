@@ -13,11 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-from .automata import AutomatonBudgetError
+from .automata import BudgetError
 from .benchmarks import ACCEPTANCE_ROWS, TABLE1_ROWS, family, update_pair
 from .machine import serialize_machine, to_dot as machine_dot
 from .modelcheck import LiveProblem, mc_finite_live, mc_universal_live
-from .monitor import MonitorBudgetError, build_monitor, cut_monitor, reachable_obligations
+from .monitor import build_monitor, cut_from_phi, reachable_obligations
 from .problem import ProblemFormatError, load_problem
 from .rewrite import evolve
 from .synthesis import DEFAULT_BOUNDS, SynthesisProblem, synth_finite_live, synth_ltl, synth_universal_live
@@ -46,11 +46,12 @@ def _verdict_json(verdict) -> dict:
 def cmd_monitor(args) -> int:
     prob = load_problem(args.problem)
     prob.require("initial")
-    mon = build_monitor(prob.initial, prob.ap, max_states=args.monitor_budget,
-                        anchor=args.anchor)
     if args.cut:
         prob.require("initial_machine")
-        mon = cut_monitor(mon, prob.initial_machine, max_states=args.monitor_budget)
+        prob.ap.check_formula(prob.initial)
+        mon = cut_from_phi(prob.initial, prob.initial_machine, args.anchor, args.monitor_budget)
+    else:
+        mon = build_monitor(prob.initial, prob.ap, args.monitor_budget, args.anchor)
     labels = reachable_obligations(mon)
     if args.dot:
         Path(args.dot).write_text(mon.to_dot())
@@ -182,6 +183,9 @@ def cmd_bench(args) -> int:
                 "expected": row.expected,
                 "time": round(time.monotonic() - t0, 2),
             })
+        except BudgetError as exc:
+            report.append({"row": row.key, "universal": "unknown", "expected": row.expected,
+                           "reason": str(exc), "time": round(time.monotonic() - t0, 2)})
         except Exception as exc:  # noqa: BLE001 - rows report their own failures
             report.append({"row": row.key, "universal": "error", "expected": row.expected,
                            "error": str(exc), "time": round(time.monotonic() - t0, 2)})
@@ -194,6 +198,8 @@ def cmd_bench(args) -> int:
             print(f"{e['row']:30s} {e.get('om_labels', '-'):>4} "
                   f"{e.get('fin_trace_realizable', '-'):>5} {e.get('fin_trace_unknown', '-'):>5} "
                   f"{e['universal']:>10s} {e['expected']:>9s} {e['time']:>7.1f}s")
+            if "reason" in e:
+                print(f"  unknown: {e['reason']}")
     bad = [e for e in report if e["universal"] in ("error", "unknown")]
     mismatched = [e for e in report if e["universal"] in ("real", "unreal") and e["universal"] != e["expected"]]
     if mismatched:
@@ -278,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (MonitorBudgetError, AutomatonBudgetError) as exc:
+    except BudgetError as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         if getattr(args, "json", False):
             print(json.dumps({"outcome": "unknown", "reason": str(exc)}, indent=2))

@@ -135,17 +135,6 @@ class MooreMachine:
         start = seen[(state, pos)]
         return LassoTrace(tuple(trace[:start]), tuple(trace[start:]))
 
-    def reachable(self) -> list[int]:
-        seen = {self.initial}
-        todo = [self.initial]
-        while todo:
-            s = todo.pop()
-            for _, dst in self.edges[s]:
-                if dst not in seen:
-                    seen.add(dst)
-                    todo.append(dst)
-        return sorted(seen)
-
     def __len__(self) -> int:
         return len(self.names)
 

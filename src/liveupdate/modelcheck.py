@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .automata import Verdict, mc_ltl
 from .formula import Formula, atom, f_and, f_globally, f_implies, f_next, f_or, f_until, natom, t_true
 from .machine import MooreMachine
-from .monitor import build_monitor, cut_monitor, reachable_obligations
+from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve, strip
 from .traces import APTable, Cube, FiniteTrace
 
@@ -75,8 +75,7 @@ def mc_universal_live(ts_u: MooreMachine, problem: LiveProblem,
     """
     if problem.ts_i is None:
         raise ValueError("universal checking needs the initial system")
-    mon = build_monitor(problem.phi, problem.ap, max_states=max_states, anchor="state")
-    cut = cut_monitor(mon, problem.ts_i, max_states=max_states)
+    cut = cut_from_phi(problem.phi, problem.ts_i, max_states=max_states)
     result = mc_obligations(ts_u, reachable_obligations(cut), problem.psi)
     result.details["monitor_states"] = len(cut)
     return result

@@ -23,7 +23,8 @@ Cutting against a concrete machine restricts the monitor to letters the
 machine can produce, combining each state's output with the consumed input
 exactly when the machine takes the corresponding edge.  Cut states are
 (formula, machine state) pairs, which is why distinct states may share a
-label.
+label; ``cut_from_phi`` explores them straight from the formula, without
+the uncut monitor.
 """
 
 from __future__ import annotations
@@ -31,21 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .formula import Formula, prop_equivalent
+from .automata import BudgetError, explore
+from .formula import Formula
 from .machine import MooreMachine
 from .rewrite import af, edge_step, strip
 from .traces import APTable, Letter, all_letters
 
-__all__ = ["ObligationMonitor", "MonitorBudgetError", "build_monitor", "cut_monitor", "reachable_obligations"]
+__all__ = ["ObligationMonitor", "build_monitor", "cut_from_phi", "cut_monitor", "reachable_obligations"]
 
 Anchor = Literal["edge", "state"]
-
-
-class MonitorBudgetError(RuntimeError):
-    def __init__(self, max_states: int, frontier: int):
-        super().__init__(f"monitor exceeds {max_states} states (frontier size {frontier})")
-        self.max_states = max_states
-        self.frontier = frontier
 
 
 @dataclass(frozen=True)
@@ -143,6 +138,13 @@ def _step_fn(anchor: Anchor):
     return edge_step if anchor == "edge" else af
 
 
+def _explore(initial, successors, max_states: int):
+    try:
+        return explore([initial], successors, max_states)
+    except BudgetError as exc:
+        raise BudgetError(f"monitor {exc}") from None
+
+
 def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
                   anchor: Anchor = "edge") -> ObligationMonitor:
     """Closure of the derivative step from ``phi`` over all directions.
@@ -153,85 +155,45 @@ def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
     """
     ap.check_formula(phi)
     step = _step_fn(anchor)
-    relevant = sorted(phi.atoms)
-    letters = all_letters(relevant)
-    index: dict[Formula, int] = {phi: 0}
-    nodes = [MonitorNode(phi)]
-    edges: list[dict[Letter, int]] = []
-    todo = [phi]
-    while todo:
-        f = todo.pop(0)
-        row: dict[Letter, int] = {}
-        for letter in letters:
-            g = step(f, letter)
-            if g not in index:
-                if len(index) >= max_states:
-                    raise MonitorBudgetError(max_states, len(todo))
-                index[g] = len(nodes)
-                nodes.append(MonitorNode(g))
-                todo.append(g)
-            row[letter] = index[g]
-        edges.append(row)
-    return ObligationMonitor(phi, ap, anchor, nodes, 0, edges)
+    letters = all_letters(sorted(phi.atoms))
+    formulas, rows = _explore(phi, lambda f: [(letter, step(f, letter)) for letter in letters],
+                              max_states)
+    return ObligationMonitor(phi, ap, anchor, [MonitorNode(f) for f in formulas], 0,
+                             [dict(row) for row in rows])
 
 
-def cut_monitor(mon: ObligationMonitor, ts_i: MooreMachine,
-                max_states: int = 10000) -> ObligationMonitor:
-    """Restrict the monitor to the letters of the machine's executions.
+def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
+                 max_states: int = 10000) -> ObligationMonitor:
+    """The monitor of ``phi`` restricted to the letters of the machine's
+    executions, built without the uncut monitor.
 
     The monitor consumes the combined letter ``output(state) | input`` when
     the machine takes the corresponding edge; cut states pair the derivative
     formula with the machine state reached.
     """
-    if not mon.phi.atoms <= ts_i.ap.all:
+    if not phi.atoms <= ts_i.ap.all:
         raise ValueError("monitored formula mentions propositions the machine does not declare")
-    step = _step_fn(mon.anchor)
-    relevant = mon.relevant
-    start = MonitorNode(mon.phi, ts_i.initial)
-    index: dict[MonitorNode, int] = {start: 0}
-    nodes = [start]
-    edges: list[dict[Letter, int]] = [dict()]
-    todo = [start]
+    step = _step_fn(anchor)
+    relevant = phi.atoms
     input_letters = ts_i.input_letters()
-    while todo:
-        node = todo.pop(0)
-        src = index[node]
+
+    def successors(node: MonitorNode):
         for inp in input_letters:
             letter = ts_i.letter(node.machine_state, inp)
-            g = step(node.formula, letter & relevant)
-            nxt = MonitorNode(g, ts_i.delta(node.machine_state, inp))
-            if nxt not in index:
-                if len(index) >= max_states:
-                    raise MonitorBudgetError(max_states, len(todo))
-                index[nxt] = len(nodes)
-                nodes.append(nxt)
-                edges.append(dict())
-                todo.append(nxt)
-            edges[src][letter] = index[nxt]
-    return ObligationMonitor(mon.phi, ts_i.ap, mon.anchor, nodes, 0, edges, cut_against=ts_i)
+            yield letter, MonitorNode(step(node.formula, letter & relevant),
+                                      ts_i.delta(node.machine_state, inp))
+
+    nodes, rows = _explore(MonitorNode(phi, ts_i.initial), successors, max_states)
+    return ObligationMonitor(phi, ts_i.ap, anchor, nodes, 0, [dict(row) for row in rows],
+                             cut_against=ts_i)
 
 
-def reachable_obligations(mon: ObligationMonitor, semantic_merge: bool = False) -> list[Formula]:
-    """Distinct obligation labels, deduplicated by canonical key.
-
-    With ``semantic_merge`` labels that are propositionally equivalent
-    (temporal subformulas treated as opaque atoms) are folded together.
-    """
-    seen: dict[Formula, None] = {}
-    for i in range(len(mon.nodes)):
-        seen.setdefault(mon.label(i))
-    labels = list(seen)
-    if not semantic_merge:
-        return labels
-    merged: list[Formula] = []
-    for lab in labels:
-        if not any(_equiv(lab, other) for other in merged):
-            merged.append(lab)
-    return merged
+def cut_monitor(mon: ObligationMonitor, ts_i: MooreMachine,
+                max_states: int = 10000) -> ObligationMonitor:
+    """``cut_from_phi`` for a caller that already holds the uncut monitor."""
+    return cut_from_phi(mon.phi, ts_i, mon.anchor, max_states)
 
 
-def _equiv(f: Formula, g: Formula) -> bool:
-    try:
-        return prop_equivalent(f, g)
-    except ValueError:
-        return False
+def reachable_obligations(mon: ObligationMonitor) -> list[Formula]:
+    """Distinct obligation labels, deduplicated by canonical key."""
+    return list(dict.fromkeys(mon.label(i) for i in range(len(mon.nodes))))

@@ -19,11 +19,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .automata import AutomatonBudgetError, BuchiAutomaton, accepting_lasso, ltl_to_nba, mc_ltl
+from .automata import BudgetError, BuchiAutomaton, accepting_lasso, ltl_to_nba, mc_ltl
 from .formula import Formula, f_and, neg
 from .machine import MooreMachine
 from .modelcheck import LiveProblem, mc_finite_live, mc_obligations
-from .monitor import build_monitor, cut_monitor, reachable_obligations
+from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve
 from .sat import Solver, solve_external, to_dimacs
 from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
@@ -47,7 +47,6 @@ class SynthesisProblem:
     ap: APTable
     bounds: tuple[int, ...] = DEFAULT_BOUNDS
     cap: int = 16
-    counter_bound: int | None = None
     time_budget: float | None = None
     solver: str = "internal"  # or a path to a DIMACS solver binary
 
@@ -100,11 +99,11 @@ class _Encoder:
     outputs read).
     """
 
-    def __init__(self, automata: list[BuchiAutomaton], ap: APTable, k: int, kcount: int, mode: str):
+    def __init__(self, automata: list[BuchiAutomaton], ap: APTable, k: int, mode: str):
         self.automata = automata
         self.ap = ap
         self.k = k
-        self.kcount = kcount
+        self.kcount = max(3, k)  # bound on the rejecting visits counted per product state
         self.mode = mode
         self.read = all_letters(ap.inputs if mode == "moore" else ap.outputs)
         self.emit = ap.outputs if mode == "moore" else ap.inputs
@@ -141,19 +140,11 @@ class _Encoder:
         """Literals that must hold for the emitted half of the letter to match
         the cube; None if the read half already contradicts it."""
         readset = frozenset(self.ap.inputs if self.mode == "moore" else self.ap.outputs)
-        for p in cube.pos & readset:
-            if p not in a:
-                return None
-        for n in cube.neg & readset:
-            if n in a:
-                return None
-        lits = []
-        emitset = frozenset(self.emit)
-        for p in cube.pos & emitset:
-            lits.append(self._outvar(t, a, p))
-        for n in cube.neg & emitset:
-            lits.append(-self._outvar(t, a, n))
-        return lits
+        if not (cube.pos & readset) <= a or cube.neg & readset & a:
+            return None
+        # literals in ``emit`` order, so the CNF does not depend on string hashing
+        return [self._outvar(t, a, o) if o in cube.pos else -self._outvar(t, a, o)
+                for o in self.emit if o in cube.pos or o in cube.neg]
 
     def _outvar(self, t: int, a: Letter, o: str) -> int:
         return self.out[(t, o)] if self.mode == "moore" else self.out[(t, a, o)]
@@ -298,7 +289,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         if "env" not in lazy:
             try:
                 lazy["env"] = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
-            except AutomatonBudgetError:
+            except BudgetError:
                 lazy["env"] = None
         return lazy["env"]
 
@@ -318,7 +309,6 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         """One bounded attempt.  A slice that runs out just abandons the
         attempt (recorded as inconclusive): skipping a bound is sound because
         unreachable padding states make solutions monotone in the bound."""
-        kcount = problem.counter_bound if problem.counter_bound is not None else max(3, k)
         local = None
         if slice_s is not None:
             local = time.monotonic() + slice_s
@@ -327,9 +317,9 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         t0 = time.monotonic()
         try:
             if side == "system":
-                enc = _Encoder(sys_automata, problem.ap, k, kcount, "moore")
+                enc = _Encoder(sys_automata, problem.ap, k, "moore")
             else:
-                enc = _Encoder(env_automata(), problem.ap, k, kcount, "mealy-env")
+                enc = _Encoder(env_automata(), problem.ap, k, "mealy-env")
             model = enc.solve(problem.solver, local)
         except TimeoutError:
             stats.append({"side": side, "bound": k, "time": time.monotonic() - t0,
@@ -401,9 +391,8 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     update specification for the universal result; each obligation is also
     solved individually, giving the per-context realizability table.
     """
-    mon = build_monitor(phi, ap, max_states=monitor_budget, anchor="state")
-    cut = cut_monitor(mon, ts_i, max_states=monitor_budget)
-    obligations = reachable_obligations(cut)
+    ap.check_formula(phi)
+    obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
     table = []
     for o in obligations:
         sub = synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs))
@@ -420,7 +409,5 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
 def emit_dimacs(problem: SynthesisProblem, k: int, side: str = "system") -> str:
     """CNF for one bound, for use with external solvers."""
     automata = _conjunct_automata(problem.spec if side == "system" else neg(problem.spec))
-    kcount = problem.counter_bound if problem.counter_bound is not None else max(3, k)
-    enc = _Encoder(automata, problem.ap, k, kcount,
-                   "moore" if side == "system" else "mealy-env")
+    enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
     return to_dimacs(enc.nv, enc.clauses)

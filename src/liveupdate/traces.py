@@ -65,13 +65,6 @@ class APTable:
     def all(self) -> frozenset[str]:
         return frozenset(self.inputs) | frozenset(self.outputs)
 
-    def kind(self, name: str) -> str:
-        if name in self.inputs:
-            return "input"
-        if name in self.outputs:
-            return "output"
-        raise KeyError(name)
-
     def check_formula(self, f: Formula) -> None:
         extra = f.atoms - self.all
         if extra:
@@ -130,9 +123,6 @@ class LassoTrace:
 
     def prepend(self, eta: FiniteTrace) -> "LassoTrace":
         return LassoTrace(tuple(eta) + self.prefix, self.loop)
-
-    def finite(self, n: int) -> FiniteTrace:
-        return tuple(self.letter(i) for i in range(n))
 
 
 def all_letters(props: Sequence[str]) -> list[Letter]:

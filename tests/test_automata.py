@@ -1,6 +1,8 @@
 import random
 
-from liveupdate.automata import accepts_lasso, ltl_to_nba, mc_ltl, nba_emptiness, to_hoa
+import pytest
+
+from liveupdate.automata import BudgetError, accepts_lasso, explore, ltl_to_nba, mc_ltl, nba_emptiness, to_hoa
 from liveupdate.formula import t_false
 from liveupdate.machine import parse_machine
 from liveupdate.parser import parse_formula
@@ -12,6 +14,27 @@ from gen import random_formula, random_lasso, random_machine
 
 def L(*names):
     return frozenset(names)
+
+
+def test_explore_numbers_nodes_in_discovery_order():
+    # n -> n+1 and n -> 2n, closed below 6
+    def successors(n):
+        return [(lab, m % 6) for lab, m in (("inc", n + 1), ("dbl", 2 * n))]
+
+    nodes, rows = explore([3, 1], successors)
+    assert nodes == [3, 1, 4, 0, 2, 5]
+    assert rows == [
+        [("inc", 2), ("dbl", 3)],
+        [("inc", 4), ("dbl", 4)],
+        [("inc", 5), ("dbl", 4)],
+        [("inc", 1), ("dbl", 3)],
+        [("inc", 0), ("dbl", 2)],
+        [("inc", 3), ("dbl", 2)],
+    ]
+    assert explore([3, 1], successors, max_states=6) == (nodes, rows)
+    # the fourth node is found while 3 is expanded; 1 and 4 wait
+    with pytest.raises(BudgetError, match=r"^exceeds 3 states \(frontier 2\)$"):
+        explore([3, 1], successors, max_states=3)
 
 
 def test_eventually_two_state():

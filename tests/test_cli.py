@@ -3,6 +3,7 @@ import json
 import pytest
 
 from liveupdate.cli import main
+from liveupdate.machine import serialize_machine
 
 RELAY1_MONITOR = """\
 INPUTS: m1
@@ -170,6 +171,26 @@ def test_bench_robot_row(capsys):
     assert out[0]["universal"] == "real"
     assert out[0]["fin_trace_realizable"] == out[0]["om_labels"]
     assert out[0]["fin_trace_unknown"] == 0
+
+
+def test_bench_budget_row_is_unknown(capsys):
+    code = main(["bench", "--rows", "visit->seq-visit", "--monitor-budget", "1", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out[0]["universal"] == "unknown"
+    assert "monitor exceeds 1 states" in out[0]["reason"]
+
+
+def test_mc_universal_budget_counts_cut_states(tmp_path, capsys, fig1_machine, relay2):
+    # relay(2): the cut has 27 states, the uncut monitor 66
+    (tmp_path / "fig1.machine").write_text(serialize_machine(fig1_machine))
+    path = tmp_path / "relay.problem"
+    path.write_text(f"INPUTS: {' '.join(relay2.ap.inputs)}\nOUTPUTS: {' '.join(relay2.ap.outputs)}\n"
+                    f"INITIAL: {relay2.spec}\nUPDATE: {relay2.spec}\n"
+                    "INITIAL_MACHINE: @fig1.machine\nUPDATE_MACHINE: @fig1.machine\n")
+    code = main(["mc", "--universal", str(path), "--monitor-budget", "40", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["monitor_states"] == 27
 
 
 def test_gen_command(capsys):

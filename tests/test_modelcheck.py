@@ -78,6 +78,13 @@ def test_universal_live_fig1_self_update(fig1_machine, relay2):
     assert mc_universal_live(fig1_machine, p).passed
 
 
+def test_universal_live_budget_counts_cut_states(fig1_machine, relay2):
+    # the cut of relay(2) has 27 states, the uncut monitor 66
+    p = LiveProblem(relay2.spec, relay2.spec, relay2.ap, ts_i=fig1_machine)
+    verdict = mc_universal_live(fig1_machine, p, max_states=40)
+    assert verdict.passed and verdict.details["monitor_states"] == 27
+
+
 def test_universal_equals_bruteforce_small():
     rng = random.Random(15)
     ap = APTable(("x",), ("y",))

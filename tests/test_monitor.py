@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from liveupdate.automata import BudgetError
 from liveupdate.formula import t_true
-from liveupdate.monitor import MonitorBudgetError, build_monitor, cut_monitor, reachable_obligations
+from liveupdate.monitor import build_monitor, cut_from_phi, cut_monitor, reachable_obligations
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af_word, evolve
 from liveupdate.traces import APTable
@@ -99,13 +100,16 @@ def test_cut_states_equal_af_word_closure():
     for _ in range(40):
         f = random_formula(rng, ["x", "y"], 2)
         m = random_machine(rng, ap, 2)
-        mon = build_monitor(f, ap, anchor="state", max_states=3000)
-        cut = cut_monitor(mon, m)
+        cut = cut_from_phi(f, m, max_states=3000)
         got = {node.formula.key for node in cut.nodes}
         want = set()
         for eta in m.fin_traces(6):  # deep enough to close the small product
             want.add(af_word(f, eta).key)
         assert got == want, str(f)
+        for anchor in ("state", "edge"):
+            direct = cut_from_phi(f, m, anchor, max_states=3000)
+            via = cut_monitor(build_monitor(f, ap, anchor=anchor, max_states=3000), m)
+            assert direct.nodes == via.nodes and direct.edges == via.edges, (str(f), anchor)
 
 
 def test_cut_label_matches_evolve_along_traces(fig1_machine, relay2):
@@ -137,16 +141,15 @@ def test_cut_keeps_edges_for_untracked_inputs():
 
 def test_budget_error():
     phi = parse_formula("G (a -> X F b) && G (b -> X F a)")
-    with pytest.raises(MonitorBudgetError):
+    with pytest.raises(BudgetError, match="monitor exceeds 2 states"):
         build_monitor(phi, APTable(("a",), ("b",)), max_states=2)
 
 
-def test_semantic_merge():
-    ap = APTable((), ("a", "b"))
-    mon = build_monitor(parse_formula("F a || F a && F b"), ap, anchor="edge")
-    plain = reachable_obligations(mon)
-    merged = reachable_obligations(mon, semantic_merge=True)
-    assert len(merged) <= len(plain)
+def test_cut_budget_counts_cut_states_only(fig1_machine, relay2):
+    # the cut of relay(2) has 27 states, the uncut monitor 66
+    assert len(cut_from_phi(relay2.spec, fig1_machine, max_states=27)) == 27
+    with pytest.raises(BudgetError, match="monitor exceeds 26 states"):
+        cut_from_phi(relay2.spec, fig1_machine, max_states=26)
 
 
 def test_monitor_exports(top_cycle_machine):

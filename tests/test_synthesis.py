@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from liveupdate.automata import AutomatonBudgetError, ltl_to_nba, mc_ltl
+from liveupdate.automata import BudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import family
 from liveupdate.formula import t_true
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor
 from liveupdate.parser import parse_formula
-from liveupdate import synthesis
+from liveupdate import monitor, synthesis
 from liveupdate.synthesis import (
     SynthesisProblem,
     _Encoder,
@@ -61,7 +65,7 @@ def test_monotone_in_bound():
     assert res.realizable
     k = len(res.machine)
     for k2 in (k + 1, k + 2):
-        enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, max(3, k2), "moore")
+        enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, "moore")
         assert enc.solve("internal", None) is not None
 
 
@@ -108,20 +112,34 @@ def test_finite_live_forced_grant_conflict():
 def test_universal_trivial_initial(monkeypatch):
     from liveupdate.machine import parse_machine
     builds = []
-    monkeypatch.setattr(synthesis, "build_monitor",
-                        lambda *a, **kw: builds.append(a) or build_monitor(*a, **kw))
+
+    def counted(*a, **kw):
+        builds.append(a)
+        return build_monitor(*a, **kw)
+
+    for module in (monitor, synthesis):
+        monkeypatch.setattr(module, "build_monitor", counted, raising=False)
     ts_i = parse_machine("inputs: r\noutputs: g\nstate s0 initial { }\ns0 --*--> s0\n")
     psi = parse_formula("G (r -> F g)")
     result = synth_universal_live(ts_i, t_true(), psi, AP_RG)
     assert result.realizable
     assert [e["outcome"] for e in result.per_obligation] == ["realizable"]
-    assert len(builds) == 1  # re-verification reuses the obligations
+    assert builds == []  # the cut is taken straight from phi
+
+
+def test_universal_budget_counts_cut_states(fig1_machine, relay2):
+    # the cut of relay(2) has 27 states, the uncut monitor 66
+    relay1 = family("relay", 1)
+    result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
+                                  relay2.ap.union(relay1.ap), monitor_budget=40)
+    assert result.realizable
+    assert len(result.per_obligation) == 7
 
 
 def test_env_automaton_budget_gives_unknown(monkeypatch):
     def budgeted(f, max_states=20000):
         if max_states == synthesis._ENV_MAX_STATES:
-            raise AutomatonBudgetError("forced")
+            raise BudgetError("forced")
         return ltl_to_nba(f, max_states)
 
     monkeypatch.setattr(synthesis, "ltl_to_nba", budgeted)
@@ -137,3 +155,17 @@ def test_emit_dimacs():
     lines = text.strip().splitlines()
     nv, nc = int(lines[0].split()[2]), int(lines[0].split()[3])
     assert nv > 0 and nc == len(lines) - 1
+
+
+def test_emit_dimacs_independent_of_hash_seed():
+    # two emitted outputs in one cube: their literal order once followed set iteration
+    code = ("from liveupdate.parser import parse_formula\n"
+            "from liveupdate.synthesis import SynthesisProblem, emit_dimacs\n"
+            "from liveupdate.traces import APTable\n"
+            "spec = parse_formula('G (r1 -> X (g1 && g2))')\n"
+            "print(emit_dimacs(SynthesisProblem(spec, APTable(('r1',), ('g1', 'g2'))), 1))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(synthesis.__file__).parents[1])}
+    outs = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": str(seed)},
+                           capture_output=True, text=True, check=True).stdout
+            for seed in (0, 1, 2)}
+    assert len(outs) == 1
