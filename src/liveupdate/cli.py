@@ -266,7 +266,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--monitor-budget", type=int, default=10000)
     p.add_argument("--bound-max", type=int, default=16)
-    p.add_argument("--timeout", type=float, default=600.0, help="per synthesis call, seconds")
+    p.add_argument("--timeout", type=float, default=600.0,
+                   help="seconds; one deadline for each initial system's synthesis "
+                        "and one for each row's universal synthesis")
     p.add_argument("--solver", default="internal")
     p.set_defaults(fn=cmd_bench)
 

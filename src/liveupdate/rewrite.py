@@ -3,8 +3,10 @@ update-obligation calculus built from them.
 
 ``af`` consumes one letter and returns the formula the rest of the word must
 satisfy; folding it over a finite trace and stripping the release nodes yields
-``evolve``, the obligation handed to an update system.  ``liveltl_to_ltl``
-packages the same information as a single plain-LTL formula.
+``evolve``, the obligation handed to an update system.  Its results are
+memoized per (formula, letter) for the life of the process, like the formula
+intern table.  ``liveltl_to_ltl`` packages the same information as a single
+plain-LTL formula.
 
 ``edge_step`` is a variant of ``af`` used by the obligation monitor's
 display form: obligations raised by a release keep their next-step guards, so
@@ -42,12 +44,21 @@ __all__ = [
 ]
 
 
+# (formula, letter) -> canonical derivative; formulas are hash-consed, so the
+# key is exact and the table grows only with the pairs actually derived.
+_AF: dict[tuple[Formula, Letter], Formula] = {}
+
+
 def af(f: Formula, letter: Letter) -> Formula:
     """One-letter after-derivative, with propositional simplification.
 
     Results are kept in canonical two-level form so that iterated
-    derivatives stay shallow and their closure is finite."""
-    return canonical(_af(f, letter))
+    derivatives stay shallow and their closure is finite.  They are
+    memoized per (formula, letter) for the life of the process."""
+    got = _AF.get((f, letter))
+    if got is None:
+        got = _AF[(f, letter)] = canonical(_af(f, letter))
+    return got
 
 
 def _af(f: Formula, letter: Letter) -> Formula:

@@ -105,7 +105,9 @@ class _Encoder:
         self.k = k
         self.kcount = max(3, k)  # bound on the rejecting visits counted per product state
         self.mode = mode
-        self.read = all_letters(ap.inputs if mode == "moore" else ap.outputs)
+        reads = ap.inputs if mode == "moore" else ap.outputs
+        self.read = all_letters(reads)
+        self.readset = frozenset(reads)
         self.emit = ap.outputs if mode == "moore" else ap.inputs
         self.nv = 0
         self.clauses: list[list[int]] = []
@@ -139,8 +141,7 @@ class _Encoder:
     def _out_conditions(self, t: int, a: Letter, cube: Cube) -> list[int] | None:
         """Literals that must hold for the emitted half of the letter to match
         the cube; None if the read half already contradicts it."""
-        readset = frozenset(self.ap.inputs if self.mode == "moore" else self.ap.outputs)
-        if not (cube.pos & readset) <= a or cube.neg & readset & a:
+        if not (cube.pos & self.readset) <= a or cube.neg & self.readset & a:
             return None
         # literals in ``emit`` order, so the CNF does not depend on string hashing
         return [self._outvar(t, a, o) if o in cube.pos else -self._outvar(t, a, o)
@@ -389,15 +390,27 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
 
     The obligations reachable in the cut monitor are conjoined with the
     update specification for the universal result; each obligation is also
-    solved individually, giving the per-context realizability table.
+    solved individually, giving the per-context realizability table.  A
+    ``time_budget`` is one deadline for the whole call: each synthesis gets
+    only the time left, and once it has passed the remaining obligations and
+    the universal result are ``unknown``.
     """
+    budget = kwargs.pop("time_budget", None)
+    deadline = None if budget is None else time.monotonic() + budget
     ap.check_formula(phi)
     obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
-    table = []
-    for o in obligations:
-        sub = synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs))
-        table.append({"obligation": str(o), "outcome": sub.outcome})
-    universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
+
+    def solve(spec: Formula) -> SynthesisResult:
+        problem = SynthesisProblem(spec, ap, **kwargs)
+        if deadline is not None:
+            problem.time_budget = deadline - time.monotonic()
+            if problem.time_budget <= 0:
+                return SynthesisResult("unknown")
+        return synth_ltl(problem)
+
+    table = [{"obligation": str(o), "outcome": solve(f_and((o, psi))).outcome}
+             for o in obligations]
+    universal = solve(f_and(list(obligations) + [psi]))
     universal.per_obligation = table
     if universal.realizable:
         check = mc_obligations(universal.machine, obligations, psi)

@@ -10,7 +10,7 @@ import time
 
 from liveupdate.automata import accepts_lasso, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import ACCEPTANCE_ROWS, TABLE1_ROWS, update_pair
-from liveupdate.formula import prop_equivalent, t_true
+from liveupdate.formula import t_true
 from liveupdate.modelcheck import LiveProblem, mc_universal_live, mc_universal_product
 from liveupdate.monitor import build_monitor, cut_monitor, reachable_obligations
 from liveupdate.parser import parse_formula
@@ -20,6 +20,7 @@ from liveupdate.synthesis import SynthesisProblem, synth_ltl, synth_universal_li
 from liveupdate.traces import APTable, parse_trace
 
 from gen import random_formula, random_lasso, random_machine, random_trace
+from propeq import prop_equivalent
 
 
 def report(n, name, ok, elapsed):

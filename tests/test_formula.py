@@ -12,12 +12,13 @@ from liveupdate.formula import (
     f_until,
     natom,
     neg,
-    prop_equivalent,
     subformulas,
     t_false,
     t_true,
 )
 from liveupdate.parser import parse_formula
+
+from propeq import prop_equivalent
 
 a, b, c = atom("a"), atom("b"), atom("c")
 

@@ -1,8 +1,10 @@
 import random
 
-from liveupdate.formula import atom, f_and, f_next, f_or, f_until, natom, t_false, t_true
+from liveupdate import rewrite
+from liveupdate.formula import atom, canonical, f_and, f_next, f_or, f_until, natom, t_false, t_true
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af, af_word, edge_step, evolve, expand, expand_n, liveltl_to_ltl, strip
+from liveupdate.traces import all_letters
 from gen import random_formula
 
 a, b = atom("a"), atom("b")
@@ -99,3 +101,32 @@ def test_af_matches_edge_step_on_release_free():
             continue
         letter = frozenset(x for x in ("a", "b") if rng.random() < 0.5)
         assert af(f, letter) is edge_step(f, letter)
+
+
+def test_af_memo_returns_the_canonical_derivative():
+    rng = random.Random(11)
+    for _ in range(150):
+        f = random_formula(rng, ["a", "b", "c"], 3)
+        for letter in all_letters(sorted(f.atoms)):
+            got = af(f, letter)
+            assert got is canonical(rewrite._af(f, letter))
+            assert af(f, letter) is got
+
+
+def test_af_word_derives_each_pair_once(monkeypatch):
+    derived = []
+    plain = rewrite._af
+
+    def counted(f, letter):
+        derived.append((f, letter))
+        return plain(f, letter)
+
+    monkeypatch.setattr(rewrite, "_af", counted)
+    # atoms no other test uses, so the first fold cannot hit the memo
+    phi = parse_formula("G (memo_r -> X F memo_g) && (memo_a U memo_g)")
+    eta = (L("memo_a"), L("memo_r"), L(), L("memo_a", "memo_g"), L("memo_r"))
+    first = af_word(phi, eta)
+    assert derived
+    derived.clear()
+    assert af_word(phi, eta) is first
+    assert derived == []

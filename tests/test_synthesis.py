@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from liveupdate.automata import BudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import family
@@ -13,6 +14,7 @@ from liveupdate.parser import parse_formula
 from liveupdate import monitor, synthesis
 from liveupdate.synthesis import (
     SynthesisProblem,
+    SynthesisResult,
     _Encoder,
     _conjunct_automata,
     emit_dimacs,
@@ -134,6 +136,26 @@ def test_universal_budget_counts_cut_states(fig1_machine, relay2):
                                   relay2.ap.union(relay1.ap), monitor_budget=40)
     assert result.realizable
     assert len(result.per_obligation) == 7
+
+
+def test_universal_time_budget_is_one_deadline(monkeypatch, fig1_machine, relay2):
+    # a fake clock: each synthesis call takes 3 s of a 10 s budget
+    now = [100.0]
+    budgets = []
+
+    def slow_synth(problem):
+        budgets.append(problem.time_budget)
+        now[0] += 3.0
+        return SynthesisResult("unknown")
+
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(synthesis, "synth_ltl", slow_synth)
+    relay1 = family("relay", 1)
+    result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
+                                  relay2.ap.union(relay1.ap), time_budget=10.0)
+    assert budgets == [10.0, 7.0, 4.0, 1.0]
+    assert result.outcome == "unknown"
+    assert [e["outcome"] for e in result.per_obligation] == ["unknown"] * 7
 
 
 def test_env_automaton_budget_gives_unknown(monkeypatch):
