@@ -20,7 +20,7 @@ from .modelcheck import LiveProblem, mc_finite_live, mc_universal_live
 from .monitor import build_monitor, cut_from_phi, reachable_obligations
 from .problem import ProblemFormatError, load_problem
 from .rewrite import evolve
-from .synthesis import DEFAULT_BOUNDS, SynthesisProblem, synth_finite_live, synth_ltl, synth_universal_live
+from .synthesis import SynthesisProblem, synth_finite_live, synth_ltl, synth_universal_live
 from .traces import format_trace
 
 EXIT_PASS = 0
@@ -102,15 +102,9 @@ def cmd_mc(args) -> int:
 
 
 def _synth_kwargs(args) -> dict:
-    bounds = tuple(b for b in DEFAULT_BOUNDS if b <= args.bound_max)
-    if not bounds:
-        bounds = (args.bound_max,)
-    return {
-        "bounds": bounds,
-        "cap": args.bound_max,
-        "time_budget": args.timeout,
-        "solver": args.solver,
-    }
+    """Synthesis options; ``--timeout`` becomes one deadline from now."""
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
+    return {"cap": args.bound_max, "deadline": deadline, "solver": args.solver}
 
 
 def _report_synth(result, args, out_prefix: str) -> int:
@@ -159,9 +153,9 @@ def cmd_bench(args) -> int:
         rows = [r for r in rows if r.key in ACCEPTANCE_ROWS]
     report = []
     machines = {}
-    kwargs = {"time_budget": args.timeout, "cap": args.bound_max, "solver": args.solver}
     for row in rows:
         t0 = time.monotonic()
+        kwargs = _synth_kwargs(args)
         bi, bu, ap = update_pair(row.initial, row.update)
         try:
             if row.initial not in machines:
@@ -254,7 +248,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mode.add_argument("--finite", action="store_true")
     mode.add_argument("--universal", action="store_true")
     p.add_argument("--bound-max", type=int, default=16)
-    p.add_argument("--timeout", type=float, default=None, help="seconds")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="seconds; one deadline for the whole command")
     p.add_argument("--solver", default="internal", help="'internal' or path to a DIMACS solver")
     p.add_argument("--out", help="write the synthesized machine here")
     p.add_argument("--dot", help="write machine DOT here")
@@ -267,8 +262,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitor-budget", type=int, default=10000)
     p.add_argument("--bound-max", type=int, default=16)
     p.add_argument("--timeout", type=float, default=600.0,
-                   help="seconds; one deadline for each initial system's synthesis "
-                        "and one for each row's universal synthesis")
+                   help="seconds; one deadline for each row, its initial system's "
+                        "synthesis included")
     p.add_argument("--solver", default="internal")
     p.set_defaults(fn=cmd_bench)
 

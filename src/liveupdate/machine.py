@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter
+from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
 
 __all__ = ["Cube", "MooreMachine", "MachineFormatError", "parse_machine", "serialize_machine", "to_dot"]
 
@@ -54,8 +54,9 @@ class MooreMachine:
         for i, o in enumerate(self.outputs):
             if not o <= outs:
                 raise MachineFormatError(f"state {self.names[i]} outputs undeclared propositions {sorted(o - outs)}")
+        letters = self.input_letters()
         for i, state_edges in enumerate(self.edges):
-            for letter in self.input_letters():
+            for letter in letters:
                 hits = [dst for cube, dst in state_edges if cube.matches(letter)]
                 if len(hits) == 0:
                     raise MachineFormatError(
@@ -65,8 +66,7 @@ class MooreMachine:
                         f"overlapping edges with different targets in state {self.names[i]} on input {set(letter) or '{}'}")
 
     def input_letters(self) -> list[Letter]:
-        ins = self.ap.inputs
-        return [frozenset(c) for r in range(len(ins) + 1) for c in itertools.combinations(ins, r)]
+        return all_letters(self.ap.inputs)
 
     def delta(self, state: int, inp: Letter) -> int:
         for cube, dst in self.edges[state]:

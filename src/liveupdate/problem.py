@@ -46,7 +46,7 @@ class ProblemFile:
     update_machine: MooreMachine | None
 
     def require(self, *names: str) -> None:
-        missing = [n for n in names if getattr(self, n) is None]
+        missing = [n.upper() for n in names if getattr(self, n) is None]
         if missing:
             raise ProblemFormatError(f"problem file lacks required sections: {', '.join(missing)}")
 

@@ -36,6 +36,7 @@ class Solver:
         self.cla_activity: list[float] = []
         self.ok = True
         self.conflicts = 0
+        self._qhead = 0  # trail position of the next literal to propagate
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -99,7 +100,7 @@ class Solver:
 
     def _propagate(self) -> int:
         """Returns a conflicting clause index or -1."""
-        i = getattr(self, "_qhead", 0)
+        i = self._qhead
         while i < len(self.trail):
             lit = self.trail[i]
             i += 1
@@ -191,7 +192,7 @@ class Solver:
                 v = abs(lit)
                 self.phase[v] = 1 if lit > 0 else -1
                 self.assign[v] = 0
-        self._qhead = min(getattr(self, "_qhead", 0), len(self.trail))
+        self._qhead = min(self._qhead, len(self.trail))
 
     def _decide(self) -> int:
         best, besta = 0, -1.0
@@ -231,11 +232,11 @@ class Solver:
                 self.watches[clause[1]].append(ci)
 
     def solve(self, conflict_budget: int | None = None,
-              time_budget: float | None = None) -> bool | None:
-        """True/False, or None if the conflict or time budget ran out."""
+              deadline: float | None = None) -> bool | None:
+        """True/False, or None if the conflict budget ran out or the
+        ``time.monotonic()`` deadline passed."""
         if not self.ok:
             return False
-        deadline = None if time_budget is None else time.monotonic() + time_budget
         self._qhead = 0
         if self._propagate() != -1:
             self.ok = False

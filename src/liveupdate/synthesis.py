@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .automata import BudgetError, BuchiAutomaton, accepting_lasso, ltl_to_nba, mc_ltl
 from .formula import Formula, f_and, neg
 from .machine import MooreMachine
-from .modelcheck import LiveProblem, mc_finite_live, mc_obligations
+from .modelcheck import LiveProblem, mc_obligations
 from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve
 from .sat import Solver, solve_external, to_dimacs
@@ -47,7 +48,7 @@ class SynthesisProblem:
     ap: APTable
     bounds: tuple[int, ...] = DEFAULT_BOUNDS
     cap: int = 16
-    time_budget: float | None = None
+    deadline: float | None = None  # a time.monotonic() value
     solver: str = "internal"  # or a path to a DIMACS solver binary
 
     def __post_init__(self):
@@ -189,18 +190,18 @@ class _Encoder:
                                     self.clauses.append(ante + [-chain[c], chain2[c]])
 
     def solve(self, solver: str, deadline: float | None) -> set[int] | None:
-        budget = None if deadline is None else max(0.1, deadline - time.monotonic())
         if solver == "internal":
             s = Solver()
             for _ in range(self.nv):
                 s.new_var()
             for c in self.clauses:
                 s.add_clause(c)
-            got = s.solve(time_budget=budget)
+            got = s.solve(deadline=deadline)
             if got is None:
                 raise TimeoutError("solver budget exhausted")
             return s.model() if got else None
-        sat, model = solve_external(solver, self.nv, self.clauses, timeout=budget)
+        timeout = None if deadline is None else max(0.1, deadline - time.monotonic())
+        sat, model = solve_external(solver, self.nv, self.clauses, timeout=timeout)
         if sat is None:
             raise RuntimeError("external solver produced no verdict")
         return model if sat else None
@@ -266,7 +267,7 @@ def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomat
     return out
 
 
-_ENV_DEFER_STATES = 120  # defer dual attempts while their automaton is this big
+_ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
 
 
@@ -275,96 +276,64 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
 
     Realizable results carry a machine already re-verified by the model
     checker; unrealizable results carry a verified environment strategy.
-    Each round tries the next system bound, then the next environment bound
-    1,2,3,...; the environment automaton (for the whole specification) is
-    built lazily, and while it is large the dual attempts are deferred to a
-    second phase so that realizable instances are not taxed by it.
+    The first system bound runs first; then environment bounds 1,2,3,...
+    alternate with the remaining system bounds.  While the environment
+    automata (for the whole specification) are large, every system bound
+    runs before them, so that realizable instances are not taxed by them;
+    when they exceed their state budget, only the system bounds run.
     """
-    spec = problem.spec
-    deadline = None if problem.time_budget is None else time.monotonic() + problem.time_budget
+    spec, deadline = problem.spec, problem.deadline
+    if deadline is not None and time.monotonic() > deadline:
+        return SynthesisResult("unknown")
     sys_automata = _conjunct_automata(spec)
-    lazy: dict = {}
+    sys_bounds = [b for b in problem.bounds if b <= problem.cap]
 
-    def env_automata() -> list[BuchiAutomaton] | None:
-        """Automata for the dual search, or None when they blow the budget."""
-        if "env" not in lazy:
-            try:
-                lazy["env"] = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
-            except BudgetError:
-                lazy["env"] = None
-        return lazy["env"]
-
-    def spec_nba() -> BuchiAutomaton:
-        if "spec" not in lazy:
-            lazy["spec"] = ltl_to_nba(spec)
-        return lazy["spec"]
+    def schedule():
+        """(side, bound, slice in seconds, automata) of each attempt in turn."""
+        systems = [("system", k, 4.0 * 2 ** i, sys_automata) for i, k in enumerate(sys_bounds)]
+        yield systems[0]
+        try:
+            env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
+        except BudgetError:
+            yield from systems[1:]
+            return
+        envs = [("environment", k, 2.0 * 2 ** i, env_automata)
+                for i, k in enumerate(range(1, problem.cap + 1))]
+        if sum(len(a.labels) for a in env_automata) > _ENV_DEFER_STATES:
+            yield from systems[1:] + envs
+        else:
+            yield from (a for pair in zip_longest(envs, systems[1:]) for a in pair if a)
 
     stats: list[dict] = []
-    sys_bounds = [b for b in problem.bounds if b <= problem.cap]
-    env_bounds = list(range(1, problem.cap + 1))
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
-    def attempt(side: str, k: int, slice_s: float | None) -> SynthesisResult | None:
-        """One bounded attempt.  A slice that runs out just abandons the
-        attempt (recorded as inconclusive): skipping a bound is sound because
-        unreachable padding states make solutions monotone in the bound."""
-        local = None
-        if slice_s is not None:
-            local = time.monotonic() + slice_s
-        if deadline is not None:
-            local = deadline if local is None else min(local, deadline)
+    for side, k, slice_s, automata in schedule():
         t0 = time.monotonic()
+        if deadline is not None and t0 > deadline:
+            break
+        # A slice that runs out just abandons the attempt (recorded as
+        # inconclusive): skipping a bound is sound because unreachable padding
+        # states make solutions monotone in the bound.
+        local = t0 + slice_s if deadline is None else min(t0 + slice_s, deadline)
         try:
-            if side == "system":
-                enc = _Encoder(sys_automata, problem.ap, k, "moore")
-            else:
-                enc = _Encoder(env_automata(), problem.ap, k, "mealy-env")
+            enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
             model = enc.solve(problem.solver, local)
         except TimeoutError:
             stats.append({"side": side, "bound": k, "time": time.monotonic() - t0,
                           "sat": None, "timeout": True})
-            return None
+            continue
         stats.append({"side": side, "bound": k, "vars": enc.nv,
                       "clauses": len(enc.clauses), "time": time.monotonic() - t0,
                       "sat": model is not None})
         if model is None:
-            return None
+            continue
         if side == "system":
             machine = enc.extract_moore(model)
             if not mc_ltl(machine, spec).passed:
                 raise AssertionError("internal error: synthesized machine failed verification")
             return SynthesisResult("realizable", machine=machine, stats=stats)
         env = enc.extract_env(model)
-        if env_counterexample(env, spec_nba()) is not None:
+        if env_counterexample(env, ltl_to_nba(spec)) is not None:
             raise AssertionError("internal error: environment certificate failed verification")
         return SynthesisResult("unrealizable", certificate=env, stats=stats)
-
-    deferred: list[int] = []
-    for i in range(max(len(sys_bounds), len(env_bounds))):
-        if out_of_time():
-            return SynthesisResult("unknown", stats=stats)
-        if i < len(sys_bounds):
-            got = attempt("system", sys_bounds[i], 4.0 * (2 ** i))
-            if got is not None:
-                return got
-        if i < len(env_bounds):
-            autos = env_automata()
-            if autos is None or sum(len(a.labels) for a in autos) > _ENV_DEFER_STATES:
-                deferred.append(env_bounds[i])
-                continue
-            if out_of_time():
-                return SynthesisResult("unknown", stats=stats)
-            got = attempt("environment", env_bounds[i], 2.0 * (2 ** i))
-            if got is not None:
-                return got
-    for i, k in enumerate(deferred):
-        if out_of_time() or env_automata() is None:
-            return SynthesisResult("unknown", stats=stats)
-        got = attempt("environment", k, 2.0 * (2 ** i))
-        if got is not None:
-            return got
     return SynthesisResult("unknown", stats=stats)
 
 
@@ -372,15 +341,10 @@ def synth_finite_live(phi: Formula, psi: Formula, eta: FiniteTrace, ap: APTable,
                       **kwargs) -> SynthesisResult:
     """Synthesize an update system correct after the recorded execution:
     plain synthesis of the residual obligation conjoined with the update
-    specification, re-verified by the finite-trace model checker."""
-    obligation = evolve(eta, phi)
-    problem = SynthesisProblem(f_and((obligation, psi)), ap, **kwargs)
-    result = synth_ltl(problem)
-    if result.realizable:
-        check = mc_finite_live(result.machine, LiveProblem(phi, psi, ap, eta=eta))
-        if not check.passed:
-            raise AssertionError("internal error: finite-trace update failed verification")
-    return result
+    specification.  ``synth_ltl`` model-checks the machine against exactly
+    that conjunction, which is the finite-trace check."""
+    LiveProblem(phi, psi, ap, eta=eta)  # rejects undeclared letters before any work
+    return synth_ltl(SynthesisProblem(f_and((evolve(eta, phi), psi)), ap, **kwargs))
 
 
 def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APTable,
@@ -390,27 +354,17 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
 
     The obligations reachable in the cut monitor are conjoined with the
     update specification for the universal result; each obligation is also
-    solved individually, giving the per-context realizability table.  A
-    ``time_budget`` is one deadline for the whole call: each synthesis gets
-    only the time left, and once it has passed the remaining obligations and
-    the universal result are ``unknown``.
+    solved individually, giving the per-context realizability table.  The
+    ``kwargs`` go to every ``SynthesisProblem``, so a ``deadline`` is one
+    deadline for the whole call: once it has passed, the remaining
+    obligations and the universal result are ``unknown``.
     """
-    budget = kwargs.pop("time_budget", None)
-    deadline = None if budget is None else time.monotonic() + budget
     ap.check_formula(phi)
     obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
-
-    def solve(spec: Formula) -> SynthesisResult:
-        problem = SynthesisProblem(spec, ap, **kwargs)
-        if deadline is not None:
-            problem.time_budget = deadline - time.monotonic()
-            if problem.time_budget <= 0:
-                return SynthesisResult("unknown")
-        return synth_ltl(problem)
-
-    table = [{"obligation": str(o), "outcome": solve(f_and((o, psi))).outcome}
+    table = [{"obligation": str(o),
+              "outcome": synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs)).outcome}
              for o in obligations]
-    universal = solve(f_and(list(obligations) + [psi]))
+    universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
     universal.per_obligation = table
     if universal.realizable:
         check = mc_obligations(universal.machine, obligations, psi)

@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,6 @@ def relay2():
 @pytest.fixture(scope="session")
 def relay2_synthesized(relay2):
     """Synthesized relay controller, shared across acceptance tests."""
-    result = synth_ltl(SynthesisProblem(relay2.spec, relay2.ap, time_budget=120))
+    result = synth_ltl(SynthesisProblem(relay2.spec, relay2.ap, deadline=time.monotonic() + 120))
     assert result.realizable
     return result

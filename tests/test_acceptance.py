@@ -108,7 +108,7 @@ def test_criterion_3_evolve_example(relay2):
 
 def test_criterion_4_relay_synthesis(relay2):
     t0 = time.monotonic()
-    result = synth_ltl(SynthesisProblem(relay2.spec, relay2.ap, time_budget=55))
+    result = synth_ltl(SynthesisProblem(relay2.spec, relay2.ap, deadline=time.monotonic() + 55))
     elapsed = time.monotonic() - t0
     ok = (result.realizable and len(result.machine) <= 8
           and mc_ltl(result.machine, relay2.spec).passed)
@@ -127,11 +127,11 @@ def test_criterion_5_table_verdicts(relay2_synthesized):
         row_t0 = time.monotonic()
         bi, bu, ap = update_pair(row.initial, row.update)
         if row.initial not in machines:
-            r0 = synth_ltl(SynthesisProblem(bi.spec, bi.ap, time_budget=120))
+            r0 = synth_ltl(SynthesisProblem(bi.spec, bi.ap, deadline=time.monotonic() + 120))
             assert r0.realizable
             machines[row.initial] = r0.machine
         result = synth_universal_live(machines[row.initial], bi.spec, bu.spec, ap,
-                                      time_budget=590)
+                                      deadline=time.monotonic() + 590)
         verdict = {"realizable": "real", "unrealizable": "unreal"}.get(result.outcome, "unknown")
         row_ok = verdict == row.expected
         n_real = sum(1 for e in result.per_obligation if e["outcome"] == "realizable")
@@ -298,7 +298,7 @@ def test_criterion_6h_synthesis_reverified():
     realizable = 0
     for _ in range(500):
         spec = random_formula(rng, ["r", "g"], 2)
-        result = synth_ltl(SynthesisProblem(spec, ap, cap=3, time_budget=5))
+        result = synth_ltl(SynthesisProblem(spec, ap, cap=3, deadline=time.monotonic() + 5))
         if result.realizable:
             realizable += 1
             if not mc_ltl(result.machine, spec).passed:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from liveupdate.benchmarks import ACCEPTANCE_ROWS, TABLE1_ROWS, family, update_pair
@@ -36,7 +38,7 @@ def test_acceptance_rows_exist():
 @pytest.mark.parametrize("name,n", [i for i in INITIAL_INSTANCES if i != ("relay", 2)])
 def test_initial_specs_realizable(name, n):
     inst = family(name, n)
-    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, time_budget=90))
+    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, deadline=time.monotonic() + 90))
     assert result.realizable, f"{inst.name}: {result.outcome}"
 
 

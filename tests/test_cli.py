@@ -148,7 +148,11 @@ def test_synth_universal(tmp_path, capsys):
 def test_missing_section_error(problem_dir, capsys):
     code = main(["mc", "--universal", str(problem_dir / "mc.problem")])
     assert code == 3
-    assert "INITIAL_MACHINE" in capsys.readouterr().err or True
+    assert "lacks required sections: INITIAL_MACHINE" in capsys.readouterr().err
+
+
+def test_synth_bound_max_below_one_is_an_input_error(problem_dir):
+    assert main(["synth", "--finite", str(problem_dir / "synth.problem"), "--bound-max", "0"]) == 3
 
 
 def test_bad_file_error(tmp_path, capsys):
@@ -171,6 +175,27 @@ def test_bench_robot_row(capsys):
     assert out[0]["universal"] == "real"
     assert out[0]["fin_trace_realizable"] == out[0]["om_labels"]
     assert out[0]["fin_trace_unknown"] == 0
+
+
+def test_bench_row_has_one_deadline(monkeypatch):
+    # the row's initial system and its universal synthesis share the deadline
+    from liveupdate import cli
+    from liveupdate.synthesis import SynthesisResult
+    deadlines = []
+
+    def initial(problem):
+        deadlines.append(problem.deadline)
+        return SynthesisResult("realizable")
+
+    def universal(ts_i, phi, psi, ap, monitor_budget, **kwargs):
+        deadlines.append(kwargs["deadline"])
+        return SynthesisResult("realizable")
+
+    monkeypatch.setattr(cli, "synth_ltl", initial)
+    monkeypatch.setattr(cli, "synth_universal_live", universal)
+    assert main(["bench", "--rows", "visit->seq-visit", "--timeout", "60"]) == 0
+    assert len(deadlines) == 2 and deadlines[0] is not None
+    assert deadlines[0] == deadlines[1]
 
 
 def test_bench_budget_row_is_unknown(capsys):

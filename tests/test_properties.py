@@ -1,6 +1,7 @@
 """Cross-module invariants beyond the acceptance suites."""
 
 import random
+import time
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_universal_realizable_implies_finite_samples(fig1_machine, relay2):
     relay1 = family("relay", 1)
     ap = relay2.ap.union(relay1.ap)
     result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec, ap,
-                                  time_budget=300)
+                                  deadline=time.monotonic() + 300)
     assert result.realizable
     for eta in sorted(fig1_machine.fin_traces(2)):
         p = LiveProblem(relay2.spec, relay1.spec, ap, eta=eta)
@@ -55,7 +56,7 @@ def test_plain_update_machine_misses_pending_duties(fig1_machine, relay2):
     # such an update drops pending station-1 instructions and fails the
     # universal check
     relay1 = family("relay", 1)
-    plain = synth_ltl(SynthesisProblem(relay1.spec, relay1.ap, time_budget=120))
+    plain = synth_ltl(SynthesisProblem(relay1.spec, relay1.ap, deadline=time.monotonic() + 120))
     assert plain.realizable
     ap = relay2.ap.union(relay1.ap)
     p = LiveProblem(relay2.spec, relay1.spec, ap, ts_i=fig1_machine)

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from liveupdate.automata import BudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import family
 from liveupdate.formula import t_true
@@ -138,24 +140,85 @@ def test_universal_budget_counts_cut_states(fig1_machine, relay2):
     assert len(result.per_obligation) == 7
 
 
-def test_universal_time_budget_is_one_deadline(monkeypatch, fig1_machine, relay2):
-    # a fake clock: each synthesis call takes 3 s of a 10 s budget
+def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
+    # a fake clock: each attempt takes 3 s of a deadline 10 s away
     now = [100.0]
-    budgets = []
+    starts = []
 
-    def slow_synth(problem):
-        budgets.append(problem.time_budget)
+    def slow_solve(self, solver, deadline):
+        starts.append(now[0] - 100.0)
         now[0] += 3.0
-        return SynthesisResult("unknown")
+        return None
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(synthesis, "synth_ltl", slow_synth)
+    monkeypatch.setattr(_Encoder, "solve", slow_solve)
     relay1 = family("relay", 1)
     result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
-                                  relay2.ap.union(relay1.ap), time_budget=10.0)
-    assert budgets == [10.0, 7.0, 4.0, 1.0]
+                                  relay2.ap.union(relay1.ap), deadline=110.0)
+    assert starts == [0.0, 3.0, 6.0, 9.0]
     assert result.outcome == "unknown"
     assert [e["outcome"] for e in result.per_obligation] == ["unknown"] * 7
+
+
+@pytest.mark.parametrize("defer_states,order", [
+    (120, [("moore", 1, 4.0), ("mealy-env", 1, 2.0), ("moore", 2, 8.0),
+           ("mealy-env", 2, 4.0), ("moore", 3, 16.0), ("mealy-env", 3, 8.0)]),
+    (0, [("moore", 1, 4.0), ("moore", 2, 8.0), ("moore", 3, 16.0),
+         ("mealy-env", 1, 2.0), ("mealy-env", 2, 4.0), ("mealy-env", 3, 8.0)]),
+])
+def test_attempt_order(monkeypatch, defer_states, order):
+    # (mode, bound, slice) of each attempt, on a fake clock standing at 100 s
+    attempts = []
+
+    def unsat(self, solver, deadline):
+        attempts.append((self.mode, self.k, deadline - 100.0))
+        return None
+
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: 100.0))
+    monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", defer_states)
+    monkeypatch.setattr(_Encoder, "solve", unsat)
+    result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3))
+    assert result.outcome == "unknown"
+    assert attempts == order
+
+
+def test_finite_live_checks_inputs_before_synthesis(monkeypatch):
+    problems = []
+
+    def record(problem):
+        problems.append(problem)
+        return SynthesisResult("unknown")
+
+    monkeypatch.setattr(synthesis, "synth_ltl", record)
+    with pytest.raises(ValueError, match="undeclared"):
+        synth_finite_live(t_true(), parse_formula("G F g"), (L("x"),), AP_RG)
+    assert problems == []
+
+
+def test_corrupted_machine_fails_verification(monkeypatch):
+    extract = _Encoder.extract_moore
+
+    def never_grant(self, model):
+        machine = extract(self, model)
+        machine.outputs = [frozenset() for _ in machine.outputs]
+        return machine
+
+    monkeypatch.setattr(_Encoder, "extract_moore", never_grant)
+    with pytest.raises(AssertionError, match="synthesized machine failed verification"):
+        synth_finite_live(t_true(), parse_formula("G F g"), (), AP_RG)
+
+
+def test_corrupted_certificate_fails_verification(monkeypatch):
+    extract = _Encoder.extract_env
+
+    def always_request(self, model):
+        env = extract(self, model)
+        env.table = {key: (frozenset(self.ap.inputs), dst) for key, (_, dst) in env.table.items()}
+        return env
+
+    monkeypatch.setattr(_Encoder, "extract_env", always_request)
+    with pytest.raises(AssertionError, match="environment certificate failed verification"):
+        synth_ltl(SynthesisProblem(parse_formula("F r"), AP_RG))
 
 
 def test_env_automaton_budget_gives_unknown(monkeypatch):
