@@ -109,6 +109,9 @@ def _synth_kwargs(args) -> dict:
 
 def _report_synth(result, args, out_prefix: str) -> int:
     data = {"outcome": result.outcome, "stats": result.stats}
+    if result.reason is not None:
+        data["reason"] = result.reason
+        print(f"unknown: {result.reason}", file=sys.stderr)
     if result.per_obligation:
         data["per_obligation"] = result.per_obligation
     if result.machine is not None:
@@ -177,6 +180,8 @@ def cmd_bench(args) -> int:
                 "expected": row.expected,
                 "time": round(time.monotonic() - t0, 2),
             })
+            if result.reason is not None:
+                report[-1]["reason"] = result.reason
         except BudgetError as exc:
             report.append({"row": row.key, "universal": "unknown", "expected": row.expected,
                            "reason": str(exc), "time": round(time.monotonic() - t0, 2)})
@@ -216,6 +221,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="liveupdate",
                                   description="verify and synthesize live updates of reactive systems")
     sub = top.add_subparsers(dest="command", required=True)
+    solver_help = ("'internal' (a conflict budget per attempt) or the path to a DIMACS solver "
+                   "(each attempt runs until it answers or --timeout passes)")
 
     def common(p, needs_problem=True):
         if needs_problem:
@@ -250,7 +257,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-max", type=int, default=16)
     p.add_argument("--timeout", type=float, default=None,
                    help="seconds; one deadline for the whole command")
-    p.add_argument("--solver", default="internal", help="'internal' or path to a DIMACS solver")
+    p.add_argument("--solver", default="internal", help=solver_help)
     p.add_argument("--out", help="write the synthesized machine here")
     p.add_argument("--dot", help="write machine DOT here")
     p.set_defaults(fn=cmd_synth)
@@ -264,7 +271,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=600.0,
                    help="seconds; one deadline for each row, its initial system's "
                         "synthesis included")
-    p.add_argument("--solver", default="internal")
+    p.add_argument("--solver", default="internal", help=solver_help)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gen", help="print a benchmark family instance as a problem skeleton")

@@ -11,7 +11,10 @@ Unrealizability is established by the dual search: a Mealy environment
 reading the system's outputs and picking inputs so that every resulting trace
 violates the specification.  System and environment bounds are interleaved;
 the first side to find a machine wins, and every winner is re-verified by the
-corresponding model checker before being reported.
+corresponding model checker before being reported.  Each attempt has a
+conflict budget of the internal solver, so the order of attempts and their
+outcomes do not depend on how fast the machine is; the only clock is the
+caller's deadline.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class SynthesisResult:
     certificate: EnvMachine | None = None
     stats: list[dict] = field(default_factory=list)
     per_obligation: list[dict] = field(default_factory=list)
+    reason: str | None = None  # why an "unknown" result has no verdict
 
     @property
     def realizable(self) -> bool:
@@ -112,6 +116,7 @@ class _Encoder:
         self.emit = ap.outputs if mode == "moore" else ap.inputs
         self.nv = 0
         self.clauses: list[list[int]] = []
+        self.conflicts: int | None = None  # spent by the internal solver in ``solve``
         self._build()
 
     def newvar(self) -> int:
@@ -189,14 +194,20 @@ class _Encoder:
                                 for c in range(K):
                                     self.clauses.append(ante + [-chain[c], chain2[c]])
 
-    def solve(self, solver: str, deadline: float | None) -> set[int] | None:
+    def solve(self, solver: str, deadline: float | None,
+              conflict_budget: int | None = None) -> set[int] | None:
+        """The positive literals of a model, or None if there is none; raises
+        ``TimeoutError`` when the conflict budget or the deadline runs out.
+        An external solver has no conflict counter and runs under the
+        deadline alone."""
         if solver == "internal":
             s = Solver()
             for _ in range(self.nv):
                 s.new_var()
             for c in self.clauses:
                 s.add_clause(c)
-            got = s.solve(deadline=deadline)
+            got = s.solve(conflict_budget=conflict_budget, deadline=deadline)
+            self.conflicts = s.conflicts
             if got is None:
                 raise TimeoutError("solver budget exhausted")
             return s.model() if got else None
@@ -267,6 +278,8 @@ def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomat
     return out
 
 
+_SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per bound
+_ENV_CONFLICTS = 512  # the same for the environment bounds
 _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
 
@@ -275,29 +288,36 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     """Bounded synthesis with system/environment alternation.
 
     Realizable results carry a machine already re-verified by the model
-    checker; unrealizable results carry a verified environment strategy.
-    The first system bound runs first; then environment bounds 1,2,3,...
-    alternate with the remaining system bounds.  While the environment
-    automata (for the whole specification) are large, every system bound
-    runs before them, so that realizable instances are not taxed by them;
-    when they exceed their state budget, only the system bounds run.
+    checker; unrealizable results carry a verified environment strategy;
+    unknown results carry a ``reason``.  The first system bound runs first;
+    then environment bounds 1,2,3,... alternate with the remaining system
+    bounds.  While the environment automata (for the whole specification)
+    are large, every system bound runs before them, so that realizable
+    instances are not taxed by them; when they exceed their state budget,
+    only the system bounds run.  The i-th bound of a side gets
+    ``_SYS_CONFLICTS * 2**i`` or ``_ENV_CONFLICTS * 2**i`` conflicts of the
+    internal solver; without a deadline the search path is the same on any
+    machine.
     """
     spec, deadline = problem.spec, problem.deadline
-    if deadline is not None and time.monotonic() > deadline:
-        return SynthesisResult("unknown")
-    sys_automata = _conjunct_automata(spec)
     sys_bounds = [b for b in problem.bounds if b <= problem.cap]
+    if deadline is not None and time.monotonic() > deadline:
+        return SynthesisResult("unknown", reason=f"the deadline passed before the system "
+                                                 f"attempt at bound {sys_bounds[0]}")
+    sys_automata = _conjunct_automata(spec)
+    internal = problem.solver == "internal"
 
     def schedule():
-        """(side, bound, slice in seconds, automata) of each attempt in turn."""
-        systems = [("system", k, 4.0 * 2 ** i, sys_automata) for i, k in enumerate(sys_bounds)]
+        """(side, bound, conflict budget, automata) of each attempt in turn."""
+        systems = [("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
+                   for i, k in enumerate(sys_bounds)]
         yield systems[0]
         try:
             env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
         except BudgetError:
             yield from systems[1:]
             return
-        envs = [("environment", k, 2.0 * 2 ** i, env_automata)
+        envs = [("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None, env_automata)
                 for i, k in enumerate(range(1, problem.cap + 1))]
         if sum(len(a.labels) for a in env_automata) > _ENV_DEFER_STATES:
             yield from systems[1:] + envs
@@ -305,24 +325,27 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             yield from (a for pair in zip_longest(envs, systems[1:]) for a in pair if a)
 
     stats: list[dict] = []
-    for side, k, slice_s, automata in schedule():
+    for side, k, budget, automata in schedule():
         t0 = time.monotonic()
         if deadline is not None and t0 > deadline:
-            break
-        # A slice that runs out just abandons the attempt (recorded as
-        # inconclusive): skipping a bound is sound because unreachable padding
-        # states make solutions monotone in the bound.
-        local = t0 + slice_s if deadline is None else min(t0 + slice_s, deadline)
+            return SynthesisResult("unknown", stats=stats, reason=f"the deadline passed "
+                                   f"before the {side} attempt at bound {k}")
+        enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
+        timeout = False
         try:
-            enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
-            model = enc.solve(problem.solver, local)
+            model = enc.solve(problem.solver, deadline, budget)
         except TimeoutError:
-            stats.append({"side": side, "bound": k, "time": time.monotonic() - t0,
-                          "sat": None, "timeout": True})
-            continue
-        stats.append({"side": side, "bound": k, "vars": enc.nv,
-                      "clauses": len(enc.clauses), "time": time.monotonic() - t0,
-                      "sat": model is not None})
+            # An exhausted budget just abandons the attempt (recorded as
+            # inconclusive): skipping a bound is sound because unreachable
+            # padding states make solutions monotone in the bound.
+            model, timeout = None, True
+        stats.append({"side": side, "bound": k, "vars": enc.nv, "clauses": len(enc.clauses),
+                      "budget": budget, "conflicts": enc.conflicts,
+                      "time": time.monotonic() - t0,
+                      "sat": None if timeout else model is not None, "timeout": timeout})
+        if timeout and deadline is not None and time.monotonic() > deadline:
+            return SynthesisResult("unknown", stats=stats, reason=f"the deadline passed "
+                                   f"during the {side} attempt at bound {k}")
         if model is None:
             continue
         if side == "system":
@@ -334,7 +357,10 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         if env_counterexample(env, ltl_to_nba(spec)) is not None:
             raise AssertionError("internal error: environment certificate failed verification")
         return SynthesisResult("unrealizable", certificate=env, stats=stats)
-    return SynthesisResult("unknown", stats=stats)
+    exhausted = sum(1 for a in stats if a["timeout"])
+    return SynthesisResult("unknown", stats=stats, reason=f"no machine and no environment "
+                           f"strategy up to bound {problem.cap}: {exhausted} of {len(stats)} "
+                           f"attempts ran out of their conflict budget")
 
 
 def synth_finite_live(phi: Formula, psi: Formula, eta: FiniteTrace, ap: APTable,
@@ -353,23 +379,27 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     initial system.
 
     The obligations reachable in the cut monitor are conjoined with the
-    update specification for the universal result; each obligation is also
-    solved individually, giving the per-context realizability table.  The
+    update specification for the universal result, which is solved first.
+    If it is realizable, its machine, re-checked against every ``o && psi``,
+    makes every obligation realizable; otherwise each obligation is solved
+    individually, giving the per-context realizability table.  The
     ``kwargs`` go to every ``SynthesisProblem``, so a ``deadline`` is one
     deadline for the whole call: once it has passed, the remaining
-    obligations and the universal result are ``unknown``.
+    obligations are ``unknown``.
     """
     ap.check_formula(phi)
     obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
-    table = [{"obligation": str(o),
-              "outcome": synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs)).outcome}
-             for o in obligations]
     universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
-    universal.per_obligation = table
     if universal.realizable:
         check = mc_obligations(universal.machine, obligations, psi)
         if not check.passed:
             raise AssertionError("internal error: universal update failed verification")
+        outcomes = ["realizable"] * len(obligations)
+    else:
+        outcomes = [synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs)).outcome
+                    for o in obligations]
+    universal.per_obligation = [{"obligation": str(o), "outcome": outcome}
+                                for o, outcome in zip(obligations, outcomes)]
     return universal
 
 

@@ -206,6 +206,18 @@ def test_bench_budget_row_is_unknown(capsys):
     assert "monitor exceeds 1 states" in out[0]["reason"]
 
 
+def test_bench_unknown_row_has_a_reason(monkeypatch, capsys):
+    from liveupdate import cli
+    from liveupdate.synthesis import SynthesisResult
+    reason = "the deadline passed before the system attempt at bound 2"
+    monkeypatch.setattr(cli, "synth_universal_live",
+                        lambda *args, **kwargs: SynthesisResult("unknown", reason=reason))
+    code = main(["bench", "--rows", "visit->seq-visit", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out[0]["universal"] == "unknown" and out[0]["reason"] == reason
+
+
 def test_mc_universal_budget_counts_cut_states(tmp_path, capsys, fig1_machine, relay2):
     # relay(2): the cut has 27 states, the uncut monitor 66
     (tmp_path / "fig1.machine").write_text(serialize_machine(fig1_machine))
@@ -256,6 +268,10 @@ def test_external_solver_timeout_is_unknown(problem_dir, tmp_path, capsys):
     code = main(["synth", "--finite", str(problem_dir / "synth.problem"), "--json",
                  "--timeout", "1", "--solver", str(solver)])
     assert code == 2
-    data = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
     assert data["outcome"] == "unknown"
     assert data["stats"][0]["timeout"]
+    assert data["stats"][0]["budget"] is None and data["stats"][0]["conflicts"] is None
+    assert data["reason"] == "the deadline passed during the system attempt at bound 1"
+    assert data["reason"] in captured.err

@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from liveupdate.automata import BudgetError, ltl_to_nba, mc_ltl
-from liveupdate.benchmarks import family
-from liveupdate.formula import t_true
+from liveupdate.benchmarks import family, update_pair
+from liveupdate.formula import f_and, t_true
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
-from liveupdate.monitor import build_monitor
+from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
-from liveupdate import monitor, synthesis
+from liveupdate import monitor, sat, synthesis
 from liveupdate.synthesis import (
     SynthesisProblem,
     SynthesisResult,
@@ -145,7 +145,7 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
     now = [100.0]
     starts = []
 
-    def slow_solve(self, solver, deadline):
+    def slow_solve(self, solver, deadline, conflict_budget):
         starts.append(now[0] - 100.0)
         now[0] += 3.0
         return None
@@ -157,21 +157,22 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
                                   relay2.ap.union(relay1.ap), deadline=110.0)
     assert starts == [0.0, 3.0, 6.0, 9.0]
     assert result.outcome == "unknown"
+    assert result.reason == "the deadline passed before the system attempt at bound 3"
     assert [e["outcome"] for e in result.per_obligation] == ["unknown"] * 7
 
 
 @pytest.mark.parametrize("defer_states,order", [
-    (120, [("moore", 1, 4.0), ("mealy-env", 1, 2.0), ("moore", 2, 8.0),
-           ("mealy-env", 2, 4.0), ("moore", 3, 16.0), ("mealy-env", 3, 8.0)]),
-    (0, [("moore", 1, 4.0), ("moore", 2, 8.0), ("moore", 3, 16.0),
-         ("mealy-env", 1, 2.0), ("mealy-env", 2, 4.0), ("mealy-env", 3, 8.0)]),
+    (120, [("moore", 1, 4096), ("mealy-env", 1, 512), ("moore", 2, 8192),
+           ("mealy-env", 2, 1024), ("moore", 3, 16384), ("mealy-env", 3, 2048)]),
+    (0, [("moore", 1, 4096), ("moore", 2, 8192), ("moore", 3, 16384),
+         ("mealy-env", 1, 512), ("mealy-env", 2, 1024), ("mealy-env", 3, 2048)]),
 ])
 def test_attempt_order(monkeypatch, defer_states, order):
-    # (mode, bound, slice) of each attempt, on a fake clock standing at 100 s
+    # (mode, bound, conflict budget) of each attempt, on a frozen clock
     attempts = []
 
-    def unsat(self, solver, deadline):
-        attempts.append((self.mode, self.k, deadline - 100.0))
+    def unsat(self, solver, deadline, conflict_budget):
+        attempts.append((self.mode, self.k, conflict_budget))
         return None
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: 100.0))
@@ -180,6 +181,64 @@ def test_attempt_order(monkeypatch, defer_states, order):
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3))
     assert result.outcome == "unknown"
     assert attempts == order
+    assert [a["budget"] for a in result.stats] == [b for _, _, b in order]
+
+
+def test_search_path_does_not_depend_on_the_clock(monkeypatch):
+    # without a deadline, a clock that advances 10 s per reading gives the
+    # attempts of a frozen clock, conflicts included
+    inst = family("arbiter-full", 2)
+    runs = []
+    for step in (0.0, 10.0):
+        now = [100.0]
+
+        def monotonic(step=step):
+            now[0] += step
+            return now[0]
+
+        clock = SimpleNamespace(monotonic=monotonic)
+        monkeypatch.setattr(synthesis, "time", clock)
+        monkeypatch.setattr(sat, "time", clock)
+        result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
+        runs.append((result.outcome, [{k: v for k, v in a.items() if k != "time"}
+                                      for a in result.stats]))
+    assert runs[0] == runs[1]
+    outcome, attempts = runs[0]
+    assert outcome == "realizable"
+    exhausted = [a for a in attempts if a["timeout"]]
+    assert exhausted and all(a["conflicts"] == a["budget"] for a in exhausted)
+
+
+def test_exhausted_budgets_give_a_reason():
+    inst = family("arbiter-full", 2)
+    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=3))
+    assert result.outcome == "unknown"
+    assert result.reason == ("no machine and no environment strategy up to bound 3: "
+                             "2 of 6 attempts ran out of their conflict budget")
+
+
+@pytest.mark.parametrize("initial,update,outcome", [
+    (("arbiter-simple", 2), ("arbiter-prioritized", 2), "realizable"),
+    (("arbiter-simple", 2), ("arbiter-full", 2), "unrealizable"),
+])
+def test_universal_solves_the_conjunction_first(monkeypatch, initial, update, outcome):
+    bi, bu, ap = update_pair(initial, update)
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    obligations = reachable_obligations(cut_from_phi(bi.spec, ts_i))
+    separately = [synth_ltl(SynthesisProblem(f_and((o, bu.spec)), ap)).outcome
+                  for o in obligations]
+    specs = []
+
+    def counted(problem):
+        specs.append(problem.spec)
+        return synth_ltl(problem)
+
+    monkeypatch.setattr(synthesis, "synth_ltl", counted)
+    result = synth_universal_live(ts_i, bi.spec, bu.spec, ap)
+    assert result.outcome == outcome
+    assert [e["outcome"] for e in result.per_obligation] == separately
+    assert specs[0] is f_and(list(obligations) + [bu.spec])
+    assert len(specs) == (1 if outcome == "realizable" else 1 + len(obligations))
 
 
 def test_finite_live_checks_inputs_before_synthesis(monkeypatch):
