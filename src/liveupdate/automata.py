@@ -8,9 +8,13 @@ it or carries a residue of its right-hand side).  The generalized condition is
 then degeneralized with the usual round-robin counter.
 
 Every closure here -- the translation, the pruning and the lasso search --
-is one breadth-first ``explore`` of an implicit graph.  Counterexamples and
-emptiness witnesses are extracted shortest-prefix, shortest-loop by BFS
-layering, so regression outputs stay readable.
+is one breadth-first ``explore`` of an implicit graph.  Automata are
+immutable, and ``ltl_to_nba`` is memoized per (formula, state budget) for the
+life of the process, so every caller of one formula shares one automaton;
+equal edge labels are one ``Cube`` object across all of them.
+
+Counterexamples and emptiness witnesses are extracted shortest-prefix,
+shortest-loop by BFS layering, so regression outputs stay readable.
 """
 
 from __future__ import annotations
@@ -42,14 +46,14 @@ class BudgetError(RuntimeError):
     """A state budget ran out; the answer is unknown."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuchiAutomaton:
     """Cube-labeled nondeterministic Buchi automaton."""
 
     ap: tuple[str, ...]
-    labels: list[Hashable]
-    initial: list[int]
-    edges: list[list[tuple[Cube, int]]]
+    labels: tuple[Hashable, ...]
+    initial: tuple[int, ...]
+    edges: tuple[tuple[tuple[Cube, int], ...], ...]
     accepting: frozenset[int]
 
     def __len__(self) -> int:
@@ -123,8 +127,25 @@ def _conj(units: frozenset[Formula]) -> Formula:
     return f_and(sorted(units, key=lambda g: g.key)) if units else t_true()
 
 
+# (formula, max_states) -> automaton; formulas are hash-consed, so the key is
+# exact.  A budget that runs out raises and caches nothing.
+_NBA: dict[tuple[Formula, int], BuchiAutomaton] = {}
+# (atoms, letter) -> the one edge label that every automaton shares
+_CUBES: dict[tuple[frozenset[str], Letter], Cube] = {}
+
+
 def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
-    """Translate a PNF formula into an NBA over its atoms."""
+    """Translate a PNF formula into an NBA over its atoms.
+
+    The result is memoized per (formula, ``max_states``) for the life of the
+    process; automata are immutable, so callers share it."""
+    got = _NBA.get((f, max_states))
+    if got is None:
+        got = _NBA[(f, max_states)] = _translate(f, max_states)
+    return got
+
+
+def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     untils = tuple(g for g in subformulas(f) if g.kind == "U")
     m = len(untils)
 
@@ -137,9 +158,11 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
 
     def successors(units: frozenset[Formula]):
         state_formula = _conj(units)
-        atoms = sorted(state_formula.atoms)
-        for letter in all_letters(atoms):
-            cube = Cube(letter, frozenset(atoms) - letter)
+        atoms = state_formula.atoms
+        for letter in all_letters(sorted(atoms)):
+            cube = _CUBES.get((atoms, letter))
+            if cube is None:
+                cube = _CUBES[(atoms, letter)] = Cube(letter, atoms - letter)
             for d in dnf_units(af(state_formula, letter)):
                 fulfilled = frozenset(
                     i for i, u in enumerate(untils)
@@ -155,19 +178,17 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
 
     # degeneralize with a round-robin counter; counter value m is accepting
     if m == 0:
-        labels: list[Hashable] = [(_conj(u), 0) for u in order]
-        edges = [[(cube, dst) for (cube, _), dst in row] for row in gtrans]
         nba = BuchiAutomaton(
             ap=tuple(sorted(f.atoms)),
-            labels=labels,
-            initial=[0],
-            edges=edges,
+            labels=tuple((_conj(u), 0) for u in order),
+            initial=(0,),
+            edges=tuple(tuple((cube, dst) for (cube, _), dst in row) for row in gtrans),
             accepting=frozenset(range(len(order))),
         )
     else:
         index: dict[tuple[int, int], int] = {}
         rev: list[tuple[int, int]] = []
-        labels = []
+        labels: list[Hashable] = []
 
         def node(g: int, c: int) -> int:
             key = (g, c)
@@ -180,7 +201,7 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
         start = node(0, 0)
         todo = [start]
         seen = {start}
-        edge_map: dict[int, list[tuple[Cube, int]]] = {}
+        edge_map: dict[int, tuple[tuple[Cube, int], ...]] = {}
         while todo:
             nid = todo.pop()
             g, c = rev[nid]
@@ -195,14 +216,13 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
                 if tgt not in seen:
                     seen.add(tgt)
                     todo.append(tgt)
-            edge_map[nid] = row
-        edges = [edge_map.get(i, []) for i in range(len(labels))]
+            edge_map[nid] = tuple(row)
         nba = BuchiAutomaton(
             ap=tuple(sorted(f.atoms)),
-            labels=labels,
-            initial=[start],
+            labels=tuple(labels),
+            initial=(start,),
             accepting=frozenset(i for i, (_, c) in enumerate(labels) if c == m),
-            edges=edges,
+            edges=tuple(edge_map.get(i, ()) for i in range(len(labels))),
         )
     return _prune_coreachable(nba)
 
@@ -279,12 +299,12 @@ def _prune_coreachable(nba: BuchiAutomaton) -> BuchiAutomaton:
     remap = {old: new for new, old in enumerate(sorted(keep))}
     return BuchiAutomaton(
         ap=nba.ap,
-        labels=[nba.labels[old] for old in sorted(keep)],
-        initial=[remap[i] for i in nba.initial if i in keep],
-        edges=[
-            [(cube, remap[dst]) for cube, dst in nba.edges[old] if dst in keep]
+        labels=tuple(nba.labels[old] for old in sorted(keep)),
+        initial=tuple(remap[i] for i in nba.initial if i in keep),
+        edges=tuple(
+            tuple((cube, remap[dst]) for cube, dst in nba.edges[old] if dst in keep)
             for old in sorted(keep)
-        ],
+        ),
         accepting=frozenset(remap[q] for q in nba.accepting if q in keep),
     )
 

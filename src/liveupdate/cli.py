@@ -150,6 +150,11 @@ def cmd_synth(args) -> int:
     return _report_synth(result, args, "update_system")
 
 
+def _unknown_row(row, reason: str, t0: float) -> dict:
+    return {"row": row.key, "universal": "unknown", "expected": row.expected,
+            "reason": reason, "time": round(time.monotonic() - t0, 2)}
+
+
 def cmd_bench(args) -> int:
     rows = [r for r in TABLE1_ROWS if not args.rows or any(f in r.key for f in args.rows)]
     if args.acceptance:
@@ -163,6 +168,9 @@ def cmd_bench(args) -> int:
         try:
             if row.initial not in machines:
                 r0 = synth_ltl(SynthesisProblem(bi.spec, bi.ap, **kwargs))
+                if r0.outcome == "unknown":
+                    report.append(_unknown_row(row, f"initial system: {r0.reason}", t0))
+                    continue
                 if not r0.realizable:
                     raise RuntimeError(f"initial specification not synthesizable: {r0.outcome}")
                 machines[row.initial] = r0.machine
@@ -183,8 +191,7 @@ def cmd_bench(args) -> int:
             if result.reason is not None:
                 report[-1]["reason"] = result.reason
         except BudgetError as exc:
-            report.append({"row": row.key, "universal": "unknown", "expected": row.expected,
-                           "reason": str(exc), "time": round(time.monotonic() - t0, 2)})
+            report.append(_unknown_row(row, str(exc), t0))
         except Exception as exc:  # noqa: BLE001 - rows report their own failures
             report.append({"row": row.key, "universal": "error", "expected": row.expected,
                            "error": str(exc), "time": round(time.monotonic() - t0, 2)})

@@ -180,17 +180,22 @@ class _Encoder:
                         if outcond is None:
                             continue
                         inc = q2 in nba.accepting
+                        guard = [-lit for lit in outcond]
+                        chain = cnt[(t, q)]
                         for t2 in range(k):
-                            ante = [-reach[(t, q)], -self.trans[(t, a)][t2]]
-                            ante += [-lit for lit in outcond]
-                            self.clauses.append(ante + [reach[(t2, q2)]])
-                            chain, chain2 = cnt[(t, q)], cnt[(t2, q2)]
+                            ante = [-reach[(t, q)], -self.trans[(t, a)][t2]] + guard
+                            chain2 = cnt[(t2, q2)]
+                            # a self-loop's reach clause, and without acceptance its
+                            # counter clauses, are tautologies
+                            loop = (t2, q2) == (t, q)
+                            if not loop:
+                                self.clauses.append(ante + [reach[(t2, q2)]])
                             if inc:
                                 self.clauses.append(ante + [chain2[0]])
                                 for c in range(K - 1):
                                     self.clauses.append(ante + [-chain[c], chain2[c + 1]])
                                 self.clauses.append(ante + [-chain[K - 1]])
-                            else:
+                            elif not loop:
                                 for c in range(K):
                                     self.clauses.append(ante + [-chain[c], chain2[c]])
 

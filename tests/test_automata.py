@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from liveupdate import automata
 from liveupdate.automata import BudgetError, accepts_lasso, explore, ltl_to_nba, mc_ltl, nba_emptiness, to_hoa
 from liveupdate.formula import t_false
 from liveupdate.machine import parse_machine
@@ -186,3 +188,40 @@ def test_emptiness_second_initial_state():
     witness = nba_emptiness(nba)
     assert witness is not None
     assert accepts_lasso(nba, witness)
+
+
+def test_translation_is_memoized():
+    f = parse_formula("G (a -> F b)")
+    assert ltl_to_nba(f) is ltl_to_nba(f)
+
+
+def test_automata_are_immutable():
+    nba = ltl_to_nba(parse_formula("G (a -> F b)"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nba.edges = ()
+    assert isinstance(nba.labels, tuple) and isinstance(nba.initial, tuple)
+    assert isinstance(nba.edges, tuple) and all(isinstance(row, tuple) for row in nba.edges)
+
+
+def test_memo_is_per_state_budget(monkeypatch):
+    monkeypatch.setattr(automata, "_NBA", {})
+    f, g = parse_formula("G (a -> F b)"), parse_formula("G (b -> F a)")
+    # a budget that runs out caches nothing
+    with pytest.raises(BudgetError):
+        ltl_to_nba(f, max_states=1)
+    assert len(ltl_to_nba(f)) > 1
+    # a cached automaton is not handed out for a smaller budget
+    assert len(ltl_to_nba(g)) > 1
+    with pytest.raises(BudgetError):
+        ltl_to_nba(g, max_states=1)
+
+
+def test_equal_cubes_are_one_object():
+    first = ltl_to_nba(parse_formula("G (a -> X (b U c)) && G F (a && !c)"))
+    second = ltl_to_nba(parse_formula("G F (a && b && c)"))
+    shared = {}
+    for nba in (first, second):
+        for row in nba.edges:
+            for cube, _ in row:
+                assert shared.setdefault(cube, cube) is cube
+    assert len(shared) < sum(len(row) for row in first.edges)

@@ -218,6 +218,27 @@ def test_bench_unknown_row_has_a_reason(monkeypatch, capsys):
     assert out[0]["universal"] == "unknown" and out[0]["reason"] == reason
 
 
+def test_bench_unknown_initial_system_is_unknown(capsys):
+    # the deadline passes before the row's initial system is synthesized
+    code = main(["bench", "--rows", "visit->seq-visit", "--timeout", "0", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out[0]["universal"] == "unknown"
+    assert out[0]["reason"] == ("initial system: the deadline passed before the system "
+                                "attempt at bound 1")
+
+
+def test_bench_unrealizable_initial_system_is_an_error(monkeypatch, capsys):
+    from liveupdate import cli
+    from liveupdate.synthesis import SynthesisResult
+    monkeypatch.setattr(cli, "synth_ltl", lambda problem: SynthesisResult("unrealizable"))
+    code = main(["bench", "--rows", "visit->seq-visit", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out[0]["universal"] == "error"
+    assert out[0]["error"] == "initial specification not synthesizable: unrealizable"
+
+
 def test_mc_universal_budget_counts_cut_states(tmp_path, capsys, fig1_machine, relay2):
     # relay(2): the cut has 27 states, the uncut monitor 66
     (tmp_path / "fig1.machine").write_text(serialize_machine(fig1_machine))

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from liveupdate.automata import BudgetError, ltl_to_nba, mc_ltl
-from liveupdate.benchmarks import family, update_pair
-from liveupdate.formula import f_and, t_true
+from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
+from liveupdate.formula import f_and, neg, t_true
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
@@ -291,6 +291,19 @@ def test_env_automaton_budget_gives_unknown(monkeypatch):
     result = synth_ltl(SynthesisProblem(spec, AP_RG, bounds=(1, 2), cap=2))
     assert result.outcome == "unknown"
     assert [s["side"] for s in result.stats] == ["system", "system"]
+
+
+@pytest.mark.parametrize("key", ["visit->seq-visit", "relay:2->1", "arbiter:2s->2f",
+                                 "abp-receiver:1->2"])
+def test_encoding_has_no_tautologies(key):
+    row = next(r for r in TABLE1_ROWS if r.key == key)
+    bi, bu, ap = update_pair(row.initial, row.update)
+    for spec in (bu.spec, f_and((bi.spec, bu.spec))):
+        for side, f in (("moore", spec), ("mealy-env", neg(spec))):
+            automata = _conjunct_automata(f)
+            for k in (1, 2):
+                enc = _Encoder(automata, ap, k, side)
+                assert not [c for c in enc.clauses if set(c) & {-lit for lit in c}], (key, side, k)
 
 
 def test_emit_dimacs():
