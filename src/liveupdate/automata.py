@@ -7,11 +7,13 @@ until subformula (a transition fulfills an until when the target either drops
 it or carries a residue of its right-hand side).  The generalized condition is
 then degeneralized with the usual round-robin counter.
 
-Every closure here -- the translation, the pruning and the lasso search --
-is one breadth-first ``explore`` of an implicit graph.  Automata are
-immutable, and ``ltl_to_nba`` is memoized per (formula, state budget) for the
-life of the process, so every caller of one formula shares one automaton;
-equal edge labels are one ``Cube`` object across all of them.
+Every closure here -- the translation, the degeneralization, the pruning and
+the lasso search over every product -- is one breadth-first ``explore`` of an
+implicit graph.  State ids are breadth-first discovery order from the one
+initial state 0, which fixes the variable order of the synthesis CNF.
+Automata are immutable, and ``ltl_to_nba`` is memoized per (formula, state
+budget) for the life of the process, so every caller of one formula shares
+one automaton; equal edge labels are one ``Cube`` object across all of them.
 
 Counterexamples and emptiness witnesses are extracted shortest-prefix,
 shortest-loop by BFS layering, so regression outputs stay readable.
@@ -62,13 +64,12 @@ class BuchiAutomaton:
 
 @dataclass(frozen=True)
 class CounterexampleLasso:
-    """A violating trace of a checked machine together with the machine-state
-    cycle that produces its loop."""
+    """A violating trace of a checked machine and the input word, a prefix
+    then a repeated loop, that produces it."""
 
     lasso: LassoTrace
-    machine_state_cycle: tuple[int, ...]
-    input_prefix: tuple[Letter, ...] = ()
-    input_loop: tuple[Letter, ...] = ()
+    input_prefix: tuple[Letter, ...]
+    input_loop: tuple[Letter, ...]
 
 
 @dataclass
@@ -176,55 +177,27 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     except BudgetError as exc:
         raise BudgetError(f"automaton {exc}") from None
 
-    # degeneralize with a round-robin counter; counter value m is accepting
-    if m == 0:
-        nba = BuchiAutomaton(
-            ap=tuple(sorted(f.atoms)),
-            labels=tuple((_conj(u), 0) for u in order),
-            initial=(0,),
-            edges=tuple(tuple((cube, dst) for (cube, _), dst in row) for row in gtrans),
-            accepting=frozenset(range(len(order))),
-        )
-    else:
-        index: dict[tuple[int, int], int] = {}
-        rev: list[tuple[int, int]] = []
-        labels: list[Hashable] = []
+    # degeneralize with a round-robin counter over (generalized state, counter)
+    # pairs; counter value m is accepting
+    def degeneralized(node: tuple[int, int]):
+        g, c = node
+        base = 0 if c == m else c
+        for (cube, fulfilled), dst in gtrans[g]:
+            j = base
+            while j < m and j in fulfilled:
+                j += 1
+            yield cube, (dst, j)
 
-        def node(g: int, c: int) -> int:
-            key = (g, c)
-            if key not in index:
-                index[key] = len(labels)
-                rev.append(key)
-                labels.append((_conj(order[g]), c))
-            return index[key]
-
-        start = node(0, 0)
-        todo = [start]
-        seen = {start}
-        edge_map: dict[int, tuple[tuple[Cube, int], ...]] = {}
-        while todo:
-            nid = todo.pop()
-            g, c = rev[nid]
-            row = []
-            base = 0 if c == m else c
-            for (cube, fulfilled), dst in gtrans[g]:
-                j = base
-                while j < m and j in fulfilled:
-                    j += 1
-                tgt = node(dst, j)
-                row.append((cube, tgt))
-                if tgt not in seen:
-                    seen.add(tgt)
-                    todo.append(tgt)
-            edge_map[nid] = tuple(row)
-        nba = BuchiAutomaton(
-            ap=tuple(sorted(f.atoms)),
-            labels=tuple(labels),
-            initial=(start,),
-            accepting=frozenset(i for i, (_, c) in enumerate(labels) if c == m),
-            edges=tuple(edge_map.get(i, ()) for i in range(len(labels))),
-        )
-    return _prune_coreachable(nba)
+    nodes, rows = explore([(0, 0)], degeneralized)
+    keep = _coreachable(rows, lambda i: nodes[i][1] == m)
+    new = {old: i for i, old in enumerate(keep)}
+    return BuchiAutomaton(
+        ap=tuple(sorted(f.atoms)),
+        labels=tuple((_conj(order[nodes[i][0]]), nodes[i][1]) for i in keep),
+        initial=(0,) if 0 in new else (),
+        edges=tuple(tuple((cube, new[dst]) for cube, dst in rows[i] if dst in new) for i in keep),
+        accepting=frozenset(new[i] for i in keep if nodes[i][1] == m),
+    )
 
 
 def _sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -284,29 +257,15 @@ def _cycles_through(succ: list[list[int]], accepting: Callable[[int], bool]) -> 
     return good
 
 
-def _prune_coreachable(nba: BuchiAutomaton) -> BuchiAutomaton:
-    """Keep only states from which some accepting cycle is reachable."""
-    n = len(nba.labels)
-    targets = _cycles_through([[dst for _, dst in row] for row in nba.edges],
-                              nba.accepting.__contains__)
-    pred: list[list[Step]] = [[] for _ in range(n)]
-    for src, row in enumerate(nba.edges):
-        for _, dst in row:
+def _coreachable(rows: list[list[tuple[Hashable, int]]], accepting: Callable[[int], bool]) -> list[int]:
+    """The ids, in increasing order, of the nodes from which some accepting
+    cycle is reachable."""
+    succ = [[dst for _, dst in row] for row in rows]
+    pred: list[list[Step]] = [[] for _ in rows]
+    for src, row in enumerate(succ):
+        for dst in row:
             pred[dst].append((None, src))
-    keep = set(explore(targets, pred.__getitem__)[0])
-    if len(keep) == n:
-        return nba
-    remap = {old: new for new, old in enumerate(sorted(keep))}
-    return BuchiAutomaton(
-        ap=nba.ap,
-        labels=tuple(nba.labels[old] for old in sorted(keep)),
-        initial=tuple(remap[i] for i in nba.initial if i in keep),
-        edges=tuple(
-            tuple((cube, remap[dst]) for cube, dst in nba.edges[old] if dst in keep)
-            for old in sorted(keep)
-        ),
-        accepting=frozenset(remap[q] for q in nba.accepting if q in keep),
-    )
+    return sorted(explore(_cycles_through(succ, accepting), pred.__getitem__)[0])
 
 
 # -- accepting lassos ---------------------------------------------------------
@@ -384,16 +343,33 @@ def nba_emptiness(nba: BuchiAutomaton) -> LassoTrace | None:
     return LassoTrace(tuple(cube.pos for cube, _ in prefix), tuple(cube.pos for cube, _ in loop))
 
 
+def _product_lasso(starts: Iterable[Hashable],
+                   steps: Callable[[Hashable], Iterable[tuple[Hashable, Letter, Hashable]]],
+                   nba: BuchiAutomaton) -> tuple[list[Hashable], list[Hashable]] | None:
+    """An accepting lasso of a deterministic component times ``nba``: the step
+    labels of its prefix and of its loop, or None if there is none.
+
+    ``steps(s)`` lists the ``(label, letter, next)`` moves of the component
+    from ``s``; the automaton follows each along every edge whose cube
+    matches the letter, and acceptance is the automaton's."""
+
+    def successors(node: tuple[Hashable, int]) -> list[Step]:
+        s, q = node
+        return [(label, (s2, q2)) for label, letter, s2 in steps(s)
+                for cube, q2 in nba.edges[q] if cube.matches(letter)]
+
+    found = accepting_lasso([(s, q) for s in starts for q in nba.initial], successors,
+                            lambda node: node[1] in nba.accepting)
+    if found is None:
+        return None
+    prefix, loop = found
+    return [label for label, _ in prefix], [label for label, _ in loop]
+
+
 def accepts_lasso(nba: BuchiAutomaton, sigma: LassoTrace) -> bool:
     """Exact membership of an ultimately periodic word."""
-
-    def successors(node: tuple[int, int]) -> list[Step]:
-        q, pos = node
-        letter, nxt = sigma.letter(pos), sigma.succ(pos)
-        return [(None, (dst, nxt)) for cube, dst in nba.edges[q] if cube.matches(letter)]
-
-    return accepting_lasso([(q, 0) for q in nba.initial], successors,
-                           lambda node: node[0] in nba.accepting) is not None
+    return _product_lasso([0], lambda pos: [(None, sigma.letter(pos), sigma.succ(pos))],
+                          nba) is not None
 
 
 # -- model checking -----------------------------------------------------------
@@ -414,24 +390,14 @@ def mc_ltl(machine: MooreMachine, f: Formula) -> Verdict:
 def product_counterexample(machine: MooreMachine, nba: BuchiAutomaton) -> CounterexampleLasso | None:
     """Search the machine x automaton product for an accepting lasso."""
     letters = machine.input_letters()
-
-    def successors(node: tuple[int, int]) -> list[Step]:
-        ms, q = node
-        out = []
-        for inp in letters:
-            letter, ms2 = machine.letter(ms, inp), machine.delta(ms, inp)
-            out.extend((inp, (ms2, q2)) for cube, q2 in nba.edges[q] if cube.matches(letter))
-        return out
-
-    found = accepting_lasso([(machine.initial, q) for q in nba.initial], successors,
-                            lambda node: node[1] in nba.accepting)
+    found = _product_lasso(
+        [machine.initial],
+        lambda ms: [(inp, machine.letter(ms, inp), machine.delta(ms, inp)) for inp in letters],
+        nba)
     if found is None:
         return None
-    prefix, loop = found
-    in_pre = tuple(inp for inp, _ in prefix)
-    in_loop = tuple(inp for inp, _ in loop)
-    cycle_states = tuple(ms for _, (ms, _) in loop)
-    return CounterexampleLasso(machine.lasso_for(in_pre, in_loop), cycle_states, in_pre, in_loop)
+    in_pre, in_loop = map(tuple, found)
+    return CounterexampleLasso(machine.lasso_for(in_pre, in_loop), in_pre, in_loop)
 
 
 # -- HOA export ---------------------------------------------------------------

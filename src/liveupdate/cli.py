@@ -231,11 +231,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     solver_help = ("'internal' (a conflict budget per attempt) or the path to a DIMACS solver "
                    "(each attempt runs until it answers or --timeout passes)")
 
-    def common(p, needs_problem=True):
-        if needs_problem:
-            p.add_argument("problem", help="problem file")
+    def common(p, monitor_budget=True):
+        p.add_argument("problem", help="problem file")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--monitor-budget", type=int, default=10000)
+        if monitor_budget:
+            p.add_argument("--monitor-budget", type=int, default=10000)
 
     p = sub.add_parser("monitor", help="build (and optionally cut) the obligation monitor")
     common(p)
@@ -246,7 +246,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_monitor)
 
     p = sub.add_parser("evolve", help="residual obligation after the recorded trace")
-    common(p)
+    common(p, monitor_budget=False)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("mc", help="model-check a live update")
@@ -289,7 +289,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_PASS
     try:
         return args.fn(args)
     except (ProblemFormatError, FileNotFoundError, ValueError) as exc:

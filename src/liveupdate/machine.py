@@ -111,11 +111,8 @@ class MooreMachine:
         letters = self.input_letters()
         for total in range(1, input_period + 1):
             for plen in range(0, total):
-                llen = total - plen
                 for combo in itertools.product(letters, repeat=total):
-                    pre, loop = combo[:plen], combo[plen:]
-                    yield self.lasso_for(pre, loop)
-        return
+                    yield self.lasso_for(combo[:plen], combo[plen:])
 
     def lasso_for(self, input_prefix: FiniteTrace, input_loop: FiniteTrace) -> LassoTrace:
         """Exact trace lasso for the input word prefix . loop^omega."""

@@ -67,9 +67,6 @@ class ObligationMonitor:
     def label(self, node: int) -> Formula:
         return strip(self.nodes[node].formula)
 
-    def labels(self) -> list[Formula]:
-        return [self.label(i) for i in range(len(self.nodes))]
-
     def step(self, node: int, letter: Letter) -> int:
         """Deterministic successor under a full letter.
 

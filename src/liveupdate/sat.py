@@ -16,7 +16,11 @@ import tempfile
 import time
 from pathlib import Path
 
-__all__ = ["Solver", "to_dimacs", "parse_dimacs_model", "solve_external"]
+__all__ = ["Solver", "SolverError", "to_dimacs", "parse_dimacs_model", "solve_external"]
+
+
+class SolverError(RuntimeError):
+    """An external solver gave no usable answer."""
 
 
 class Solver:
@@ -332,7 +336,9 @@ def solve_external(solver_path: str, nvars: int, clauses: list[list[int]],
                    timeout: float | None = None) -> tuple[bool | None, set[int]]:
     """Run an external DIMACS solver; returns (verdict, positive literals).
 
-    Raises ``TimeoutError`` when the solver runs past ``timeout`` seconds."""
+    Raises ``TimeoutError`` when the solver runs past ``timeout`` seconds, and
+    ``SolverError`` when its output has no verdict or its model leaves a
+    clause false."""
     if shutil.which(solver_path) is None and not Path(solver_path).exists():
         raise FileNotFoundError(f"external solver not found: {solver_path}")
     with tempfile.TemporaryDirectory(prefix="liveupdate-sat-") as tmp:
@@ -347,4 +353,12 @@ def solve_external(solver_path: str, nvars: int, clauses: list[list[int]],
             )
         except subprocess.TimeoutExpired as exc:
             raise TimeoutError(f"external solver ran past {timeout} s") from exc
-        return parse_dimacs_model(proc.stdout)
+    try:
+        sat, model = parse_dimacs_model(proc.stdout)
+    except ValueError:
+        raise SolverError("external solver gave unreadable output") from None
+    if sat is None:
+        raise SolverError("external solver gave no verdict")
+    if sat and not all(any((lit > 0) == (abs(lit) in model) for lit in c) for c in clauses):
+        raise SolverError("external solver gave a model that leaves a clause false")
+    return sat, model

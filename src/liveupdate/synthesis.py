@@ -23,13 +23,13 @@ import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .automata import BudgetError, BuchiAutomaton, accepting_lasso, ltl_to_nba, mc_ltl
+from .automata import BudgetError, BuchiAutomaton, _product_lasso, ltl_to_nba, mc_ltl
 from .formula import Formula, f_and, neg
 from .machine import MooreMachine
 from .modelcheck import LiveProblem, mc_obligations
 from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve
-from .sat import Solver, solve_external, to_dimacs
+from .sat import Solver, SolverError, solve_external, to_dimacs
 from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
 
 __all__ = [
@@ -204,7 +204,7 @@ class _Encoder:
         """The positive literals of a model, or None if there is none; raises
         ``TimeoutError`` when the conflict budget or the deadline runs out.
         An external solver has no conflict counter and runs under the
-        deadline alone."""
+        deadline alone; ``SolverError`` says its answer failed the check."""
         if solver == "internal":
             s = Solver()
             for _ in range(self.nv):
@@ -218,8 +218,6 @@ class _Encoder:
             return s.model() if got else None
         timeout = None if deadline is None else max(0.1, deadline - time.monotonic())
         sat, model = solve_external(solver, self.nv, self.clauses, timeout=timeout)
-        if sat is None:
-            raise RuntimeError("external solver produced no verdict")
         return model if sat else None
 
     # -- model extraction ------------------------------------------------
@@ -255,21 +253,16 @@ def env_counterexample(env: EnvMachine, nba: BuchiAutomaton) -> LassoTrace | Non
     automaton, quantifying over all output letters; None if there is none."""
     read = all_letters(env.ap.outputs)
 
-    def successors(node: tuple[int, int]) -> list[tuple[Letter, tuple[int, int]]]:
-        e, q = node
-        out = []
+    def steps(e: int):
         for a in read:
             emit, e2 = env.move(e, a)
-            letter = a | emit
-            out.extend((letter, (e2, q2)) for cube, q2 in nba.edges[q] if cube.matches(letter))
-        return out
+            yield a | emit, a | emit, e2
 
-    found = accepting_lasso([(env.initial, q) for q in nba.initial], successors,
-                            lambda node: node[1] in nba.accepting)
+    found = _product_lasso([env.initial], steps, nba)
     if found is None:
         return None
     prefix, loop = found
-    return LassoTrace(tuple(l for l, _ in prefix), tuple(l for l, _ in loop))
+    return LassoTrace(tuple(prefix), tuple(loop))
 
 
 def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomaton]:
@@ -336,7 +329,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             return SynthesisResult("unknown", stats=stats, reason=f"the deadline passed "
                                    f"before the {side} attempt at bound {k}")
         enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
-        timeout = False
+        timeout, bad = False, None
         try:
             model = enc.solve(problem.solver, deadline, budget)
         except TimeoutError:
@@ -344,10 +337,16 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             # inconclusive): skipping a bound is sound because unreachable
             # padding states make solutions monotone in the bound.
             model, timeout = None, True
+        except SolverError as exc:
+            model, bad = None, exc
         stats.append({"side": side, "bound": k, "vars": enc.nv, "clauses": len(enc.clauses),
                       "budget": budget, "conflicts": enc.conflicts,
                       "time": time.monotonic() - t0,
-                      "sat": None if timeout else model is not None, "timeout": timeout})
+                      "sat": None if timeout or bad is not None else model is not None,
+                      "timeout": timeout})
+        if bad is not None:
+            return SynthesisResult("unknown", stats=stats, reason=f"{bad} in the {side} "
+                                   f"attempt at bound {k}")
         if timeout and deadline is not None and time.monotonic() > deadline:
             return SynthesisResult("unknown", stats=stats, reason=f"the deadline passed "
                                    f"during the {side} attempt at bound {k}")

@@ -5,7 +5,8 @@ import pytest
 
 from liveupdate import automata
 from liveupdate.automata import BudgetError, accepts_lasso, explore, ltl_to_nba, mc_ltl, nba_emptiness, to_hoa
-from liveupdate.formula import t_false
+from liveupdate.benchmarks import TABLE1_ROWS, update_pair
+from liveupdate.formula import neg, t_false
 from liveupdate.machine import parse_machine
 from liveupdate.parser import parse_formula
 from liveupdate.semantics import eval_ltl
@@ -225,3 +226,26 @@ def test_equal_cubes_are_one_object():
             for cube, _ in row:
                 assert shared.setdefault(cube, cube) is cube
     assert len(shared) < sum(len(row) for row in first.edges)
+
+
+def test_state_ids_are_breadth_first():
+    # state 0 is the one initial state, and ids follow breadth-first discovery
+    rng = random.Random(45)
+    formulas = [random_formula(rng, ["a", "b", "c"], rng.choice((3, 4))) for _ in range(300)]
+    for row in TABLE1_ROWS:
+        for problem in update_pair(row.initial, row.update)[:2]:
+            formulas.extend(problem.spec.children if problem.spec.kind == "and" else [problem.spec])
+    for f in formulas + [neg(f) for f in formulas]:
+        nba = ltl_to_nba(f)
+        assert nba.initial == ((0,) if len(nba) else ()), str(f)
+        dist = [0] + [None] * (len(nba) - 1) if len(nba) else []
+        frontier = [0] if len(nba) else []
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for _, w in nba.edges[v]:
+                    if dist[w] is None:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        assert None not in dist and dist == sorted(dist), str(f)

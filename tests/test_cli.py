@@ -155,6 +155,22 @@ def test_synth_bound_max_below_one_is_an_input_error(problem_dir):
     assert main(["synth", "--finite", str(problem_dir / "synth.problem"), "--bound-max", "0"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["bench", "--bogus"],
+    ["synth", "--finite", "--timeout", "abc", "x"],
+    ["evolve", "x", "--monitor-budget", "5"],
+])
+def test_usage_error_exits_3(argv, capsys):
+    assert main(argv) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["synth", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_bad_file_error(tmp_path, capsys):
     bad = tmp_path / "bad.problem"
     bad.write_text("INPUTS: a\nOUTPUTS: b\nINITIAL: a U\n")
@@ -295,4 +311,24 @@ def test_external_solver_timeout_is_unknown(problem_dir, tmp_path, capsys):
     assert data["stats"][0]["timeout"]
     assert data["stats"][0]["budget"] is None and data["stats"][0]["conflicts"] is None
     assert data["reason"] == "the deadline passed during the system attempt at bound 1"
+    assert data["reason"] in captured.err
+
+
+@pytest.mark.parametrize("output, reason", [
+    ("c no verdict", "external solver gave no verdict"),
+    ("s SATISFIABLE\nv 1 0", "external solver gave a model that leaves a clause false"),
+    ("s SATISFIABLE\nv 1 x 0", "external solver gave unreadable output"),
+], ids=["no-verdict", "clause-false", "unreadable"])
+def test_bad_external_solver_answer_is_unknown(problem_dir, tmp_path, capsys, output, reason):
+    solver = tmp_path / "bad-solver"
+    solver.write_text(f"#!/bin/sh\nprintf '{output}\\n'\n")
+    solver.chmod(0o755)
+    code = main(["synth", "--finite", str(problem_dir / "synth.problem"), "--json",
+                 "--solver", str(solver)])
+    assert code == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["outcome"] == "unknown"
+    assert len(data["stats"]) == 1 and not data["stats"][0]["timeout"]
+    assert data["reason"] == f"{reason} in the system attempt at bound 1"
     assert data["reason"] in captured.err
