@@ -247,14 +247,10 @@ def _sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _cycles_through(succ: list[list[int]], accepting: Callable[[int], bool]) -> set[int]:
-    """Nodes of the SCCs that contain a cycle through an accepting node."""
-    good: set[int] = set()
-    for comp in _sccs(len(succ), succ):
-        cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
-        if cyclic and any(accepting(v) for v in comp):
-            good.update(comp)
-    return good
+def _accepting_sccs(succ: list[list[int]], accepting: Callable[[int], bool]) -> list[list[int]]:
+    """The SCCs that contain a cycle through an accepting node."""
+    return [comp for comp in _sccs(len(succ), succ)
+            if (len(comp) > 1 or comp[0] in succ[comp[0]]) and any(accepting(v) for v in comp)]
 
 
 def _coreachable(rows: list[list[tuple[Hashable, int]]], accepting: Callable[[int], bool]) -> list[int]:
@@ -265,7 +261,8 @@ def _coreachable(rows: list[list[tuple[Hashable, int]]], accepting: Callable[[in
     for src, row in enumerate(succ):
         for dst in row:
             pred[dst].append((None, src))
-    return sorted(explore(_cycles_through(succ, accepting), pred.__getitem__)[0])
+    cyclic = [v for comp in _accepting_sccs(succ, accepting) for v in comp]
+    return sorted(explore(cyclic, pred.__getitem__)[0])
 
 
 # -- accepting lassos ---------------------------------------------------------
@@ -285,8 +282,8 @@ def accepting_lasso(initials: Iterable[Hashable],
     nodes, rows = explore(initials, successors)
     starts = list(range(len(initials)))
     acc = [accepting(v) for v in nodes]
-    good = {v for v in _cycles_through([[w for _, w in row] for row in rows], acc.__getitem__)
-            if acc[v]}
+    good = {v for comp in _accepting_sccs([[w for _, w in row] for row in rows], acc.__getitem__)
+            for v in comp if acc[v]}
     if not good:
         return None
     anchor, prefix = _shortest_path(rows, starts, good)

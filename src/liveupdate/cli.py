@@ -206,6 +206,8 @@ def cmd_bench(args) -> int:
                   f"{e['universal']:>10s} {e['expected']:>9s} {e['time']:>7.1f}s")
             if "reason" in e:
                 print(f"  unknown: {e['reason']}")
+            if "error" in e:
+                print(f"  error: {e['error']}")
     bad = [e for e in report if e["universal"] in ("error", "unknown")]
     mismatched = [e for e in report if e["universal"] in ("real", "unreal") and e["universal"] != e["expected"]]
     if mismatched:
@@ -222,6 +224,13 @@ def cmd_gen(args) -> int:
     print("OUTPUTS:", " ".join(inst.ap.outputs))
     print("INITIAL:", inst.spec)
     return EXIT_PASS
+
+
+def _bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"bound must be at least 1: {value}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -261,7 +270,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--finite", action="store_true")
     mode.add_argument("--universal", action="store_true")
-    p.add_argument("--bound-max", type=int, default=16)
+    p.add_argument("--bound-max", type=_bound, default=16)
     p.add_argument("--timeout", type=float, default=None,
                    help="seconds; one deadline for the whole command")
     p.add_argument("--solver", default="internal", help=solver_help)
@@ -274,7 +283,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", nargs="*", default=None, help="substring filters on row keys")
     p.add_argument("--json", action="store_true")
     p.add_argument("--monitor-budget", type=int, default=10000)
-    p.add_argument("--bound-max", type=int, default=16)
+    p.add_argument("--bound-max", type=_bound, default=16)
     p.add_argument("--timeout", type=float, default=600.0,
                    help="seconds; one deadline for each row, its initial system's "
                         "synthesis included")

@@ -5,7 +5,10 @@ of the negated specification as a universal co-Buchi condition, guess a
 machine of size k together with an annotation of the product (reachability
 plus a bounded count of rejecting visits), and hand the constraints to a SAT
 solver.  Top-level conjuncts of the specification are encoded against
-separate small automata instead of one product automaton.
+separate small automata instead of one product automaton.  Every product
+cycle lies in one SCC of the automaton, so rejecting visits are counted only
+inside the SCCs with a cycle through an accepting state, afresh on each
+entry; an accepting state that loops on every letter is simply unreachable.
 
 Unrealizability is established by the dual search: a Mealy environment
 reading the system's outputs and picking inputs so that every resulting trace
@@ -23,7 +26,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .automata import BudgetError, BuchiAutomaton, _product_lasso, ltl_to_nba, mc_ltl
+from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _product_lasso, ltl_to_nba,
+                       mc_ltl)
 from .formula import Formula, f_and, neg
 from .machine import MooreMachine
 from .modelcheck import LiveProblem, mc_obligations
@@ -108,7 +112,7 @@ class _Encoder:
         self.automata = automata
         self.ap = ap
         self.k = k
-        self.kcount = max(3, k)  # bound on the rejecting visits counted per product state
+        self.kcount = max(3, k)  # bound on the rejecting visits counted within one accepting SCC
         self.mode = mode
         reads = ap.inputs if mode == "moore" else ap.outputs
         self.read = all_letters(reads)
@@ -161,37 +165,53 @@ class _Encoder:
         n = len(nba.labels)
         if n == 0 or not nba.initial:
             return
+        # an accepting state that loops on every letter is a violation once
+        # reached: it gets no edges, and its reach variables are false
+        doomed = [q for q in sorted(nba.accepting)
+                  if any(q2 == q and not cube.pos and not cube.neg for cube, q2 in nba.edges[q])]
+        succ = [[] if q in doomed else [q2 for _, q2 in row] for q, row in enumerate(nba.edges)]
+        # every product cycle lies in one automaton SCC: count the rejecting
+        # visits only inside the SCCs with a cycle through an accepting state
+        scc = {q: i for i, comp in enumerate(_accepting_sccs(succ, nba.accepting.__contains__))
+               for q in comp}
+        counted = sorted(scc)  # state order, so the CNF does not depend on set iteration
         reach = {(t, q): self.newvar() for t in range(k) for q in range(n)}
-        cnt = {(t, q): [self.newvar() for _ in range(K)] for t in range(k) for q in range(n)}
-        for t in range(k):
-            for q in range(n):
-                chain = cnt[(t, q)]
-                for c in range(K - 1):
-                    self.clauses.append([-chain[c + 1], chain[c]])
+        cnt = {(t, q): [self.newvar() for _ in range(K)] for t in range(k) for q in counted}
+        for chain in cnt.values():
+            for c in range(K - 1):
+                self.clauses.append([-chain[c + 1], chain[c]])
         for q0 in nba.initial:
             self.clauses.append([reach[(0, q0)]])
-            if q0 in nba.accepting:
+            if q0 in scc and q0 in nba.accepting:
                 self.clauses.append([cnt[(0, q0)][0]])
+        for q in doomed:
+            for t in range(k):
+                self.clauses.append([-reach[(t, q)]])
         for t in range(k):
             for q in range(n):
+                if not succ[q]:
+                    continue
                 for a in self.read:
                     for cube, q2 in nba.edges[q]:
                         outcond = self._out_conditions(t, a, cube)
                         if outcond is None:
                             continue
-                        inc = q2 in nba.accepting
+                        inside = q2 in scc and scc.get(q) == scc[q2]
+                        inc = q2 in scc and q2 in nba.accepting
                         guard = [-lit for lit in outcond]
-                        chain = cnt[(t, q)]
                         for t2 in range(k):
                             ante = [-reach[(t, q)], -self.trans[(t, a)][t2]] + guard
-                            chain2 = cnt[(t2, q2)]
                             # a self-loop's reach clause, and without acceptance its
                             # counter clauses, are tautologies
                             loop = (t2, q2) == (t, q)
                             if not loop:
                                 self.clauses.append(ante + [reach[(t2, q2)]])
                             if inc:
-                                self.clauses.append(ante + [chain2[0]])
+                                self.clauses.append(ante + [cnt[(t2, q2)][0]])
+                            if not inside:  # entering an SCC starts its count afresh
+                                continue
+                            chain, chain2 = cnt[(t, q)], cnt[(t2, q2)]
+                            if inc:
                                 for c in range(K - 1):
                                     self.clauses.append(ante + [-chain[c], chain2[c + 1]])
                                 self.clauses.append(ante + [-chain[K - 1]])

@@ -160,6 +160,7 @@ def test_synth_bound_max_below_one_is_an_input_error(problem_dir):
     ["bench", "--bogus"],
     ["synth", "--finite", "--timeout", "abc", "x"],
     ["evolve", "x", "--monitor-budget", "5"],
+    ["bench", "--bound-max", "0"],
 ])
 def test_usage_error_exits_3(argv, capsys):
     assert main(argv) == 3
@@ -244,15 +245,22 @@ def test_bench_unknown_initial_system_is_unknown(capsys):
                                 "attempt at bound 1")
 
 
-def test_bench_unrealizable_initial_system_is_an_error(monkeypatch, capsys):
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_bench_unrealizable_initial_system_is_an_error(monkeypatch, capsys, as_json):
     from liveupdate import cli
     from liveupdate.synthesis import SynthesisResult
     monkeypatch.setattr(cli, "synth_ltl", lambda problem: SynthesisResult("unrealizable"))
-    code = main(["bench", "--rows", "visit->seq-visit", "--json"])
-    out = json.loads(capsys.readouterr().out)
+    code = main(["bench", "--rows", "visit->seq-visit"] + (["--json"] if as_json else []))
+    out = capsys.readouterr().out
+    message = "initial specification not synthesizable: unrealizable"
     assert code == 2
-    assert out[0]["universal"] == "error"
-    assert out[0]["error"] == "initial specification not synthesizable: unrealizable"
+    if as_json:
+        assert json.loads(out)[0]["universal"] == "error"
+        assert json.loads(out)[0]["error"] == message
+    else:
+        row, detail = out.splitlines()[1:]
+        assert row.split()[:2] == ["visit->seq-visit", "-"] and "error" in row.split()
+        assert detail == f"  error: {message}"
 
 
 def test_mc_universal_budget_counts_cut_states(tmp_path, capsys, fig1_machine, relay2):

@@ -25,7 +25,7 @@ from liveupdate.synthesis import (
     synth_ltl,
     synth_universal_live,
 )
-from liveupdate.traces import APTable, parse_trace
+from liveupdate.traces import APTable, Cube, parse_trace
 
 from gen import random_formula
 
@@ -71,6 +71,43 @@ def test_monotone_in_bound():
     for k2 in (k + 1, k + 2):
         enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, "moore")
         assert enc.solve("internal", None) is not None
+
+
+@pytest.mark.parametrize("side", ["moore", "mealy-env"])
+def test_every_satisfiable_attempt_decodes_to_a_verified_winner(side):
+    # each bound of each side on its own, not just the attempt that synth_ltl keeps
+    rng = random.Random(4242)
+    for _ in range(60):
+        spec = f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)])
+        automata = _conjunct_automata(spec if side == "moore" else neg(spec))
+        for k in (1, 2, 3):
+            enc = _Encoder(automata, AP_RG, k, side)
+            model = enc.solve("internal", None)
+            if model is None:
+                continue
+            if side == "moore":
+                assert mc_ltl(enc.extract_moore(model), spec).passed, (str(spec), k)
+            else:
+                assert env_counterexample(enc.extract_env(model), ltl_to_nba(spec)) is None, \
+                    (str(spec), k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_counters_only_in_accepting_sccs(k):
+    # the negation of G (r -> X g) has an accepting state on no cycle and an
+    # accepting sink that loops on every letter: neither gets a counter, and
+    # the sink is unreachable in every machine state
+    [nba] = _conjunct_automata(parse_formula("G (r -> X g)"))
+    [sink] = [q for q in nba.accepting if nba.edges[q] == ((Cube(L(), L()), q),)]
+    enc = _Encoder([nba], AP_RG, k, "moore")
+    machine_vars = k * len(enc.trans) + len(enc.out)
+    assert enc.nv == machine_vars + k * len(nba)  # transitions, outputs, reach
+
+    def reach(t, q):
+        return machine_vars + t * len(nba) + q + 1
+
+    assert [c for c in enc.clauses if len(c) == 1 and c[0] < 0] == [[-reach(t, sink)]
+                                                                     for t in range(k)]
 
 
 def test_never_both_verdicts():
