@@ -98,7 +98,9 @@ def _weak_until(a: Formula, b: Formula) -> Formula:
 
 
 def family(name: str, n: int) -> BenchmarkInstance:
-    """Instantiate a benchmark family at parameter ``n``."""
+    """Instantiate a benchmark family at parameter ``n`` >= 1."""
+    if n < 1:
+        raise ValueError(f"family parameter must be at least 1: {n}")
     if name == "visit":
         ap = APTable((), tuple(_locs(n)))
         spec = f_and(_exclusivity(n) + [f_eventually(atom(l)) for l in _locs(n)])

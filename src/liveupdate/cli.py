@@ -229,7 +229,14 @@ def cmd_gen(args) -> int:
 def _bound(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"bound must be at least 1: {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"seconds must be at least 0: {value}")
     return value
 
 
@@ -244,7 +251,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem file")
         p.add_argument("--json", action="store_true", help="JSON output")
         if monitor_budget:
-            p.add_argument("--monitor-budget", type=int, default=10000)
+            p.add_argument("--monitor-budget", type=_bound, default=10000)
 
     p = sub.add_parser("monitor", help="build (and optionally cut) the obligation monitor")
     common(p)
@@ -271,7 +278,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mode.add_argument("--finite", action="store_true")
     mode.add_argument("--universal", action="store_true")
     p.add_argument("--bound-max", type=_bound, default=16)
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="seconds; one deadline for the whole command")
     p.add_argument("--solver", default="internal", help=solver_help)
     p.add_argument("--out", help="write the synthesized machine here")
@@ -282,9 +289,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--acceptance", action="store_true", help="verdict-asserted subset only")
     p.add_argument("--rows", nargs="*", default=None, help="substring filters on row keys")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--monitor-budget", type=int, default=10000)
+    p.add_argument("--monitor-budget", type=_bound, default=10000)
     p.add_argument("--bound-max", type=_bound, default=16)
-    p.add_argument("--timeout", type=float, default=600.0,
+    p.add_argument("--timeout", type=_seconds, default=600.0,
                    help="seconds; one deadline for each row, its initial system's "
                         "synthesis included")
     p.add_argument("--solver", default="internal", help=solver_help)
@@ -292,7 +299,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="print a benchmark family instance as a problem skeleton")
     p.add_argument("family")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_bound)
     p.set_defaults(fn=cmd_gen)
     return top
 

@@ -2,8 +2,9 @@
 
 Formulas are immutable and hash-consed: structurally identical terms share a
 single representative, so equality/hashing are O(1) and every formula carries
-a stable integer ``key`` (creation order) that serves as a canonical identity,
-e.g. for monitor states.
+an integer ``key``, e.g. for monitor states.  The key follows creation order
+within one process, so it depends on what the process built before (ROADMAP
+item 1).
 
 Construction goes through the module-level builders (``atom``, ``f_and``,
 ``f_until``, ...) which keep terms in normal form: negation exists only on

@@ -3,7 +3,9 @@
 Two-watched-literal propagation, first-UIP learning, VSIDS-style decision
 activities with phase saving, geometric restarts and periodic deletion of
 inactive learned clauses.  Variables are positive integers, literals signed
-integers.  Good enough for the constraint sizes bounded synthesis produces at
+integers.  One table, keyed by literal, holds the assignment: a literal and
+its negation are set and cleared together, so a literal's value is one
+lookup.  Good enough for the constraint sizes bounded synthesis produces at
 desk scale; anything harder can be shipped to an external solver through the
 DIMACS format.
 """
@@ -29,7 +31,7 @@ class Solver:
         self.clauses: list[list[int]] = []
         self.learned_from = 0  # clauses[i] for i >= learned_from are learned
         self.watches: dict[int, list[int]] = {}
-        self.assign: list[int] = [0]  # 1-indexed: 0 unassigned, 1 true, -1 false
+        self.value: dict[int, int] = {}  # literal -> 1 true, -1 false, 0 unassigned
         self.level: list[int] = [0]
         self.reason: list[int] = [-1]
         self.activity: list[float] = [0.0]
@@ -44,7 +46,7 @@ class Solver:
 
     def new_var(self) -> int:
         self.nvars += 1
-        self.assign.append(0)
+        self.value[self.nvars] = self.value[-self.nvars] = 0
         self.level.append(0)
         self.reason.append(-1)
         self.activity.append(0.0)
@@ -54,6 +56,8 @@ class Solver:
         return self.nvars
 
     def add_clause(self, lits) -> bool:
+        """Add a clause; every clause is added before ``solve`` runs, so a
+        unit is assigned at level 0.  False once the clauses contradict."""
         if not self.ok:
             return False
         seen = set()
@@ -68,7 +72,10 @@ class Solver:
             self.ok = False
             return False
         if len(out) == 1:
-            return self._enqueue_root(out[0])
+            if self.value[out[0]] == 0:
+                self._enqueue(out[0], -1)
+            self.ok = self.value[out[0]] == 1
+            return self.ok
         ci = len(self.clauses)
         self.clauses.append(out)
         self.cla_activity.append(0.0)
@@ -76,34 +83,17 @@ class Solver:
         self.watches[out[1]].append(ci)
         return True
 
-    def _enqueue_root(self, lit: int) -> bool:
-        v = abs(lit)
-        val = self.assign[v]
-        want = 1 if lit > 0 else -1
-        if val == want:
-            return True
-        if val == -want:
-            self.ok = False
-            return False
-        self.assign[v] = want
-        self.level[v] = 0
-        self.reason[v] = -1
-        self.trail.append(lit)
-        return True
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: int) -> None:
         v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
+        self.value[lit] = 1
+        self.value[-lit] = -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
     def _propagate(self) -> int:
         """Returns a conflicting clause index or -1."""
+        value = self.value
         i = self._qhead
         while i < len(self.trail):
             lit = self.trail[i]
@@ -118,25 +108,22 @@ class Solver:
                 if clause[0] == falsified:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                if value[first] == 1:
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
+                    if value[clause[k]] != -1:
                         clause[1], clause[k] = clause[k], clause[1]
                         self.watches[clause[1]].append(ci)
                         watch[j] = watch[-1]
                         watch.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if self._value(first) == -1:
-                    self._qhead = i
-                    return ci
-                self._enqueue(first, ci)
-                j += 1
+                else:
+                    if value[first] == -1:
+                        self._qhead = i
+                        return ci
+                    self._enqueue(first, ci)
+                    j += 1
         self._qhead = i
         return -1
 
@@ -183,10 +170,9 @@ class Solver:
         learnt[0] = -lit
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self.level[abs(q)] for q in learnt[1:])
         k = max(range(1, len(learnt)), key=lambda i2: self.level[abs(learnt[i2])])
         learnt[1], learnt[k] = learnt[k], learnt[1]
-        return learnt, back
+        return learnt, self.level[abs(learnt[1])]
 
     def _backtrack(self, target: int) -> None:
         while len(self.trail_lim) > target:
@@ -195,13 +181,14 @@ class Solver:
                 lit = self.trail.pop()
                 v = abs(lit)
                 self.phase[v] = 1 if lit > 0 else -1
-                self.assign[v] = 0
+                self.value[lit] = self.value[-lit] = 0
         self._qhead = min(self._qhead, len(self.trail))
 
     def _decide(self) -> int:
+        value = self.value
         best, besta = 0, -1.0
         for v in range(1, self.nvars + 1):
-            if self.assign[v] == 0 and self.activity[v] > besta:
+            if value[v] == 0 and self.activity[v] > besta:
                 best, besta = v, self.activity[v]
         if best == 0:
             return 0
@@ -214,22 +201,15 @@ class Solver:
         keep = set(scored[: max(1, len(scored) // 2)])
         locked = {self.reason[abs(l)] for l in self.trail}
         keep |= {ci for ci in locked if ci >= keep_from}
-        new_clauses = self.clauses[:keep_from]
-        new_act = self.cla_activity[:keep_from]
-        remap = {}
-        for ci in range(keep_from, len(self.clauses)):
-            if ci in keep:
-                remap[ci] = len(new_clauses)
-                new_clauses.append(self.clauses[ci])
-                new_act.append(self.cla_activity[ci])
-        for v in range(1, self.nvars + 1):
-            r = self.reason[v]
-            if r >= keep_from:
-                self.reason[v] = remap.get(r, -1)
-        self.clauses = new_clauses
-        self.cla_activity = new_act
-        for lit in list(self.watches):
-            self.watches[lit] = []
+        kept = sorted(keep)
+        remap = {ci: keep_from + i for i, ci in enumerate(kept)}
+        for lit in self.trail:  # no other reason is read before it is overwritten
+            v = abs(lit)
+            if self.reason[v] >= keep_from:
+                self.reason[v] = remap[self.reason[v]]
+        self.clauses = self.clauses[:keep_from] + [self.clauses[ci] for ci in kept]
+        self.cla_activity = self.cla_activity[:keep_from] + [self.cla_activity[ci] for ci in kept]
+        self.watches = {lit: [] for lit in self.watches}
         for ci, clause in enumerate(self.clauses):
             if len(clause) > 1:
                 self.watches[clause[0]].append(ci)
@@ -259,9 +239,8 @@ class Solver:
                     return False
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
-                if len(learnt) == 1:
-                    if not self._enqueue_root(learnt[0]):
-                        return False
+                if len(learnt) == 1:  # its variable is unassigned at level 0
+                    self._enqueue(learnt[0], -1)
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learnt)
@@ -294,7 +273,7 @@ class Solver:
 
     def model(self) -> set[int]:
         """Positive literals of the satisfying assignment."""
-        return {v for v in range(1, self.nvars + 1) if self.assign[v] == 1}
+        return {v for v in range(1, self.nvars + 1) if self.value[v] == 1}
 
 
 # -- DIMACS -------------------------------------------------------------------

@@ -335,10 +335,11 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         except BudgetError:
             yield from systems[1:]
             return
-        envs = [("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None, env_automata)
-                for i, k in enumerate(range(1, problem.cap + 1))]
+        envs = (("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None, env_automata)
+                for i, k in enumerate(range(1, problem.cap + 1)))
         if sum(len(a.labels) for a in env_automata) > _ENV_DEFER_STATES:
-            yield from systems[1:] + envs
+            yield from systems[1:]
+            yield from envs
         else:
             yield from (a for pair in zip_longest(envs, systems[1:]) for a in pair if a)
 
@@ -378,13 +379,22 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                 raise AssertionError("internal error: synthesized machine failed verification")
             return SynthesisResult("realizable", machine=machine, stats=stats)
         env = enc.extract_env(model)
-        if env_counterexample(env, ltl_to_nba(spec)) is not None:
+        # the automata of the spec's disjuncts: together they accept its models
+        if any(env_counterexample(env, nba) is not None for nba in automata):
             raise AssertionError("internal error: environment certificate failed verification")
         return SynthesisResult("unrealizable", certificate=env, stats=stats)
+    reached = {a["side"]: a["bound"] for a in stats}  # the last bound of each side
+    k = reached["system"]
+    if reached.get("environment") == k:
+        searched = f"no machine and no environment strategy up to bound {k}"
+    elif "environment" in reached:
+        searched = (f"no machine up to bound {k} and no environment strategy up to bound "
+                    f"{reached['environment']}")
+    else:
+        searched = f"no machine up to bound {k}, and the environment automata exceed their budget"
     exhausted = sum(1 for a in stats if a["timeout"])
-    return SynthesisResult("unknown", stats=stats, reason=f"no machine and no environment "
-                           f"strategy up to bound {problem.cap}: {exhausted} of {len(stats)} "
-                           f"attempts ran out of their conflict budget")
+    return SynthesisResult("unknown", stats=stats, reason=f"{searched}: {exhausted} of "
+                           f"{len(stats)} attempts ran out of their conflict budget")
 
 
 def synth_finite_live(phi: Formula, psi: Formula, eta: FiniteTrace, ap: APTable,

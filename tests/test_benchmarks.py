@@ -30,6 +30,11 @@ def test_unknown_family():
         family("no-such-family", 2)
 
 
+def test_family_parameter_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        family("relay", 0)
+
+
 def test_acceptance_rows_exist():
     keys = {row.key for row in TABLE1_ROWS}
     assert set(ACCEPTANCE_ROWS) <= keys

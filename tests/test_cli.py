@@ -161,6 +161,10 @@ def test_synth_bound_max_below_one_is_an_input_error(problem_dir):
     ["synth", "--finite", "--timeout", "abc", "x"],
     ["evolve", "x", "--monitor-budget", "5"],
     ["bench", "--bound-max", "0"],
+    ["monitor", "x", "--monitor-budget", "0"],
+    ["bench", "--rows", "no-such-row", "--timeout", "nan"],
+    ["synth", "--finite", "x", "--timeout", "-1"],
+    ["gen", "relay", "0"],
 ])
 def test_usage_error_exits_3(argv, capsys):
     assert main(argv) == 3

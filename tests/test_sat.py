@@ -77,6 +77,31 @@ def test_budget_returns_none():
     assert s.solve(conflict_budget=10) is None
 
 
+def test_model_after_reducing_the_learned_clauses(monkeypatch):
+    # a random 3-SAT instance near the threshold: satisfiable after 4,548
+    # conflicts, with one reduction of the learned clauses on the way
+    rng = random.Random(11)
+    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 176), 3)]
+               for _ in range(745)]
+    reductions = []
+    reduce = Solver._reduce_learned
+
+    def counted(self):
+        reductions.append(self.conflicts)
+        reduce(self)
+
+    monkeypatch.setattr(Solver, "_reduce_learned", counted)
+    s = Solver()
+    for _ in range(175):
+        s.new_var()
+    for c in clauses:
+        s.add_clause(c)
+    assert s.solve() is True
+    assert reductions
+    model = s.model()
+    assert all(any((abs(lit) in model) == (lit > 0) for lit in c) for c in clauses)
+
+
 def test_dimacs_roundtrip_text():
     text = to_dimacs(3, [[1, -2], [2, 3], [-1]])
     assert text.splitlines()[0] == "p cnf 3 3"

@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from liveupdate.automata import BudgetError, ltl_to_nba, mc_ltl
+from liveupdate.automata import _NBA, BudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
 from liveupdate.formula import f_and, neg, t_true
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
@@ -246,6 +247,44 @@ def test_search_path_does_not_depend_on_the_clock(monkeypatch):
     assert exhausted and all(a["conflicts"] == a["budget"] for a in exhausted)
 
 
+def test_environment_schedule_is_lazy(monkeypatch):
+    # a fake clock: each attempt takes 3 s of a deadline 10 s away; the cap
+    # must not decide how much memory the four attempts take
+    now = [100.0]
+
+    def slow_unsat(self, solver, deadline, conflict_budget):
+        now[0] += 3.0
+        return None
+
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(_Encoder, "solve", slow_unsat)
+    problem = SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=10_000, deadline=110.0)
+    tracemalloc.start()
+    try:
+        result = synth_ltl(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.outcome == "unknown" and len(result.stats) == 4
+    assert peak < 1 << 20
+
+
+def test_unknown_names_the_last_bound_of_each_side(monkeypatch):
+    monkeypatch.setattr(_Encoder, "solve", lambda self, solver, deadline, budget: None)
+    result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=24))
+    assert result.outcome == "unknown"
+    assert result.reason == ("no machine up to bound 16 and no environment strategy up to "
+                             "bound 24: 0 of 32 attempts ran out of their conflict budget")
+
+
+def test_certificate_is_checked_against_the_encoded_automata():
+    # fresh atoms, so no earlier test has translated this specification
+    spec = parse_formula("G !gnt12 && G F gnt12")
+    result = synth_ltl(SynthesisProblem(spec, APTable(("req12",), ("gnt12",))))
+    assert result.outcome == "unrealizable"
+    assert (spec, 20000) not in _NBA
+
+
 def test_exhausted_budgets_give_a_reason():
     inst = family("arbiter-full", 2)
     result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=3))
@@ -328,6 +367,8 @@ def test_env_automaton_budget_gives_unknown(monkeypatch):
     result = synth_ltl(SynthesisProblem(spec, AP_RG, bounds=(1, 2), cap=2))
     assert result.outcome == "unknown"
     assert [s["side"] for s in result.stats] == ["system", "system"]
+    assert result.reason == ("no machine up to bound 2, and the environment automata exceed "
+                             "their budget: 0 of 2 attempts ran out of their conflict budget")
 
 
 @pytest.mark.parametrize("key", ["visit->seq-visit", "relay:2->1", "arbiter:2s->2f",
