@@ -159,23 +159,22 @@ def cmd_bench(args) -> int:
     rows = [r for r in TABLE1_ROWS if not args.rows or any(f in r.key for f in args.rows)]
     if args.acceptance:
         rows = [r for r in rows if r.key in ACCEPTANCE_ROWS]
+    if not rows:
+        args.usage_error(f"no {'acceptance ' if args.acceptance else ''}row matches "
+                         f"--rows {' '.join(args.rows)}")
     report = []
-    machines = {}
     for row in rows:
         t0 = time.monotonic()
         kwargs = _synth_kwargs(args)
         bi, bu, ap = update_pair(row.initial, row.update)
         try:
-            if row.initial not in machines:
-                r0 = synth_ltl(SynthesisProblem(bi.spec, bi.ap, **kwargs))
-                if r0.outcome == "unknown":
-                    report.append(_unknown_row(row, f"initial system: {r0.reason}", t0))
-                    continue
-                if not r0.realizable:
-                    raise RuntimeError(f"initial specification not synthesizable: {r0.outcome}")
-                machines[row.initial] = r0.machine
-            ts_i = machines[row.initial]
-            result = synth_universal_live(ts_i, bi.spec, bu.spec, ap,
+            r0 = synth_ltl(SynthesisProblem(bi.spec, bi.ap, **kwargs))
+            if r0.outcome == "unknown":
+                report.append(_unknown_row(row, f"initial system: {r0.reason}", t0))
+                continue
+            if not r0.realizable:
+                raise RuntimeError(f"initial specification not synthesizable: {r0.outcome}")
+            result = synth_universal_live(r0.machine, bi.spec, bu.spec, ap,
                                           monitor_budget=args.monitor_budget, **kwargs)
             verdict = {"realizable": "real", "unrealizable": "unreal"}.get(result.outcome, "unknown")
             outcomes = [e["outcome"] for e in result.per_obligation]
@@ -295,7 +294,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="seconds; one deadline for each row, its initial system's "
                         "synthesis included")
     p.add_argument("--solver", default="internal", help=solver_help)
-    p.set_defaults(fn=cmd_bench)
+    p.set_defaults(fn=cmd_bench, usage_error=p.error)
 
     p = sub.add_parser("gen", help="print a benchmark family instance as a problem skeleton")
     p.add_argument("family")
@@ -307,10 +306,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_ERROR if exc.code else EXIT_PASS
-    try:
-        return args.fn(args)
     except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -17,13 +17,15 @@ the first side to find a machine wins, and every winner is re-verified by the
 corresponding model checker before being reported.  Each attempt has a
 conflict budget of the internal solver, so the order of attempts and their
 outcomes do not depend on how fast the machine is; the only clock is the
-caller's deadline.
+caller's deadline.  A verdict is therefore a function of the specification,
+the propositions, the bound schedule and the solver: ``synth_ltl`` keeps each
+verified verdict for the life of the process, and results are immutable.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import zip_longest
 
 from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _product_lasso, ltl_to_nba,
@@ -82,13 +84,13 @@ class EnvMachine:
         return self.k
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisResult:
     outcome: str  # "realizable" | "unrealizable" | "unknown"
     machine: MooreMachine | None = None
     certificate: EnvMachine | None = None
-    stats: list[dict] = field(default_factory=list)
-    per_obligation: list[dict] = field(default_factory=list)
+    stats: tuple[dict, ...] = ()
+    per_obligation: tuple[dict, ...] = ()
     reason: str | None = None  # why an "unknown" result has no verdict
 
     @property
@@ -300,6 +302,8 @@ _SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per 
 _ENV_CONFLICTS = 512  # the same for the environment bounds
 _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
+# verified verdicts per (spec, ap, bounds, cap, solver); an unknown is never kept
+_SYNTH: dict[tuple, SynthesisResult] = {}
 
 
 def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
@@ -316,12 +320,21 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     ``_SYS_CONFLICTS * 2**i`` or ``_ENV_CONFLICTS * 2**i`` conflicts of the
     internal solver; without a deadline the search path is the same on any
     machine.
+
+    Memoized for the life of the process: a realizable or unrealizable
+    result is kept once its machine or certificate has passed the check, and
+    a later call on the same problem, whatever its deadline, gets the same
+    result, ``stats`` included.  An ``unknown`` result is never kept.
     """
     spec, deadline = problem.spec, problem.deadline
     sys_bounds = [b for b in problem.bounds if b <= problem.cap]
     if deadline is not None and time.monotonic() > deadline:
         return SynthesisResult("unknown", reason=f"the deadline passed before the system "
                                                  f"attempt at bound {sys_bounds[0]}")
+    key = (spec, problem.ap, tuple(problem.bounds), problem.cap, problem.solver)
+    known = _SYNTH.get(key)
+    if known is not None:
+        return known
     sys_automata = _conjunct_automata(spec)
     internal = problem.solver == "internal"
 
@@ -347,7 +360,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     for side, k, budget, automata in schedule():
         t0 = time.monotonic()
         if deadline is not None and t0 > deadline:
-            return SynthesisResult("unknown", stats=stats, reason=f"the deadline passed "
+            return SynthesisResult("unknown", stats=tuple(stats), reason=f"the deadline passed "
                                    f"before the {side} attempt at bound {k}")
         enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
         timeout, bad = False, None
@@ -366,10 +379,10 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                       "sat": None if timeout or bad is not None else model is not None,
                       "timeout": timeout})
         if bad is not None:
-            return SynthesisResult("unknown", stats=stats, reason=f"{bad} in the {side} "
+            return SynthesisResult("unknown", stats=tuple(stats), reason=f"{bad} in the {side} "
                                    f"attempt at bound {k}")
         if timeout and deadline is not None and time.monotonic() > deadline:
-            return SynthesisResult("unknown", stats=stats, reason=f"the deadline passed "
+            return SynthesisResult("unknown", stats=tuple(stats), reason=f"the deadline passed "
                                    f"during the {side} attempt at bound {k}")
         if model is None:
             continue
@@ -377,12 +390,15 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             machine = enc.extract_moore(model)
             if not mc_ltl(machine, spec).passed:
                 raise AssertionError("internal error: synthesized machine failed verification")
-            return SynthesisResult("realizable", machine=machine, stats=stats)
-        env = enc.extract_env(model)
-        # the automata of the spec's disjuncts: together they accept its models
-        if any(env_counterexample(env, nba) is not None for nba in automata):
-            raise AssertionError("internal error: environment certificate failed verification")
-        return SynthesisResult("unrealizable", certificate=env, stats=stats)
+            result = SynthesisResult("realizable", machine=machine, stats=tuple(stats))
+        else:
+            env = enc.extract_env(model)
+            # the automata of the spec's disjuncts: together they accept its models
+            if any(env_counterexample(env, nba) is not None for nba in automata):
+                raise AssertionError("internal error: environment certificate failed verification")
+            result = SynthesisResult("unrealizable", certificate=env, stats=tuple(stats))
+        _SYNTH[key] = result
+        return result
     reached = {a["side"]: a["bound"] for a in stats}  # the last bound of each side
     k = reached["system"]
     if reached.get("environment") == k:
@@ -393,7 +409,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     else:
         searched = f"no machine up to bound {k}, and the environment automata exceed their budget"
     exhausted = sum(1 for a in stats if a["timeout"])
-    return SynthesisResult("unknown", stats=stats, reason=f"{searched}: {exhausted} of "
+    return SynthesisResult("unknown", stats=tuple(stats), reason=f"{searched}: {exhausted} of "
                            f"{len(stats)} attempts ran out of their conflict budget")
 
 
@@ -416,10 +432,12 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     update specification for the universal result, which is solved first.
     If it is realizable, its machine, re-checked against every ``o && psi``,
     makes every obligation realizable; otherwise each obligation is solved
-    individually, giving the per-context realizability table.  The
-    ``kwargs`` go to every ``SynthesisProblem``, so a ``deadline`` is one
-    deadline for the whole call: once it has passed, the remaining
-    obligations are ``unknown``.
+    individually, giving the per-context realizability table.  If the
+    conjunction is ``unknown`` and some ``o && psi`` is unrealizable, the
+    result is unrealizable with that obligation's certificate, which refutes
+    the conjunction too.  The ``kwargs`` go to every ``SynthesisProblem``,
+    so a ``deadline`` is one deadline for the whole call: once it has
+    passed, the remaining obligations are ``unknown``.
     """
     ap.check_formula(phi)
     obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
@@ -430,11 +448,14 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
             raise AssertionError("internal error: universal update failed verification")
         outcomes = ["realizable"] * len(obligations)
     else:
-        outcomes = [synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs)).outcome
-                    for o in obligations]
-    universal.per_obligation = [{"obligation": str(o), "outcome": outcome}
-                                for o, outcome in zip(obligations, outcomes)]
-    return universal
+        results = [synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs)) for o in obligations]
+        outcomes = [r.outcome for r in results]
+        refuted = next((r for r in results if r.outcome == "unrealizable"), None)
+        if universal.outcome == "unknown" and refuted is not None:
+            universal = replace(universal, outcome="unrealizable",
+                                certificate=refuted.certificate, reason=None)
+    return replace(universal, per_obligation=tuple(
+        {"obligation": str(o), "outcome": outcome} for o, outcome in zip(obligations, outcomes)))
 
 
 def emit_dimacs(problem: SynthesisProblem, k: int, side: str = "system") -> str:

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from liveupdate import synthesis
 from liveupdate.benchmarks import family
 from liveupdate.machine import parse_machine
 from liveupdate.synthesis import SynthesisProblem, synth_ltl
@@ -52,6 +53,13 @@ c1 --!m1--> c2
 c2 --m1--> c1
 c2 --!m1--> c2
 """
+
+
+@pytest.fixture(autouse=True)
+def empty_synthesis_memo():
+    """Every test starts without remembered verdicts, so that one that
+    patches the search is not answered from an earlier test's entry."""
+    synthesis._SYNTH.clear()
 
 
 @pytest.fixture(scope="session")

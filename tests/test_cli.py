@@ -165,6 +165,7 @@ def test_synth_bound_max_below_one_is_an_input_error(problem_dir):
     ["bench", "--rows", "no-such-row", "--timeout", "nan"],
     ["synth", "--finite", "x", "--timeout", "-1"],
     ["gen", "relay", "0"],
+    ["bench", "--rows", "no-such-row"],
 ])
 def test_usage_error_exits_3(argv, capsys):
     assert main(argv) == 3
@@ -184,9 +185,11 @@ def test_bad_file_error(tmp_path, capsys):
 
 
 def test_bench_empty_filter(capsys):
-    code = main(["bench", "--rows", "no-such-row-xyz", "--json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out) == []
+    code = main(["bench", "--rows", "no-such-row-xyz", "other", "--json"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "no row matches --rows no-such-row-xyz other" in out.err
 
 
 def test_bench_robot_row(capsys):

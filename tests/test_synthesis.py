@@ -235,6 +235,7 @@ def test_search_path_does_not_depend_on_the_clock(monkeypatch):
             return now[0]
 
         clock = SimpleNamespace(monotonic=monotonic)
+        synthesis._SYNTH.clear()  # search afresh, not from the first run's entry
         monkeypatch.setattr(synthesis, "time", clock)
         monkeypatch.setattr(sat, "time", clock)
         result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
@@ -315,6 +316,74 @@ def test_universal_solves_the_conjunction_first(monkeypatch, initial, update, ou
     assert [e["outcome"] for e in result.per_obligation] == separately
     assert specs[0] is f_and(list(obligations) + [bu.spec])
     assert len(specs) == (1 if outcome == "realizable" else 1 + len(obligations))
+
+
+def test_universal_verdict_from_an_unrealizable_obligation(monkeypatch):
+    # the conjunction is forced to unknown; an unrealizable o && psi decides
+    bi, bu, ap = update_pair(("arbiter-simple", 2), ("arbiter-full", 2))
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    obligations = reachable_obligations(cut_from_phi(bi.spec, ts_i))
+    conjunction = f_and(list(obligations) + [bu.spec])
+    search = synthesis.synth_ltl
+
+    def forced(problem):
+        if problem.spec is conjunction:
+            return SynthesisResult("unknown", reason="forced")
+        return search(problem)
+
+    monkeypatch.setattr(synthesis, "synth_ltl", forced)
+    result = synth_universal_live(ts_i, bi.spec, bu.spec, ap)
+    assert result.outcome == "unrealizable" and result.reason is None
+    refuted = [o for o in obligations
+               if search(SynthesisProblem(f_and((o, bu.spec)), ap)).outcome == "unrealizable"]
+    assert result.certificate is search(SynthesisProblem(f_and((refuted[0], bu.spec)), ap)).certificate
+    assert env_counterexample(result.certificate, ltl_to_nba(conjunction)) is None
+
+
+def test_second_call_is_answered_from_the_memo(monkeypatch):
+    problem = SynthesisProblem(parse_formula("G (r -> X g) && G F !g"), AP_RG)
+    first = synth_ltl(problem)
+    built = []
+
+    class Counted(_Encoder):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(synthesis, "_Encoder", Counted)
+    again = synth_ltl(SynthesisProblem(problem.spec, AP_RG, deadline=float("inf")))
+    assert built == []
+    assert (again.outcome, again.machine, again.stats) == (first.outcome, first.machine, first.stats)
+
+
+def test_unknown_is_not_remembered():
+    spec = parse_formula("G (r -> X g)")
+    late = synth_ltl(SynthesisProblem(spec, AP_RG, deadline=0.0))
+    assert late.outcome == "unknown" and synthesis._SYNTH == {}
+    assert synth_ltl(SynthesisProblem(spec, AP_RG)).outcome == "realizable"
+    inst = family("arbiter-full", 2)
+    assert synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=3)).outcome == "unknown"
+    assert len(synthesis._SYNTH) == 1
+
+
+def test_memo_keys_on_bounds_cap_and_solver():
+    spec = parse_formula("G (r -> X g)")
+    for kwargs in ({}, {"bounds": (2, 3)}, {"cap": 8}):
+        synth_ltl(SynthesisProblem(spec, AP_RG, **kwargs))
+    assert len(synthesis._SYNTH) == 3
+    with pytest.raises(FileNotFoundError):  # searched, not looked up
+        synth_ltl(SynthesisProblem(spec, AP_RG, solver="no-such-solver"))
+
+
+def test_universal_leaves_the_remembered_conjunction_alone():
+    from liveupdate.machine import parse_machine
+    ts_i = parse_machine("inputs: r\noutputs: g\nstate s0 initial { }\ns0 --*--> s0\n")
+    psi = parse_formula("G (r -> F g)")
+    first = synth_universal_live(ts_i, t_true(), psi, AP_RG)
+    again = synth_universal_live(ts_i, t_true(), psi, AP_RG)
+    assert again == first and first.per_obligation
+    (remembered,) = synthesis._SYNTH.values()
+    assert remembered.machine is first.machine and remembered.per_obligation == ()
 
 
 def test_finite_live_checks_inputs_before_synthesis(monkeypatch):
