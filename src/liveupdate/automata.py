@@ -15,8 +15,10 @@ Automata are immutable, and ``ltl_to_nba`` is memoized per (formula, state
 budget) for the life of the process, so every caller of one formula shares
 one automaton; equal edge labels are one ``Cube`` object across all of them.
 
-Counterexamples and emptiness witnesses are extracted shortest-prefix,
-shortest-loop by BFS layering, so regression outputs stay readable.
+Counterexamples and emptiness witnesses are extracted by BFS layering: the
+shortest prefix to an accepting node on a cycle, then a loop back to it -- a
+self-loop if there is one, else through the first successor with a path back
+-- so regression outputs stay readable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
-from .formula import Formula, dnf_units, f_and, neg, subformulas, t_true
+from .formula import Formula, dnf_units, f_and, neg, subformulas
 from .machine import MooreMachine
 from .rewrite import af
 from .traces import Cube, LassoTrace, Letter, all_letters
@@ -124,10 +126,6 @@ def explore(initials: Iterable[Hashable], successors: Callable[[Hashable], Itera
 # -- LTL -> NBA ---------------------------------------------------------------
 
 
-def _conj(units: frozenset[Formula]) -> Formula:
-    return f_and(sorted(units, key=lambda g: g.key)) if units else t_true()
-
-
 # (formula, max_states) -> automaton; formulas are hash-consed, so the key is
 # exact.  A budget that runs out raises and caches nothing.
 _NBA: dict[tuple[Formula, int], BuchiAutomaton] = {}
@@ -158,7 +156,7 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
         init_units = frozenset((f,))
 
     def successors(units: frozenset[Formula]):
-        state_formula = _conj(units)
+        state_formula = f_and(units)
         atoms = state_formula.atoms
         for letter in all_letters(sorted(atoms)):
             cube = _CUBES.get((atoms, letter))
@@ -193,7 +191,7 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     new = {old: i for i, old in enumerate(keep)}
     return BuchiAutomaton(
         ap=tuple(sorted(f.atoms)),
-        labels=tuple((_conj(order[nodes[i][0]]), nodes[i][1]) for i in keep),
+        labels=tuple((f_and(order[nodes[i][0]]), nodes[i][1]) for i in keep),
         initial=(0,) if 0 in new else (),
         edges=tuple(tuple((cube, new[dst]) for cube, dst in rows[i] if dst in new) for i in keep),
         accepting=frozenset(new[i] for i in keep if nodes[i][1] == m),
@@ -376,7 +374,8 @@ def mc_ltl(machine: MooreMachine, f: Formula) -> Verdict:
     """Check that every trace of the machine satisfies ``f``.
 
     A failure carries a counterexample lasso found via the product with the
-    automaton for the negation (shortest prefix, then shortest loop).
+    automaton for the negation (shortest prefix, then a loop as in
+    ``accepting_lasso``).
     """
     ce = product_counterexample(machine, ltl_to_nba(neg(f)))
     if ce is None:

@@ -17,7 +17,7 @@ logically equivalent formulas may still be distinct terms.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Formula",
@@ -35,6 +35,7 @@ __all__ = [
     "f_implies",
     "f_iff",
     "neg",
+    "rebuild",
     "subformulas",
     "canonical",
     "dnf_units",
@@ -238,28 +239,36 @@ def f_iff(left: Formula, right: Formula) -> Formula:
     return f_and((f_or((neg(left), right)), f_or((neg(right), left))))
 
 
+_DUAL = {"true": "false", "false": "true", "atom": "natom", "natom": "atom",
+         "and": "or", "or": "and", "X": "X", "U": "R", "R": "U"}
+
+
 def neg(f: Formula) -> Formula:
     """Negate a PNF formula, pushing the negation down to atoms."""
-    k = f.kind
-    if k == "true":
-        return _FALSE
-    if k == "false":
-        return _TRUE
-    if k == "atom":
-        return natom(f.name)
-    if k == "natom":
-        return atom(f.name)
-    if k == "and":
-        return f_or(neg(c) for c in f.children)
-    if k == "or":
-        return f_and(neg(c) for c in f.children)
+    if not _parts(f):
+        return _mk(_DUAL[f.kind], name=f.name)
+    return rebuild(f, neg, _DUAL[f.kind])
+
+
+def rebuild(f: Formula, op: Callable[[Formula], Formula], kind: str | None = None) -> Formula:
+    """A node of ``kind`` (``f``'s own by default) over ``op`` of each operand
+    of ``f``, in ``_parts`` order, through the builders; a leaf is returned
+    unchanged.
+
+    ``and``/``or`` draw the new operands lazily, so an absorbing one stops the
+    rest from being built, and ``U``/``R`` build left before right: formulas
+    are created, and so keyed, in the order of a rebuild written out by hand.
+    """
+    k = kind or f.kind
+    if k == "and" or k == "or":
+        return _nary(k, map(op, f.children))
     if k == "X":
-        return f_next(neg(f.left))
+        return f_next(op(f.left))
     if k == "U":
-        return f_release(neg(f.left), neg(f.right))
+        return f_until(op(f.left), op(f.right))
     if k == "R":
-        return f_until(neg(f.left), neg(f.right))
-    raise ValueError(f"unknown formula kind {k!r}")
+        return f_release(op(f.left), op(f.right))
+    return f
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -319,10 +328,8 @@ def _render(f: Formula, outer: int) -> str:
             s = f"{_render(f.left, _PREC['R'] + 1)} R {_render(f.right, _PREC['R'])}"
     elif k == "and":
         s = " && ".join(_render(c, _PREC["and"] + 1) for c in f.children)
-    elif k == "or":
-        s = " || ".join(_render(c, _PREC["or"] + 1) for c in f.children)
     else:
-        raise ValueError(f"unknown formula kind {k!r}")
+        s = " || ".join(_render(c, _PREC["or"] + 1) for c in f.children)
     if _PREC[k] < outer:
         return f"({s})"
     return s
@@ -361,7 +368,7 @@ def _prune_subsumed(disjuncts: list[frozenset[Formula]]) -> list[frozenset[Formu
 
 
 def from_dnf(disjuncts: Iterable[frozenset[Formula]]) -> Formula:
-    return f_or(f_and(sorted(d, key=lambda g: g.key)) for d in disjuncts)
+    return f_or(f_and(d) for d in disjuncts)
 
 
 def canonical(f: Formula) -> Formula:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Verdict, mc_ltl
-from .formula import Formula, atom, f_and, f_globally, f_implies, f_next, f_or, f_until, natom, t_true
+from .formula import Formula, atom, f_and, f_globally, f_implies, f_next, f_or, f_until, natom, rebuild, t_true
 from .machine import MooreMachine
 from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve, strip
@@ -108,22 +108,11 @@ def _bound_releases(f: Formula, up: Formula, no_more: Formula) -> Formula:
     arrives, or the evaluation point lies strictly after it (no update ever
     follows such a point, hence the second disjunct).
     """
-    k = f.kind
-    if k in ("true", "false", "atom", "natom"):
-        return f
-    if k == "and":
-        return f_and(_bound_releases(c, up, no_more) for c in f.children)
-    if k == "or":
-        return f_or(_bound_releases(c, up, no_more) for c in f.children)
-    if k == "X":
-        return f_next(_bound_releases(f.left, up, no_more))
-    if k == "U":
-        return f_until(_bound_releases(f.left, up, no_more), _bound_releases(f.right, up, no_more))
-    if k == "R":
-        l = _bound_releases(f.left, up, no_more)
-        r = _bound_releases(f.right, up, no_more)
-        return f_or((f_until(r, f_or((f_and((up, r)), f_and((l, r))))), no_more))
-    raise ValueError(f"unknown formula kind {k!r}")
+    if f.kind != "R":
+        return rebuild(f, lambda c: _bound_releases(c, up, no_more))
+    l = _bound_releases(f.left, up, no_more)
+    r = _bound_releases(f.right, up, no_more)
+    return f_or((f_until(r, f_or((f_and((up, r)), f_and((l, r))))), no_more))
 
 
 def combine_for_update(ts_i: MooreMachine, ts_u: MooreMachine, ap: APTable) -> MooreMachine:

@@ -23,8 +23,8 @@ from .formula import (
     f_and,
     f_next,
     f_or,
-    f_until,
     natom,
+    rebuild,
     t_false,
     t_true,
 )
@@ -69,18 +69,14 @@ def _af(f: Formula, letter: Letter) -> Formula:
         return t_true() if f.name in letter else t_false()
     if k == "natom":
         return t_false() if f.name in letter else t_true()
-    if k == "and":
-        return f_and(_af(c, letter) for c in f.children)
-    if k == "or":
-        return f_or(_af(c, letter) for c in f.children)
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _af(c, letter))
     if k == "X":
         return f.left
     if k == "U":
         return f_or((_af(f.right, letter), f_and((_af(f.left, letter), f))))
-    if k == "R":
-        ar = _af(f.right, letter)
-        return f_or((f_and((_af(f.left, letter), ar)), f_and((ar, f))))
-    raise ValueError(f"unknown formula kind {k!r}")
+    ar = _af(f.right, letter)
+    return f_or((f_and((_af(f.left, letter), ar)), f_and((ar, f))))
 
 
 def af_word(f: Formula, word: FiniteTrace) -> Formula:
@@ -99,18 +95,14 @@ def _pe_raw(f: Formula, letter: Letter) -> Formula:
         return t_true() if f.name in letter else t_false()
     if k == "natom":
         return t_false() if f.name in letter else t_true()
-    if k == "and":
-        return f_and(_pe_raw(c, letter) for c in f.children)
-    if k == "or":
-        return f_or(_pe_raw(c, letter) for c in f.children)
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _pe_raw(c, letter))
     if k == "X":
         return f
     if k == "U":
         return f_or((_pe_raw(f.right, letter), f_and((_pe_raw(f.left, letter), f_next(f)))))
-    if k == "R":
-        pr = _pe_raw(f.right, letter)
-        return f_or((f_and((_pe_raw(f.left, letter), pr)), f_and((pr, f_next(f)))))
-    raise ValueError(f"unknown formula kind {k!r}")
+    pr = _pe_raw(f.right, letter)
+    return f_or((f_and((_pe_raw(f.left, letter), pr)), f_and((pr, f_next(f)))))
 
 
 def edge_step(f: Formula, letter: Letter) -> Formula:
@@ -131,18 +123,14 @@ def _edge_step(f: Formula, letter: Letter) -> Formula:
         return t_true() if f.name in letter else t_false()
     if k == "natom":
         return t_false() if f.name in letter else t_true()
-    if k == "and":
-        return f_and(_edge_step(c, letter) for c in f.children)
-    if k == "or":
-        return f_or(_edge_step(c, letter) for c in f.children)
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _edge_step(c, letter))
     if k == "X":
         return f.left
     if k == "U":
         return f_or((_edge_step(f.right, letter), f_and((_edge_step(f.left, letter), f))))
-    if k == "R":
-        pr = _pe_raw(f.right, letter)
-        return f_or((f_and((_pe_raw(f.left, letter), pr)), f_and((pr, f))))
-    raise ValueError(f"unknown formula kind {k!r}")
+    pr = _pe_raw(f.right, letter)
+    return f_or((f_and((_pe_raw(f.left, letter), pr)), f_and((pr, f))))
 
 
 def expand(f: Formula) -> Formula:
@@ -150,20 +138,12 @@ def expand(f: Formula) -> Formula:
     unrolled once; recurrence copies introduced under a fresh next are not
     re-expanded within the pass."""
     k = f.kind
-    if k in ("true", "false", "atom", "natom"):
-        return f
-    if k == "and":
-        return f_and(expand(c) for c in f.children)
-    if k == "or":
-        return f_or(expand(c) for c in f.children)
-    if k == "X":
-        return f_next(expand(f.left))
     if k == "U":
         return f_or((expand(f.right), f_and((expand(f.left), f_next(f)))))
     if k == "R":
         er = expand(f.right)
         return f_or((f_and((expand(f.left), er)), f_and((er, f_next(f)))))
-    raise ValueError(f"unknown formula kind {k!r}")
+    return rebuild(f, expand)
 
 
 def expand_n(f: Formula, n: int) -> Formula:
@@ -174,20 +154,7 @@ def expand_n(f: Formula, n: int) -> Formula:
 
 def strip(f: Formula) -> Formula:
     """Replace every release node by true; the result is release-free."""
-    k = f.kind
-    if k in ("true", "false", "atom", "natom"):
-        return f
-    if k == "and":
-        return f_and(strip(c) for c in f.children)
-    if k == "or":
-        return f_or(strip(c) for c in f.children)
-    if k == "X":
-        return f_next(strip(f.left))
-    if k == "U":
-        return f_until(strip(f.left), strip(f.right))
-    if k == "R":
-        return t_true()
-    raise ValueError(f"unknown formula kind {k!r}")
+    return t_true() if f.kind == "R" else rebuild(f, strip)
 
 
 def evolve(eta: FiniteTrace, phi: Formula) -> Formula:

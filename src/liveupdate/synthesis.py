@@ -165,8 +165,6 @@ class _Encoder:
     def _encode_automaton(self, nba: BuchiAutomaton) -> None:
         k, K = self.k, self.kcount
         n = len(nba.labels)
-        if n == 0 or not nba.initial:
-            return
         # an accepting state that loops on every letter is a violation once
         # reached: it gets no edges, and its reach variables are false
         doomed = [q for q in sorted(nba.accepting)

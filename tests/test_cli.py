@@ -1,9 +1,16 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import liveupdate
+from liveupdate.automata import mc_ltl
 from liveupdate.cli import main
-from liveupdate.machine import serialize_machine
+from liveupdate.formula import f_and
+from liveupdate.machine import parse_machine, serialize_machine
+from liveupdate.problem import load_problem
+from liveupdate.rewrite import evolve
 
 RELAY1_MONITOR = """\
 INPUTS: m1
@@ -311,6 +318,37 @@ def test_automaton_budget_is_unknown(problem_dir, capsys, monkeypatch):
     code = main(["mc", "--finite", str(problem_dir / "mc.problem")])
     assert code == 2
     assert "automaton exceeds 1 states" in capsys.readouterr().err
+
+
+def test_external_solver_answer_is_used(problem_dir, tmp_path, capsys):
+    solver = tmp_path / "fake-solver"
+    solver.write_text(f"""#!{sys.executable}
+import sys
+sys.path.insert(0, {str(Path(liveupdate.__file__).parents[1])!r})
+from liveupdate.sat import Solver
+s = Solver()
+for line in open(sys.argv[1]):
+    toks = line.split()
+    if toks[0] == "p":
+        for _ in range(int(toks[2])):
+            s.new_var()
+    else:
+        s.add_clause([int(t) for t in toks[:-1]])
+if s.solve():
+    print("s SATISFIABLE")
+    print("v", *sorted(s.model()), 0)
+else:
+    print("s UNSATISFIABLE")
+""")
+    solver.chmod(0o755)
+    code = main(["synth", "--finite", str(problem_dir / "synth.problem"), "--json",
+                 "--solver", str(solver)])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["stats"] and all(entry["budget"] is None for entry in data["stats"])
+    prob = load_problem(problem_dir / "synth.problem")
+    spec = f_and((evolve(prob.trace, prob.initial), prob.update))
+    assert mc_ltl(parse_machine(data["machine"]), spec).passed
 
 
 def test_external_solver_timeout_is_unknown(problem_dir, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import random
 
 from liveupdate import rewrite
-from liveupdate.formula import atom, canonical, f_and, f_next, f_or, f_until, natom, t_false, t_true
+from liveupdate.formula import Formula, atom, canonical, f_and, f_next, f_or, f_until, natom, t_false, t_true
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af, af_word, edge_step, evolve, expand, expand_n, liveltl_to_ltl, strip
 from liveupdate.traces import all_letters
@@ -77,6 +77,20 @@ def test_edge_step_examples():
     assert strip(s1) is parse_formula("X F i1")
     fa = parse_formula("F a")
     assert edge_step(fa, L("a")) is t_true()
+    # a release over a conjunction / disjunction keeps its operands' next-step guards
+    g_and = parse_formula("G (a && X b)")
+    assert edge_step(g_and, L("a")) is parse_formula("X b && G (a && X b)")
+    assert af(g_and, L("a")) is parse_formula("b && G (a && X b)")
+    g_or = parse_formula("G (a || X b)")
+    assert edge_step(g_or, L()) is parse_formula("X b && G (a || X b)")
+
+
+def test_strip_builds_no_operand_after_an_absorbing_one():
+    # atoms no other test uses, so none of the rebuilt operands is interned yet
+    f = parse_formula("G order_a || X (order_b && G order_c)")
+    before = len(Formula._intern)
+    assert strip(f) is t_true()
+    assert len(Formula._intern) == before
 
 
 def test_liveltl_to_ltl_empty_trace():
