@@ -363,8 +363,29 @@ def dnf_units(f: Formula) -> list[frozenset[Formula]]:
 
 
 def _prune_subsumed(disjuncts: list[frozenset[Formula]]) -> list[frozenset[Formula]]:
+    """The disjuncts with no proper subset among them, once each, in their
+    first order.  Smaller disjuncts come first, and each minimal one is filed
+    under one of its units, so a disjunct is compared only with the minimal
+    disjuncts filed under its own units."""
+    if len(disjuncts) < 2:
+        return disjuncts
     uniq = list(dict.fromkeys(disjuncts))
-    return [d for d in uniq if not any(other < d for other in uniq)]
+    filed: dict[Formula, list[frozenset[Formula]]] = {}
+    subsumed = set()
+    for d in sorted(uniq, key=len):
+        for u in d:
+            for m in filed.get(u, ()):
+                if m < d:
+                    subsumed.add(d)
+                    break
+            else:
+                continue
+            break  # d is subsumed
+        else:  # d is minimal: file it under its last unit
+            if not d:  # true subsumes every other disjunct
+                return [d]
+            filed.setdefault(u, []).append(d)
+    return [d for d in uniq if d not in subsumed] if subsumed else uniq
 
 
 def from_dnf(disjuncts: Iterable[frozenset[Formula]]) -> Formula:

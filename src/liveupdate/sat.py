@@ -5,9 +5,12 @@ activities with phase saving, geometric restarts and periodic deletion of
 inactive learned clauses.  Variables are positive integers, literals signed
 integers.  One table, keyed by literal, holds the assignment: a literal and
 its negation are set and cleared together, so a literal's value is one
-lookup.  Good enough for the constraint sizes bounded synthesis produces at
-desk scale; anything harder can be shipped to an external solver through the
-DIMACS format.
+lookup.  A solve is resumable in the manner of MiniSat's budgeted search: it
+stops at a conflict before analysing it once its conflict budget is spent,
+keeps its search state, and a later call goes on from that conflict, so a
+caller can interleave solvers one conflict at a time.  Good enough for the
+constraint sizes bounded synthesis produces at desk scale; anything harder
+can be shipped to an external solver through the DIMACS format.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ class Solver:
         self.ok = True
         self.conflicts = 0
         self._qhead = 0  # trail position of the next literal to propagate
+        # the search state that ``solve`` leaves for its next call: a conflict
+        # met but not analysed (-1 for none, None before the first call), the
+        # restart counters and the learned-clause count of the next reduction
+        self._met: int | None = None
+        self._since_restart = 0
+        self._restart_limit = 128
+        self._reduce_at = 4000
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -217,22 +227,37 @@ class Solver:
 
     def solve(self, conflict_budget: int | None = None,
               deadline: float | None = None) -> bool | None:
-        """True/False, or None if the conflict budget ran out or the
-        ``time.monotonic()`` deadline passed."""
+        """True/False, or None when the search meets a conflict with
+        ``conflict_budget`` conflicts already analysed; raises ``TimeoutError``
+        when the ``time.monotonic()`` deadline has passed, which is read at
+        every 256th conflict met.
+
+        The budget counts the conflicts of every call, and a solve that
+        stopped goes on from the conflict it stopped at when called again:
+        whether a budget is raised one conflict at a time or given at once,
+        the solve makes the same decisions, conflicts, learned clauses and
+        model.
+        """
         if not self.ok:
             return False
-        self._qhead = 0
-        if self._propagate() != -1:
-            self.ok = False
-            return False
-        restart_limit = 128
-        since_restart = 0
-        reduce_at = 4000
+        if self._met is None:  # the first call: propagate the units of add_clause
+            if self._propagate() != -1:
+                self.ok = False
+                return False
+            self._met = -1
         while True:
-            confl = self._propagate()
+            if self._met == -1:
+                self._met = self._propagate()
+            confl = self._met
             if confl != -1:
+                if deadline is not None and self.conflicts % 256 == 0 \
+                        and time.monotonic() > deadline:
+                    raise TimeoutError("the deadline passed during the solve")
+                if conflict_budget is not None and self.conflicts >= conflict_budget:
+                    return None
+                self._met = -1
                 self.conflicts += 1
-                since_restart += 1
+                self._since_restart += 1
                 self.cla_activity[confl] = self.conflicts
                 if not self.trail_lim:
                     self.ok = False
@@ -251,18 +276,13 @@ class Solver:
                     self.watches[learnt[1]].append(ci)
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= 0.95
-                if conflict_budget is not None and self.conflicts >= conflict_budget:
-                    return None
-                if deadline is not None and self.conflicts % 256 == 0 \
-                        and time.monotonic() > deadline:
-                    return None
-                if self.learned_from and len(self.clauses) - self.learned_from > reduce_at:
+                if self.learned_from and len(self.clauses) - self.learned_from > self._reduce_at:
                     self._reduce_learned()
-                    reduce_at = int(reduce_at * 1.3)
+                    self._reduce_at = int(self._reduce_at * 1.3)
                 continue
-            if since_restart >= restart_limit:
-                since_restart = 0
-                restart_limit = int(restart_limit * 1.5)
+            if self._since_restart >= self._restart_limit:
+                self._since_restart = 0
+                self._restart_limit = int(self._restart_limit * 1.5)
                 self._backtrack(0)
                 continue
             lit = self._decide()

@@ -12,9 +12,14 @@ entry; an accepting state that loops on every letter is simply unreachable.
 
 Unrealizability is established by the dual search: a Mealy environment
 reading the system's outputs and picking inputs so that every resulting trace
-violates the specification.  System and environment bounds are interleaved;
-the first side to find a machine wins, and every winner is re-verified by the
-corresponding model checker before being reported.  Each attempt has a
+violates the specification.  System and environment bounds are interleaved,
+and each environment attempt runs as a pair with the system attempt after it:
+the one with fewer conflicts advances by one conflict of the internal solver,
+and the first to find a machine wins.  A specification cannot have both a
+machine and an environment strategy, so the pair finds what running its
+attempts one after the other would find, without running one to the end of
+its budget while the other holds the answer.  Every winner is re-verified by
+the corresponding model checker before being reported.  Each attempt has a
 conflict budget of the internal solver, so the order of attempts and their
 outcomes do not depend on how fast the machine is; the only clock is the
 caller's deadline.  A verdict is therefore a function of the specification,
@@ -122,7 +127,7 @@ class _Encoder:
         self.emit = ap.outputs if mode == "moore" else ap.inputs
         self.nv = 0
         self.clauses: list[list[int]] = []
-        self.conflicts: int | None = None  # spent by the internal solver in ``solve``
+        self.sat: Solver | None = None  # the internal solver, once ``search`` runs
         self._build()
 
     def newvar(self) -> int:
@@ -219,26 +224,33 @@ class _Encoder:
                                 for c in range(K):
                                     self.clauses.append(ante + [-chain[c], chain2[c]])
 
-    def solve(self, solver: str, deadline: float | None,
-              conflict_budget: int | None = None) -> set[int] | None:
-        """The positive literals of a model, or None if there is none; raises
+    def search(self, solver: str, deadline: float | None, conflict_budget: int | None = None):
+        """A generator that solves the CNF one conflict per step: it yields
+        after each conflict the internal solver analyses, and returns the
+        positive literals of a model, or None if there is none.  It raises
         ``TimeoutError`` when the conflict budget or the deadline runs out.
-        An external solver has no conflict counter and runs under the
-        deadline alone; ``SolverError`` says its answer failed the check."""
+        An external solver has no conflict counter: it is one step, under the
+        deadline alone, and ``SolverError`` says its answer failed the check.
+        """
         if solver == "internal":
-            s = Solver()
+            s = self.sat = Solver()
             for _ in range(self.nv):
                 s.new_var()
             for c in self.clauses:
                 s.add_clause(c)
-            got = s.solve(conflict_budget=conflict_budget, deadline=deadline)
-            self.conflicts = s.conflicts
-            if got is None:
-                raise TimeoutError("solver budget exhausted")
+            while (got := s.solve(s.conflicts + 1, deadline)) is None:
+                if conflict_budget is not None and s.conflicts >= conflict_budget:
+                    raise TimeoutError("solver budget exhausted")
+                yield
             return s.model() if got else None
         timeout = None if deadline is None else max(0.1, deadline - time.monotonic())
         sat, model = solve_external(solver, self.nv, self.clauses, timeout=timeout)
         return model if sat else None
+
+    @property
+    def conflicts(self) -> int | None:
+        """The conflicts the internal solver has analysed so far."""
+        return None if self.sat is None else self.sat.conflicts
 
     # -- model extraction ------------------------------------------------
 
@@ -296,6 +308,27 @@ def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomat
     return out
 
 
+class _Attempt:
+    """One bounded attempt of one side, encoded at its first step and then
+    advanced one conflict per step."""
+
+    def __init__(self, side: str, k: int, budget: int | None, automata: list[BuchiAutomaton]):
+        self.side, self.k, self.budget, self.automata = side, k, budget, automata
+        self.enc: _Encoder | None = None
+        self.steps = None  # the encoder's ``search``
+        self.time = 0.0  # spent in this attempt's own steps
+
+    def spent(self) -> int:
+        return (self.enc and self.enc.conflicts) or 0
+
+    def entry(self, sat: bool | None, timeout: bool) -> dict:
+        """The attempt's ``stats`` entry."""
+        enc = self.enc
+        return {"side": self.side, "bound": self.k, "vars": enc.nv, "clauses": len(enc.clauses),
+                "budget": self.budget, "conflicts": enc.conflicts, "time": self.time,
+                "sat": sat, "timeout": timeout}
+
+
 _SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per bound
 _ENV_CONFLICTS = 512  # the same for the environment bounds
 _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
@@ -311,13 +344,20 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     checker; unrealizable results carry a verified environment strategy;
     unknown results carry a ``reason``.  The first system bound runs first;
     then environment bounds 1,2,3,... alternate with the remaining system
-    bounds.  While the environment automata (for the whole specification)
-    are large, every system bound runs before them, so that realizable
-    instances are not taxed by them; when they exceed their state budget,
-    only the system bounds run.  The i-th bound of a side gets
-    ``_SYS_CONFLICTS * 2**i`` or ``_ENV_CONFLICTS * 2**i`` conflicts of the
-    internal solver; without a deadline the search path is the same on any
-    machine.
+    bounds, each environment attempt e_i as a pair with the system attempt
+    s_{i+1} after it.  In a pair, the attempt with fewer conflicts spent
+    advances by one conflict, e_i on a tie; once one ends without a model
+    the other runs on alone, and once one finds a model the other stops.
+    An external solver has no conflict count, so each of its attempts is one
+    step, and a pair runs e_i and then s_{i+1}.  While the environment
+    automata (for the whole specification) are large, every system bound
+    runs before them, alone, so that realizable instances are not taxed by
+    them; when they exceed their state budget, only the system bounds run.
+    The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
+    ``_ENV_CONFLICTS * 2**i`` conflicts of the internal solver; without a
+    deadline the search path is the same on any machine.  ``stats`` has one
+    entry per attempt that started, in the order they ended; an attempt
+    stopped because its partner won has ``sat`` None and ``timeout`` False.
 
     Memoized for the life of the process: a realizable or unrealizable
     result is kept once its machine or certificate has passed the check, and
@@ -337,66 +377,85 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     internal = problem.solver == "internal"
 
     def schedule():
-        """(side, bound, conflict budget, automata) of each attempt in turn."""
+        """The attempts, each (side, bound, conflict budget, automata), in
+        the groups that run together: each environment attempt with the
+        system attempt after it, every other attempt alone."""
         systems = [("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
                    for i, k in enumerate(sys_bounds)]
-        yield systems[0]
+        yield systems[:1]
         try:
             env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
         except BudgetError:
-            yield from systems[1:]
+            yield from ([a] for a in systems[1:])
             return
         envs = (("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None, env_automata)
                 for i, k in enumerate(range(1, problem.cap + 1)))
         if sum(len(a.labels) for a in env_automata) > _ENV_DEFER_STATES:
-            yield from systems[1:]
-            yield from envs
+            yield from ([a] for a in systems[1:])
+            yield from ([a] for a in envs)
         else:
-            yield from (a for pair in zip_longest(envs, systems[1:]) for a in pair if a)
+            yield from ([a for a in pair if a] for pair in zip_longest(envs, systems[1:]))
 
     stats: list[dict] = []
-    for side, k, budget, automata in schedule():
-        t0 = time.monotonic()
-        if deadline is not None and t0 > deadline:
-            return SynthesisResult("unknown", stats=tuple(stats), reason=f"the deadline passed "
-                                   f"before the {side} attempt at bound {k}")
-        enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
-        timeout, bad = False, None
-        try:
-            model = enc.solve(problem.solver, deadline, budget)
-        except TimeoutError:
-            # An exhausted budget just abandons the attempt (recorded as
-            # inconclusive): skipping a bound is sound because unreachable
-            # padding states make solutions monotone in the bound.
-            model, timeout = None, True
-        except SolverError as exc:
-            model, bad = None, exc
-        stats.append({"side": side, "bound": k, "vars": enc.nv, "clauses": len(enc.clauses),
-                      "budget": budget, "conflicts": enc.conflicts,
-                      "time": time.monotonic() - t0,
-                      "sat": None if timeout or bad is not None else model is not None,
-                      "timeout": timeout})
-        if bad is not None:
-            return SynthesisResult("unknown", stats=tuple(stats), reason=f"{bad} in the {side} "
-                                   f"attempt at bound {k}")
-        if timeout and deadline is not None and time.monotonic() > deadline:
-            return SynthesisResult("unknown", stats=tuple(stats), reason=f"the deadline passed "
-                                   f"during the {side} attempt at bound {k}")
-        if model is None:
-            continue
-        if side == "system":
-            machine = enc.extract_moore(model)
-            if not mc_ltl(machine, spec).passed:
-                raise AssertionError("internal error: synthesized machine failed verification")
-            result = SynthesisResult("realizable", machine=machine, stats=tuple(stats))
-        else:
-            env = enc.extract_env(model)
-            # the automata of the spec's disjuncts: together they accept its models
-            if any(env_counterexample(env, nba) is not None for nba in automata):
-                raise AssertionError("internal error: environment certificate failed verification")
-            result = SynthesisResult("unrealizable", certificate=env, stats=tuple(stats))
-        _SYNTH[key] = result
-        return result
+    live: list[_Attempt] = []
+
+    def end(outcome: str, reason: str | None = None, **found) -> SynthesisResult:
+        # an attempt that the end cuts short is recorded as stopped
+        stats.extend(a.entry(None, False) for a in live if a.enc is not None)
+        return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
+
+    for group in schedule():
+        live = [_Attempt(*a) for a in group]
+        while live:
+            a = min(live, key=_Attempt.spent)  # on a tie the first: e_i before s_{i+1}
+            t0 = time.monotonic()
+            if a.enc is None:
+                if deadline is not None and t0 > deadline:
+                    return end("unknown", f"the deadline passed before the {a.side} attempt "
+                                          f"at bound {a.k}")
+                a.enc = _Encoder(a.automata, problem.ap, a.k,
+                                 "moore" if a.side == "system" else "mealy-env")
+                a.steps = a.enc.search(problem.solver, deadline, a.budget)
+            model, timeout, bad = None, False, None
+            try:
+                next(a.steps)
+            except StopIteration as done:
+                model = done.value
+            except TimeoutError:
+                # An exhausted budget just abandons the attempt (recorded as
+                # inconclusive): skipping a bound is sound because unreachable
+                # padding states make solutions monotone in the bound.
+                timeout = True
+            except SolverError as exc:
+                bad = exc
+            else:
+                continue
+            finally:
+                a.time += time.monotonic() - t0
+            live.remove(a)
+            stats.append(a.entry(None if timeout or bad is not None else model is not None,
+                                 timeout))
+            if bad is not None:
+                return end("unknown", f"{bad} in the {a.side} attempt at bound {a.k}")
+            if timeout and deadline is not None and time.monotonic() > deadline:
+                return end("unknown", f"the deadline passed during the {a.side} attempt at "
+                                      f"bound {a.k}")
+            if model is None:
+                continue
+            if a.side == "system":
+                machine = a.enc.extract_moore(model)
+                if not mc_ltl(machine, spec).passed:
+                    raise AssertionError("internal error: synthesized machine failed verification")
+                result = end("realizable", machine=machine)
+            else:
+                env = a.enc.extract_env(model)
+                # the automata of the spec's disjuncts: together they accept its models
+                if any(env_counterexample(env, nba) is not None for nba in a.automata):
+                    raise AssertionError("internal error: environment certificate failed "
+                                         "verification")
+                result = end("unrealizable", certificate=env)
+            _SYNTH[key] = result
+            return result
     reached = {a["side"]: a["bound"] for a in stats}  # the last bound of each side
     k = reached["system"]
     if reached.get("environment") == k:

@@ -1,4 +1,7 @@
+import random
+
 from liveupdate.formula import (
+    _prune_subsumed,
     atom,
     canonical,
     f_and,
@@ -104,3 +107,18 @@ def test_atoms_and_depth():
     assert f.temporal_depth == 3  # R over X over U
     assert not f.is_release_free()
     assert parse_formula("F i1").is_release_free()
+
+
+def test_prune_subsumed_matches_the_pairwise_definition():
+    # random families over five units, with repeats and the empty disjunct:
+    # the minimal disjuncts, once each, in their first order
+    def pairwise(disjuncts):
+        uniq = list(dict.fromkeys(disjuncts))
+        return [d for d in uniq if not any(other < d for other in uniq)]
+
+    rng = random.Random(365)
+    units = [atom(f"u{i}") for i in range(5)]
+    for _ in range(2000):
+        family = [frozenset(rng.sample(units, rng.choice([0, 1, 1, 2, 2, 3, 4])))
+                  for _ in range(rng.randrange(8))]
+        assert _prune_subsumed(family) == pairwise(family), family

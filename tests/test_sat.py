@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from liveupdate.benchmarks import family
 from liveupdate.sat import Solver, parse_dimacs_model, to_dimacs
+from liveupdate.synthesis import SynthesisProblem, emit_dimacs
 
 
 def brute_force(nv, clauses):
@@ -115,3 +119,73 @@ def test_parse_solver_output():
     assert sat is False
     sat, model = parse_dimacs_model("SAT\n1 -2 3 0\n")
     assert sat is True and model == {1, 3}
+
+
+def _loaded(nv, clauses):
+    s = Solver()
+    for _ in range(nv):
+        s.new_var()
+    for c in clauses:
+        s.add_clause(c)
+    return s
+
+
+def _continued(s, budget=None):
+    """``s`` solved on one conflict per call, until ``budget`` conflicts."""
+    while (got := s.solve(conflict_budget=s.conflicts + 1)) is None:
+        if budget is not None and s.conflicts >= budget:
+            return None
+    return got
+
+
+def _search_state(s):
+    return s.conflicts, s.clauses, s.trail, s.model()
+
+
+def test_solve_continued_one_conflict_at_a_time():
+    # random 3-SAT near the threshold: each solve, continued one conflict at
+    # a time, learns the clauses and ends with the trail of one solve
+    rng = random.Random(2003)
+    verdicts = []
+    for _ in range(40):
+        nv = rng.randrange(20, 60)
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
+                   for _ in range(int(4.26 * nv))]
+        whole = _loaded(nv, clauses)
+        verdicts.append(whole.solve())
+        sliced = _loaded(nv, clauses)
+        assert _continued(sliced) == verdicts[-1]
+        assert _search_state(sliced) == _search_state(whole)
+    assert True in verdicts and False in verdicts
+
+
+def test_solve_continued_past_its_budget():
+    # the environment CNF of arbiter-full(2) at k=2: out of a 1,024-conflict
+    # budget, then refuted when continued, either way
+    inst = family("arbiter-full", 2)
+    header, *rows = emit_dimacs(SynthesisProblem(inst.spec, inst.ap), 2, "environment").splitlines()
+    nv = int(header.split()[2])
+    clauses = [[int(tok) for tok in row.split()[:-1]] for row in rows]
+    whole, sliced = _loaded(nv, clauses), _loaded(nv, clauses)
+    assert whole.solve(conflict_budget=1024) is None
+    assert _continued(sliced, budget=1024) is None
+    assert _search_state(sliced) == _search_state(whole)
+    assert whole.solve() is False and _continued(sliced) is False
+    assert whole.conflicts > 1024
+    assert _search_state(sliced) == _search_state(whole)
+
+
+def test_deadline_raises_and_the_solve_goes_on():
+    n = 4  # 5 pigeons, 4 holes
+    s = Solver()
+    var = {(p, h): s.new_var() for p in range(n + 1) for h in range(n)}
+    for p in range(n + 1):
+        s.add_clause([var[(p, h)] for h in range(n)])
+    for h in range(n):
+        for p1 in range(n + 1):
+            for p2 in range(p1 + 1, n + 1):
+                s.add_clause([-var[(p1, h)], -var[(p2, h)]])
+    with pytest.raises(TimeoutError):
+        s.solve(deadline=0.0)  # read at the first conflict
+    assert s.conflicts == 0
+    assert s.solve() is False

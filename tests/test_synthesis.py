@@ -11,6 +11,7 @@ import pytest
 from liveupdate.automata import _NBA, BudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
 from liveupdate.formula import f_and, neg, t_true
+from liveupdate.machine import serialize_machine
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
@@ -36,6 +37,16 @@ def L(*names):
 
 
 AP_RG = APTable(("r",), ("g",))
+
+
+def searched(enc):
+    """The model that an internal search of ``enc`` ends with, or None."""
+    steps = enc.search("internal", None)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 def test_constant_grant():
@@ -71,7 +82,7 @@ def test_monotone_in_bound():
     k = len(res.machine)
     for k2 in (k + 1, k + 2):
         enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, "moore")
-        assert enc.solve("internal", None) is not None
+        assert searched(enc) is not None
 
 
 @pytest.mark.parametrize("side", ["moore", "mealy-env"])
@@ -83,7 +94,7 @@ def test_every_satisfiable_attempt_decodes_to_a_verified_winner(side):
         automata = _conjunct_automata(spec if side == "moore" else neg(spec))
         for k in (1, 2, 3):
             enc = _Encoder(automata, AP_RG, k, side)
-            model = enc.solve("internal", None)
+            model = searched(enc)
             if model is None:
                 continue
             if side == "moore":
@@ -183,13 +194,13 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
     now = [100.0]
     starts = []
 
-    def slow_solve(self, solver, deadline, conflict_budget):
+    def slow_search(self, solver, deadline, conflict_budget):
         starts.append(now[0] - 100.0)
         now[0] += 3.0
-        return None
+        yield from ()  # ends at its first step, without a conflict or a model
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(_Encoder, "solve", slow_solve)
+    monkeypatch.setattr(_Encoder, "search", slow_search)
     relay1 = family("relay", 1)
     result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
                                   relay2.ap.union(relay1.ap), deadline=110.0)
@@ -211,11 +222,11 @@ def test_attempt_order(monkeypatch, defer_states, order):
 
     def unsat(self, solver, deadline, conflict_budget):
         attempts.append((self.mode, self.k, conflict_budget))
-        return None
+        yield from ()
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: 100.0))
     monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", defer_states)
-    monkeypatch.setattr(_Encoder, "solve", unsat)
+    monkeypatch.setattr(_Encoder, "search", unsat)
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3))
     assert result.outcome == "unknown"
     assert attempts == order
@@ -255,10 +266,10 @@ def test_environment_schedule_is_lazy(monkeypatch):
 
     def slow_unsat(self, solver, deadline, conflict_budget):
         now[0] += 3.0
-        return None
+        yield from ()
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(_Encoder, "solve", slow_unsat)
+    monkeypatch.setattr(_Encoder, "search", slow_unsat)
     problem = SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=10_000, deadline=110.0)
     tracemalloc.start()
     try:
@@ -271,7 +282,7 @@ def test_environment_schedule_is_lazy(monkeypatch):
 
 
 def test_unknown_names_the_last_bound_of_each_side(monkeypatch):
-    monkeypatch.setattr(_Encoder, "solve", lambda self, solver, deadline, budget: None)
+    monkeypatch.setattr(_Encoder, "search", lambda self, solver, deadline, budget: iter(()))
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=24))
     assert result.outcome == "unknown"
     assert result.reason == ("no machine up to bound 16 and no environment strategy up to "
@@ -473,3 +484,41 @@ def test_emit_dimacs_independent_of_hash_seed():
                            capture_output=True, text=True, check=True).stdout
             for seed in (0, 1, 2)}
     assert len(outs) == 1
+
+
+def _found(result):
+    machine = None if result.machine is None else serialize_machine(result.machine)
+    env = result.certificate
+    return result.outcome, machine, env and (env.k, env.initial, env.table)
+
+
+def test_pairs_find_what_the_attempts_find_alone(monkeypatch):
+    # with _ENV_DEFER_STATES at 0 every attempt runs alone, all system bounds
+    # first: the winner, and so the machine or certificate, is the same
+    bi, bu, ap = update_pair(("arbiter-simple", 2), ("arbiter-full", 2))
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    problems = [SynthesisProblem(f_and((o, bu.spec)), ap, cap=4)
+                for o in reachable_obligations(cut_from_phi(bi.spec, ts_i))]
+    rng = random.Random(1703)
+    problems += [SynthesisProblem(f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)]),
+                                  AP_RG, cap=3) for _ in range(60)]
+    paired = [_found(synth_ltl(p)) for p in problems]
+    synthesis._SYNTH.clear()
+    monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", 0)
+    assert [_found(synth_ltl(p)) for p in problems] == paired
+    assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in paired}
+
+
+def test_stopped_attempt_is_recorded():
+    # arbiter-full(2): s4 wins while e3 runs beside it; e3 is stopped, having
+    # spent no more conflicts than s4, and e4 never starts
+    inst = family("arbiter-full", 2)
+    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
+    assert result.outcome == "realizable"
+    *_, won, stopped = result.stats
+    assert (won["side"], won["bound"], won["sat"]) == ("system", 4, True)
+    assert (stopped["side"], stopped["bound"]) == ("environment", 3)
+    assert stopped["sat"] is None and stopped["timeout"] is False
+    assert 0 < stopped["conflicts"] <= won["conflicts"] < stopped["budget"]
+    assert stopped.keys() == won.keys()
+    assert ("environment", 4) not in {(a["side"], a["bound"]) for a in result.stats}
