@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``monitor``, ``evolve``, ``mc``, ``synth``, ``bench``.  Exit
-codes: 0 pass/realizable, 1 fail/unrealizable, 2 unknown, 3 usage or input
-errors.
+codes: 0 pass/realizable, 1 fail/unrealizable, 2 unknown, 3 usage, input or
+operating-system errors.
 """
 
 from __future__ import annotations
@@ -309,8 +309,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_ERROR if exc.code else EXIT_PASS
-    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
+    except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
     except BudgetError as exc:
         print(f"unknown: {exc}", file=sys.stderr)

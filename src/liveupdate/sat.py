@@ -7,10 +7,11 @@ integers.  One table, keyed by literal, holds the assignment: a literal and
 its negation are set and cleared together, so a literal's value is one
 lookup.  A solve is resumable in the manner of MiniSat's budgeted search: it
 stops at a conflict before analysing it once its conflict budget is spent,
-keeps its search state, and a later call goes on from that conflict, so a
-caller can interleave solvers one conflict at a time.  Good enough for the
-constraint sizes bounded synthesis produces at desk scale; anything harder
-can be shipped to an external solver through the DIMACS format.
+keeps its search state, and a later call goes on from that conflict.  So a
+caller continues a solve to a conflict target, and interleaves solvers by
+raising their targets in turn.  Good enough for the constraint sizes bounded
+synthesis produces at desk scale; anything harder can be shipped to an
+external solver through the DIMACS format.
 """
 
 from __future__ import annotations
@@ -232,11 +233,11 @@ class Solver:
         when the ``time.monotonic()`` deadline has passed, which is read at
         every 256th conflict met.
 
-        The budget counts the conflicts of every call, and a solve that
-        stopped goes on from the conflict it stopped at when called again:
-        whether a budget is raised one conflict at a time or given at once,
-        the solve makes the same decisions, conflicts, learned clauses and
-        model.
+        The budget is a target for the conflicts of every call together: a
+        solve that stopped goes on from the conflict it stopped at when
+        called again with a higher target, and whether a target is reached
+        in one call or in many, the solve makes the same decisions,
+        conflicts, learned clauses and model.
         """
         if not self.ok:
             return False

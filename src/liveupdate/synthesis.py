@@ -14,12 +14,12 @@ Unrealizability is established by the dual search: a Mealy environment
 reading the system's outputs and picking inputs so that every resulting trace
 violates the specification.  System and environment bounds are interleaved,
 and each environment attempt runs as a pair with the system attempt after it:
-the one with fewer conflicts advances by one conflict of the internal solver,
-and the first to find a machine wins.  A specification cannot have both a
-machine and an environment strategy, so the pair finds what running its
-attempts one after the other would find, without running one to the end of
-its budget while the other holds the answer.  Every winner is re-verified by
-the corresponding model checker before being reported.  Each attempt has a
+the attempt behind continues its internal solve until it is ahead of the
+other, and the first to find a machine wins.  A specification cannot have
+both a machine and an environment strategy, so the pair finds what running
+its attempts one after the other would find, without running one to the end
+of its budget while the other holds the answer.  Every winner is re-verified
+by the corresponding model checker before being reported.  Each attempt has a
 conflict budget of the internal solver, so the order of attempts and their
 outcomes do not depend on how fast the machine is; the only clock is the
 caller's deadline.  A verdict is therefore a function of the specification,
@@ -127,7 +127,6 @@ class _Encoder:
         self.emit = ap.outputs if mode == "moore" else ap.inputs
         self.nv = 0
         self.clauses: list[list[int]] = []
-        self.sat: Solver | None = None  # the internal solver, once ``search`` runs
         self._build()
 
     def newvar(self) -> int:
@@ -224,34 +223,6 @@ class _Encoder:
                                 for c in range(K):
                                     self.clauses.append(ante + [-chain[c], chain2[c]])
 
-    def search(self, solver: str, deadline: float | None, conflict_budget: int | None = None):
-        """A generator that solves the CNF one conflict per step: it yields
-        after each conflict the internal solver analyses, and returns the
-        positive literals of a model, or None if there is none.  It raises
-        ``TimeoutError`` when the conflict budget or the deadline runs out.
-        An external solver has no conflict counter: it is one step, under the
-        deadline alone, and ``SolverError`` says its answer failed the check.
-        """
-        if solver == "internal":
-            s = self.sat = Solver()
-            for _ in range(self.nv):
-                s.new_var()
-            for c in self.clauses:
-                s.add_clause(c)
-            while (got := s.solve(s.conflicts + 1, deadline)) is None:
-                if conflict_budget is not None and s.conflicts >= conflict_budget:
-                    raise TimeoutError("solver budget exhausted")
-                yield
-            return s.model() if got else None
-        timeout = None if deadline is None else max(0.1, deadline - time.monotonic())
-        sat, model = solve_external(solver, self.nv, self.clauses, timeout=timeout)
-        return model if sat else None
-
-    @property
-    def conflicts(self) -> int | None:
-        """The conflicts the internal solver has analysed so far."""
-        return None if self.sat is None else self.sat.conflicts
-
     # -- model extraction ------------------------------------------------
 
     def extract_moore(self, model: set[int]) -> MooreMachine:
@@ -309,24 +280,46 @@ def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomat
 
 
 class _Attempt:
-    """One bounded attempt of one side, encoded at its first step and then
-    advanced one conflict per step."""
+    """One bounded attempt of one side: encoded at its first run, after which
+    each run continues its internal solve.  ``budget`` is None for an external
+    solver."""
 
     def __init__(self, side: str, k: int, budget: int | None, automata: list[BuchiAutomaton]):
         self.side, self.k, self.budget, self.automata = side, k, budget, automata
         self.enc: _Encoder | None = None
-        self.steps = None  # the encoder's ``search``
-        self.time = 0.0  # spent in this attempt's own steps
+        self.sat = None if budget is None else Solver()  # loaded at the first run
+        self.model: set[int] = set()  # the positive literals of a model, once found
+        self.time = 0.0  # spent in this attempt's own runs
 
-    def spent(self) -> int:
-        return (self.enc and self.enc.conflicts) or 0
+    def run(self, problem: SynthesisProblem, target: int | None) -> bool | None:
+        """Whether the CNF has a model, or None when the internal solve stops
+        at ``target`` conflicts; ``TimeoutError`` means the deadline passed.
+        An external solver answers in one run, under the deadline alone."""
+        if self.enc is None:
+            enc = self.enc = _Encoder(self.automata, problem.ap, self.k,
+                                      "moore" if self.side == "system" else "mealy-env")
+            if self.sat is not None:
+                for _ in range(enc.nv):
+                    self.sat.new_var()
+                for c in enc.clauses:
+                    self.sat.add_clause(c)
+        if self.sat is None:
+            timeout = (None if problem.deadline is None
+                       else max(0.1, problem.deadline - time.monotonic()))
+            found, self.model = solve_external(problem.solver, self.enc.nv, self.enc.clauses,
+                                               timeout=timeout)
+            return found
+        found = self.sat.solve(target, problem.deadline)
+        if found:
+            self.model = self.sat.model()
+        return found
 
     def entry(self, sat: bool | None, timeout: bool) -> dict:
         """The attempt's ``stats`` entry."""
         enc = self.enc
         return {"side": self.side, "bound": self.k, "vars": enc.nv, "clauses": len(enc.clauses),
-                "budget": self.budget, "conflicts": enc.conflicts, "time": self.time,
-                "sat": sat, "timeout": timeout}
+                "budget": self.budget, "conflicts": self.sat and self.sat.conflicts,
+                "time": self.time, "sat": sat, "timeout": timeout}
 
 
 _SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per bound
@@ -345,14 +338,16 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     unknown results carry a ``reason``.  The first system bound runs first;
     then environment bounds 1,2,3,... alternate with the remaining system
     bounds, each environment attempt e_i as a pair with the system attempt
-    s_{i+1} after it.  In a pair, the attempt with fewer conflicts spent
-    advances by one conflict, e_i on a tie; once one ends without a model
-    the other runs on alone, and once one finds a model the other stops.
-    An external solver has no conflict count, so each of its attempts is one
-    step, and a pair runs e_i and then s_{i+1}.  While the environment
-    automata (for the whole specification) are large, every system bound
-    runs before them, alone, so that realizable instances are not taxed by
-    them; when they exceed their state budget, only the system bounds run.
+    s_{i+1} after it.  In a pair, the attempt behind continues its solve
+    until it is ahead: e_i to one conflict more than s_{i+1}, s_{i+1} to as
+    many as e_i.  Once one ends without a model the other runs on alone, and
+    an attempt alone runs to its budget in one solve; once one finds a model
+    the other stops.  An external solver has no conflict count, so each of
+    its attempts is one call, and a pair runs e_i and then s_{i+1}.  While
+    the environment automata (for the whole specification) are large, every
+    system bound runs before them, alone, so that realizable instances are
+    not taxed by them; when they exceed their state budget, only the system
+    bounds run.
     The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
     ``_ENV_CONFLICTS * 2**i`` conflicts of the internal solver; without a
     deadline the search path is the same on any machine.  ``stats`` has one
@@ -377,27 +372,25 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     internal = problem.solver == "internal"
 
     def schedule():
-        """The attempts, each (side, bound, conflict budget, automata), in
-        the groups that run together: each environment attempt with the
-        system attempt after it, every other attempt alone."""
-        systems = [("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
-                   for i, k in enumerate(sys_bounds)]
-        yield systems[:1]
+        """The attempts, in the groups that run together: each environment
+        attempt with the system attempt after it, every other attempt alone."""
+        systems = (_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None,
+                            sys_automata) for i, k in enumerate(sys_bounds))
+        yield [next(systems)]
         try:
             env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
         except BudgetError:
-            yield from ([a] for a in systems[1:])
+            yield from ([a] for a in systems)
             return
-        envs = (("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None, env_automata)
-                for i, k in enumerate(range(1, problem.cap + 1)))
+        envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
+                         env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
         if sum(len(a.labels) for a in env_automata) > _ENV_DEFER_STATES:
-            yield from ([a] for a in systems[1:])
+            yield from ([a] for a in systems)
             yield from ([a] for a in envs)
         else:
-            yield from ([a for a in pair if a] for pair in zip_longest(envs, systems[1:]))
+            yield from ([a for a in pair if a] for pair in zip_longest(envs, systems))
 
     stats: list[dict] = []
-    live: list[_Attempt] = []
 
     def end(outcome: str, reason: str | None = None, **found) -> SynthesisResult:
         # an attempt that the end cuts short is recorded as stopped
@@ -405,50 +398,42 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
 
     for group in schedule():
-        live = [_Attempt(*a) for a in group]
+        live = list(group)
         while live:
-            a = min(live, key=_Attempt.spent)  # on a tie the first: e_i before s_{i+1}
-            t0 = time.monotonic()
-            if a.enc is None:
-                if deadline is not None and t0 > deadline:
-                    return end("unknown", f"the deadline passed before the {a.side} attempt "
-                                          f"at bound {a.k}")
-                a.enc = _Encoder(a.automata, problem.ap, a.k,
-                                 "moore" if a.side == "system" else "mealy-env")
-                a.steps = a.enc.search(problem.solver, deadline, a.budget)
-            model, timeout, bad = None, False, None
+            a, t0 = live[0], time.monotonic()
+            if a.enc is None and deadline is not None and t0 > deadline:
+                return end("unknown", f"the deadline passed before the {a.side} attempt "
+                                      f"at bound {a.k}")
+            target = a.budget  # alone, an attempt runs to its budget in one solve
+            if target is not None and len(live) == 2:  # in a pair, until it is ahead
+                target = min(target, live[1].sat.conflicts + (a is group[0]))
             try:
-                next(a.steps)
-            except StopIteration as done:
-                model = done.value
-            except TimeoutError:
-                # An exhausted budget just abandons the attempt (recorded as
-                # inconclusive): skipping a bound is sound because unreachable
-                # padding states make solutions monotone in the bound.
-                timeout = True
-            except SolverError as exc:
-                bad = exc
-            else:
-                continue
-            finally:
+                found = a.run(problem, target)
+            except (TimeoutError, SolverError) as exc:
                 a.time += time.monotonic() - t0
+                late = isinstance(exc, TimeoutError)
+                live.remove(a)
+                stats.append(a.entry(None, late))
+                why = "the deadline passed during" if late else f"{exc} in"
+                return end("unknown", f"{why} the {a.side} attempt at bound {a.k}")
+            a.time += time.monotonic() - t0
+            if found is None and a.sat.conflicts < a.budget:
+                live.reverse()  # ahead of the other attempt of its pair, which runs next
+                continue
+            # An exhausted budget just abandons the attempt (recorded as
+            # inconclusive): skipping a bound is sound because unreachable
+            # padding states make solutions monotone in the bound.
             live.remove(a)
-            stats.append(a.entry(None if timeout or bad is not None else model is not None,
-                                 timeout))
-            if bad is not None:
-                return end("unknown", f"{bad} in the {a.side} attempt at bound {a.k}")
-            if timeout and deadline is not None and time.monotonic() > deadline:
-                return end("unknown", f"the deadline passed during the {a.side} attempt at "
-                                      f"bound {a.k}")
-            if model is None:
+            stats.append(a.entry(found, found is None))
+            if not found:
                 continue
             if a.side == "system":
-                machine = a.enc.extract_moore(model)
+                machine = a.enc.extract_moore(a.model)
                 if not mc_ltl(machine, spec).passed:
                     raise AssertionError("internal error: synthesized machine failed verification")
                 result = end("realizable", machine=machine)
             else:
-                env = a.enc.extract_env(model)
+                env = a.enc.extract_env(a.model)
                 # the automata of the spec's disjuncts: together they accept its models
                 if any(env_counterexample(env, nba) is not None for nba in a.automata):
                     raise AssertionError("internal error: environment certificate failed "

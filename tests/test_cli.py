@@ -191,6 +191,30 @@ def test_bad_file_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["monitor", "{dir}"],
+    ["synth", "--finite", "{problem}", "--out", "{dir}"],
+    ["synth", "--finite", "{problem}", "--solver", "{not_executable}"],
+], ids=["problem-is-a-directory", "out-is-a-directory", "solver-not-executable"])
+def test_os_error_exits_3(problem_dir, capsys, argv):
+    not_executable = problem_dir / "not-executable"
+    not_executable.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
+    not_executable.chmod(0o644)
+    paths = {"dir": problem_dir, "problem": problem_dir / "synth.problem",
+             "not_executable": not_executable}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("initial", ["(" * 450 + "r" + ")" * 450, "X " * 600 + "r"],
+                         ids=["parentheses", "chained-next"])
+def test_formula_nested_too_deeply_exits_3(tmp_path, capsys, initial):
+    path = tmp_path / "deep.problem"
+    path.write_text(f"INPUTS: r\nOUTPUTS: g\nINITIAL: {initial}\nTRACE: r\n")
+    assert main(["evolve", str(path)]) == 3
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
 def test_bench_empty_filter(capsys):
     code = main(["bench", "--rows", "no-such-row-xyz", "other", "--json"])
     assert code == 3

@@ -1,12 +1,19 @@
-"""Static checks over the library's source."""
+"""Static checks over the library's source, and over the benchmark's view of
+the library."""
 
+import ast
 import builtins
+import importlib
+import os
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import liveupdate
 
 SOURCES = sorted(Path(liveupdate.__file__).parent.glob("*.py"))
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 def _unbound_globals(path: Path) -> list[str]:
@@ -37,3 +44,49 @@ def test_unbound_global_is_reported(tmp_path):
     src.write_text("import os\n\ndef f():\n    try:\n        os.getcwd()\n"
                    "    except MissingError:\n        pass\n")
     assert _unbound_globals(src) == ["mod.py:3 f: MissingError"]
+
+
+# The benchmark's sources change only with the benchmark, so a library change
+# that deletes or renames a name they use must fail here rather than in a run.
+
+
+def _bench_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) of each ``from liveupdate... import name`` in the
+    benchmark's sources, those inside functions included."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "liveupdate":
+                found.extend((path.name, node.module, alias.name) for alias in node.names)
+    return found
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` succeeds: an attribute, or else a
+    submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_bench_imports_resolve():
+    imports = _bench_imports()
+    assert {"gen.py", "layers.py", "workloads.py"} <= {path for path, _, _ in imports}
+    missing = [f"{path}: from {module} import {name}" for path, module, name in imports
+               if not _resolves(module, name)]
+    assert not missing, "\n".join(missing)
+
+
+def test_bench_instruments_the_library():
+    # the traced run wraps library functions by name
+    code = "import workloads, layers, spans; layers.instrument(spans.Tracer())"
+    path = os.pathsep.join([str(BENCH), str(Path(liveupdate.__file__).parents[1])])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr

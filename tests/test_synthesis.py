@@ -40,13 +40,18 @@ AP_RG = APTable(("r",), ("g",))
 
 
 def searched(enc):
-    """The model that an internal search of ``enc`` ends with, or None."""
-    steps = enc.search("internal", None)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value
+    """The model that an internal solve of the CNF of ``enc`` ends with, or None."""
+    s = sat.Solver()
+    for _ in range(enc.nv):
+        s.new_var()
+    for c in enc.clauses:
+        s.add_clause(c)
+    return s.model() if s.solve() else None
+
+
+def unsat(self, conflict_budget=None, deadline=None):
+    """A ``Solver.solve`` that ends every attempt at once, without a model."""
+    return False
 
 
 def test_constant_grant():
@@ -194,13 +199,13 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
     now = [100.0]
     starts = []
 
-    def slow_search(self, solver, deadline, conflict_budget):
+    def slow_solve(self, conflict_budget=None, deadline=None):
         starts.append(now[0] - 100.0)
         now[0] += 3.0
-        yield from ()  # ends at its first step, without a conflict or a model
+        return False  # ends at its first run, without a conflict or a model
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(_Encoder, "search", slow_search)
+    monkeypatch.setattr(sat.Solver, "solve", slow_solve)
     relay1 = family("relay", 1)
     result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
                                   relay2.ap.union(relay1.ap), deadline=110.0)
@@ -211,26 +216,19 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
 
 
 @pytest.mark.parametrize("defer_states,order", [
-    (120, [("moore", 1, 4096), ("mealy-env", 1, 512), ("moore", 2, 8192),
-           ("mealy-env", 2, 1024), ("moore", 3, 16384), ("mealy-env", 3, 2048)]),
-    (0, [("moore", 1, 4096), ("moore", 2, 8192), ("moore", 3, 16384),
-         ("mealy-env", 1, 512), ("mealy-env", 2, 1024), ("mealy-env", 3, 2048)]),
+    (120, [("system", 1, 4096), ("environment", 1, 512), ("system", 2, 8192),
+           ("environment", 2, 1024), ("system", 3, 16384), ("environment", 3, 2048)]),
+    (0, [("system", 1, 4096), ("system", 2, 8192), ("system", 3, 16384),
+         ("environment", 1, 512), ("environment", 2, 1024), ("environment", 3, 2048)]),
 ])
 def test_attempt_order(monkeypatch, defer_states, order):
-    # (mode, bound, conflict budget) of each attempt, on a frozen clock
-    attempts = []
-
-    def unsat(self, solver, deadline, conflict_budget):
-        attempts.append((self.mode, self.k, conflict_budget))
-        yield from ()
-
+    # (side, bound, conflict budget) of each attempt, on a frozen clock
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: 100.0))
     monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", defer_states)
-    monkeypatch.setattr(_Encoder, "search", unsat)
+    monkeypatch.setattr(sat.Solver, "solve", unsat)
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3))
     assert result.outcome == "unknown"
-    assert attempts == order
-    assert [a["budget"] for a in result.stats] == [b for _, _, b in order]
+    assert [(a["side"], a["bound"], a["budget"]) for a in result.stats] == order
 
 
 def test_search_path_does_not_depend_on_the_clock(monkeypatch):
@@ -264,12 +262,12 @@ def test_environment_schedule_is_lazy(monkeypatch):
     # must not decide how much memory the four attempts take
     now = [100.0]
 
-    def slow_unsat(self, solver, deadline, conflict_budget):
+    def slow_unsat(self, conflict_budget=None, deadline=None):
         now[0] += 3.0
-        yield from ()
+        return False
 
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(_Encoder, "search", slow_unsat)
+    monkeypatch.setattr(sat.Solver, "solve", slow_unsat)
     problem = SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=10_000, deadline=110.0)
     tracemalloc.start()
     try:
@@ -282,7 +280,7 @@ def test_environment_schedule_is_lazy(monkeypatch):
 
 
 def test_unknown_names_the_last_bound_of_each_side(monkeypatch):
-    monkeypatch.setattr(_Encoder, "search", lambda self, solver, deadline, budget: iter(()))
+    monkeypatch.setattr(sat.Solver, "solve", unsat)
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=24))
     assert result.outcome == "unknown"
     assert result.reason == ("no machine up to bound 16 and no environment strategy up to "
@@ -522,3 +520,28 @@ def test_stopped_attempt_is_recorded():
     assert 0 < stopped["conflicts"] <= won["conflicts"] < stopped["budget"]
     assert stopped.keys() == won.keys()
     assert ("environment", 4) not in {(a["side"], a["bound"]) for a in result.stats}
+
+
+def test_attempt_behind_runs_until_it_is_ahead(monkeypatch):
+    # arbiter-full(2): s3 ends without a machine, and e2 then runs alone to
+    # its budget in one solve; while paired, each run takes it past s3
+    calls = {}
+    solve = sat.Solver.solve
+
+    def counted(self, *args, **kwargs):
+        calls[self] = calls.get(self, 0) + 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(sat.Solver, "solve", counted)
+    inst = family("arbiter-full", 2)
+    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
+    assert result.outcome == "realizable"
+    # each attempt's CNF has its own number of variables
+    attempts = {(a["side"], a["bound"]): (a, calls[s]) for a in result.stats for s in calls
+                if s.nvars == a["vars"]}
+    assert len(attempts) == len(result.stats) == len(calls)
+    (e2, e2_calls), (s3, _) = attempts[("environment", 2)], attempts[("system", 3)]
+    assert e2["timeout"] and e2["conflicts"] == e2["budget"]
+    assert s3["sat"] is False and s3["conflicts"] < e2["budget"]
+    assert e2_calls <= s3["conflicts"] + 1
+    assert attempts[("system", 1)][1] == 1
