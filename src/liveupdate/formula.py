@@ -1,10 +1,10 @@
 """LTL abstract syntax in release-positive normal form.
 
 Formulas are immutable and hash-consed: structurally identical terms share a
-single representative, so equality/hashing are O(1) and every formula carries
-an integer ``key``, e.g. for monitor states.  The key follows creation order
-within one process, so it depends on what the process built before (ROADMAP
-item 1).
+single representative, and that object is the formula's identity, so equality
+is ``is`` and costs O(1).  Every formula also carries an integer ``key``, a
+hash of its structure alone, which orders the operands of ``and``/``or``.  No
+result therefore depends on which formulas the process built before.
 
 Construction goes through the module-level builders (``atom``, ``f_and``,
 ``f_until``, ...) which keep terms in normal form: negation exists only on
@@ -16,7 +16,6 @@ logically equivalent formulas may still be distinct terms.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -50,12 +49,14 @@ class Formula:
     ``kind`` is one of ``true false atom natom and or X U R``.  ``and``/``or``
     store an n-ary sorted ``children`` tuple; ``X`` uses ``left``; ``U``/``R``
     use ``left``/``right``; (n)atoms use ``name``.
+
+    The interned object is the identity (there is no ``__eq__``); ``key``, a
+    61-bit hash of the kind, the name and the operands' keys, is its hash.
     """
 
     __slots__ = ("kind", "name", "left", "right", "children", "key", "_atoms", "_tdepth")
 
     _intern: dict[tuple, "Formula"] = {}
-    _counter = itertools.count()
 
     kind: str
     name: str | None
@@ -111,15 +112,13 @@ def _parts(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+_KIND_INDEX = {k: i for i, k in enumerate(("true", "false", "atom", "natom", "and", "or", "X", "U", "R"))}
+_KEY_MASK = (1 << 61) - 1
+
+
 def _mk(kind: str, name: str | None = None, left: Formula | None = None,
         right: Formula | None = None, children: tuple[Formula, ...] = ()) -> Formula:
-    sig = (
-        kind,
-        name,
-        left.key if left is not None else -1,
-        right.key if right is not None else -1,
-        tuple(c.key for c in children),
-    )
+    sig = (kind, name, left, right, children)
     got = Formula._intern.get(sig)
     if got is not None:
         return got
@@ -129,7 +128,10 @@ def _mk(kind: str, name: str | None = None, left: Formula | None = None,
     f.left = left
     f.right = right
     f.children = children
-    f.key = next(Formula._counter)
+    # hash() of ints and of tuples of ints ignores the string hash seed
+    f.key = hash((_KIND_INDEX[kind], int.from_bytes(name.encode(), "big") if name else 0,
+                  *(g.key for g in (left, right) if g is not None),
+                  *(c.key for c in children))) & _KEY_MASK
     f._atoms = None
     f._tdepth = None
     # setdefault keeps interning safe under concurrent construction (CPython).
@@ -167,30 +169,25 @@ def f_or(parts: Iterable[Formula]) -> Formula:
 def _nary(kind: str, parts: Iterable[Formula]) -> Formula:
     unit = _TRUE if kind == "and" else _FALSE
     zero = _FALSE if kind == "and" else _TRUE
-    flat: dict[int, Formula] = {}
+    flat: dict[Formula, None] = {}
     for p in parts:
         if p is zero:
             return zero
         if p is unit:
             continue
         if p.kind == kind:
-            for c in p.children:
-                flat[c.key] = c
+            flat.update(dict.fromkeys(p.children))
         else:
-            flat[p.key] = p
+            flat[p] = None
     if not flat:
         return unit
     # complementary literals collapse to the absorbing constant
-    for f in flat.values():
-        if f.kind == "atom" and any(g.kind == "natom" and g.name == f.name for g in flat.values()):
+    for f in flat:
+        if f.kind == "atom" and any(g.kind == "natom" and g.name == f.name for g in flat):
             return zero
     # absorption: x & (x | y) = x  /  x | (x & y) = x
     dual = "or" if kind == "and" else "and"
-    keys = set(flat.keys())
-    kept = [
-        f for f in flat.values()
-        if not (f.kind == dual and any(c.key in keys for c in f.children))
-    ]
+    kept = [f for f in flat if not (f.kind == dual and any(c in flat for c in f.children))]
     if len(kept) == 1:
         return kept[0]
     kept.sort(key=lambda f: f.key)
@@ -257,7 +254,7 @@ def rebuild(f: Formula, op: Callable[[Formula], Formula], kind: str | None = Non
 
     ``and``/``or`` draw the new operands lazily, so an absorbing one stops the
     rest from being built, and ``U``/``R`` build left before right: formulas
-    are created, and so keyed, in the order of a rebuild written out by hand.
+    are created in the order of a rebuild written out by hand.
     """
     k = kind or f.kind
     if k == "and" or k == "or":
@@ -273,12 +270,12 @@ def rebuild(f: Formula, op: Callable[[Formula], Formula], kind: str | None = Non
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Postorder iteration over distinct subterms (each yielded once)."""
-    seen: set[int] = set()
+    seen: set[Formula] = set()
 
     def walk(g: Formula) -> Iterator[Formula]:
-        if g.key in seen:
+        if g in seen:
             return
-        seen.add(g.key)
+        seen.add(g)
         for c in _parts(g):
             yield from walk(c)
         yield g

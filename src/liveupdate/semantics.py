@@ -20,7 +20,7 @@ from .traces import FiniteTrace, LassoTrace
 __all__ = ["eval_ltl", "eval_initial", "eval_update", "words_membership"]
 
 
-def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> dict[int, list[bool]]:
+def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> dict[Formula, list[bool]]:
     """Truth table per subformula over the distinct lasso positions.
 
     With ``initial_bound`` set, release is evaluated under the bounded-release
@@ -29,7 +29,7 @@ def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> 
     """
     n = sigma.positions
     succ = [sigma.succ(i) for i in range(n)]
-    vals: dict[int, list[bool]] = {}
+    vals: dict[Formula, list[bool]] = {}
     for g in subformulas(f):
         k = g.kind
         if k == "true":
@@ -41,16 +41,16 @@ def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> 
         elif k == "natom":
             row = [g.name not in sigma.letter(i) for i in range(n)]
         elif k == "and":
-            rows = [vals[c.key] for c in g.children]
+            rows = [vals[c] for c in g.children]
             row = [all(r[i] for r in rows) for i in range(n)]
         elif k == "or":
-            rows = [vals[c.key] for c in g.children]
+            rows = [vals[c] for c in g.children]
             row = [any(r[i] for r in rows) for i in range(n)]
         elif k == "X":
-            sub = vals[g.left.key]
+            sub = vals[g.left]
             row = [sub[succ[i]] for i in range(n)]
         elif k == "U":
-            lv, rv = vals[g.left.key], vals[g.right.key]
+            lv, rv = vals[g.left], vals[g.right]
             row = [False] * n  # least fixpoint
             for _ in range(n + 1):
                 changed = False
@@ -62,7 +62,7 @@ def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> 
                 if not changed:
                     break
         elif k == "R":
-            lv, rv = vals[g.left.key], vals[g.right.key]
+            lv, rv = vals[g.left], vals[g.right]
             if initial_bound is None:
                 row = [True] * n  # greatest fixpoint
                 for _ in range(n + 1):
@@ -91,13 +91,13 @@ def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> 
                     row[i] = universal or existential
         else:
             raise ValueError(f"unknown formula kind {k!r}")
-        vals[g.key] = row
+        vals[g] = row
     return vals
 
 
 def eval_ltl(sigma: LassoTrace, i: int, f: Formula) -> bool:
     """Standard LTL satisfaction of ``f`` at position ``i`` of the lasso."""
-    return _tables(sigma, f)[f.key][sigma.norm(i)]
+    return _tables(sigma, f)[f][sigma.norm(i)]
 
 
 def eval_initial(eta_len: int, sigma: LassoTrace, i: int, f: Formula) -> bool:
@@ -108,7 +108,7 @@ def eval_initial(eta_len: int, sigma: LassoTrace, i: int, f: Formula) -> bool:
     """
     if eta_len > len(sigma.prefix):
         raise ValueError("the recorded execution must be contained in the lasso prefix")
-    return _tables(sigma, f, initial_bound=eta_len)[f.key][sigma.norm(i)]
+    return _tables(sigma, f, initial_bound=eta_len)[f][sigma.norm(i)]
 
 
 def eval_update(eta_len: int, sigma: LassoTrace, i: int, f: Formula) -> bool:

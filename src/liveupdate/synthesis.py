@@ -421,8 +421,8 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                 live.reverse()  # ahead of the other attempt of its pair, which runs next
                 continue
             # An exhausted budget just abandons the attempt (recorded as
-            # inconclusive): skipping a bound is sound because unreachable
-            # padding states make solutions monotone in the bound.
+            # inconclusive): skipping a bound is sound, as a machine of size k
+            # becomes one of size k+1 by adding a state never reached, or by splitting one.
             live.remove(a)
             stats.append(a.entry(found, found is None))
             if not found:

@@ -80,7 +80,14 @@ def test_certificate_refutes_spec():
     assert env_counterexample(result.certificate, ltl_to_nba(spec)) is None
 
 
+def random_specs():
+    rng = random.Random(4242)
+    return [f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)]) for _ in range(60)]
+
+
 def test_monotone_in_bound():
+    # a machine or strategy of size k is one of size k+1 with a state that is
+    # never reached, so a satisfiable bound stays satisfiable above it
     spec = parse_formula("G (r -> X g) && G (!r -> X !g)")
     res = synth_ltl(SynthesisProblem(spec, AP_RG))
     assert res.realizable
@@ -88,14 +95,17 @@ def test_monotone_in_bound():
     for k2 in (k + 1, k + 2):
         enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, "moore")
         assert searched(enc) is not None
+    for side in ("moore", "mealy-env"):
+        for spec in random_specs():
+            automata = _conjunct_automata(spec if side == "moore" else neg(spec))
+            found = [searched(_Encoder(automata, AP_RG, k, side)) is not None for k in (1, 2, 3)]
+            assert found == sorted(found), (side, str(spec), found)
 
 
 @pytest.mark.parametrize("side", ["moore", "mealy-env"])
 def test_every_satisfiable_attempt_decodes_to_a_verified_winner(side):
     # each bound of each side on its own, not just the attempt that synth_ltl keeps
-    rng = random.Random(4242)
-    for _ in range(60):
-        spec = f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)])
+    for spec in random_specs():
         automata = _conjunct_automata(spec if side == "moore" else neg(spec))
         for k in (1, 2, 3):
             enc = _Encoder(automata, AP_RG, k, side)
@@ -471,16 +481,30 @@ def test_emit_dimacs():
 
 
 def test_emit_dimacs_independent_of_hash_seed():
-    # two emitted outputs in one cube: their literal order once followed set iteration
-    code = ("from liveupdate.parser import parse_formula\n"
-            "from liveupdate.synthesis import SynthesisProblem, emit_dimacs\n"
+    # two emitted outputs in one cube: their literal order once followed set
+    # iteration.  Each process also builds the conjuncts of a specification
+    # beforehand, in its own order: its search and machine must not follow
+    # which formulas the process built first.
+    code = ("import sys\n"
+            "from liveupdate.machine import serialize_machine\n"
+            "from liveupdate.parser import parse_formula\n"
+            "from liveupdate.synthesis import SynthesisProblem, emit_dimacs, synth_ltl\n"
             "from liveupdate.traces import APTable\n"
+            "for text in sys.argv[2:]:\n"
+            "    parse_formula(text)\n"
+            "ap = APTable(('r1',), ('g1', 'g2'))\n"
             "spec = parse_formula('G (r1 -> X (g1 && g2))')\n"
-            "print(emit_dimacs(SynthesisProblem(spec, APTable(('r1',), ('g1', 'g2'))), 1))\n")
+            "print(emit_dimacs(SynthesisProblem(spec, ap), 1))\n"
+            "res = synth_ltl(SynthesisProblem(parse_formula(sys.argv[1]), ap))\n"
+            "print([{k: v for k, v in a.items() if k != 'time'} for a in res.stats])\n"
+            "print(serialize_machine(res.machine))\n")
+    conjuncts = ["G (r1 -> F (g1 && g2))", "G (g1 -> X !g1)", "G (!r1 -> X !g2)"]
+    histories = [[], conjuncts, conjuncts[::-1] + ["X !g1", "F (g1 && g2)"]]
     env = {**os.environ, "PYTHONPATH": str(Path(synthesis.__file__).parents[1])}
-    outs = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": str(seed)},
+    outs = {subprocess.run([sys.executable, "-c", code, " && ".join(conjuncts), *history],
+                           env={**env, "PYTHONHASHSEED": str(seed)},
                            capture_output=True, text=True, check=True).stdout
-            for seed in (0, 1, 2)}
+            for seed in (0, 1, 2) for history in histories}
     assert len(outs) == 1
 
 
