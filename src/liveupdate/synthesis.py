@@ -13,12 +13,13 @@ entry; an accepting state that loops on every letter is simply unreachable.
 Unrealizability is established by the dual search: a Mealy environment
 reading the system's outputs and picking inputs so that every resulting trace
 violates the specification.  System and environment bounds are interleaved,
-and each environment attempt runs as a pair with the system attempt after it:
-the attempt behind continues its internal solve until it is ahead of the
-other, and the first to find a machine wins.  A specification cannot have
-both a machine and an environment strategy, so the pair finds what running
-its attempts one after the other would find, without running one to the end
-of its budget while the other holds the answer.  Every winner is re-verified
+and each environment attempt races the system attempts after it, the next
+taking the place of one that ends without a machine: the attempt behind
+continues its internal solve until it is ahead of the other, and the first to
+find a machine wins.  A specification cannot have both a machine and an
+environment strategy, so the race finds what running each side's attempts one
+after the other would find, without running one to the end of its budget
+while the other holds the answer.  Every winner is re-verified
 by the corresponding model checker before being reported.  Each attempt has a
 conflict budget of the internal solver, so the order of attempts and their
 outcomes do not depend on how fast the machine is; the only clock is the
@@ -337,17 +338,22 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     checker; unrealizable results carry a verified environment strategy;
     unknown results carry a ``reason``.  The first system bound runs first;
     then environment bounds 1,2,3,... alternate with the remaining system
-    bounds, each environment attempt e_i as a pair with the system attempt
-    s_{i+1} after it.  In a pair, the attempt behind continues its solve
-    until it is ahead: e_i to one conflict more than s_{i+1}, s_{i+1} to as
-    many as e_i.  Once one ends without a model the other runs on alone, and
-    an attempt alone runs to its budget in one solve; once one finds a model
-    the other stops.  An external solver has no conflict count, so each of
-    its attempts is one call, and a pair runs e_i and then s_{i+1}.  While
-    the environment automata (for the whole specification) are large, every
-    system bound runs before them, alone, so that realizable instances are
-    not taxed by them; when they exceed their state budget, only the system
-    bounds run.
+    bounds, each environment attempt e_i starting as a pair with the next
+    system attempt.  In a pair, the attempt behind continues its solve until
+    it is ahead: the environment attempt to one conflict more than the
+    system attempt, the system attempt to as many as the environment
+    attempt.  When the system attempt ends without a model, the next system
+    attempt takes its place, and e_i races on; when e_i ends without a
+    model, the system attempt runs on alone, and e_{i+1} starts with the
+    group after it (an e_i that ends early is mostly beside a system attempt
+    that goes on to win, so starting e_{i+1} at once would mostly encode a
+    CNF for nothing).  An attempt alone runs to its budget in one solve;
+    once one finds a model the other stops.  An external solver has no
+    conflict count, so each of its attempts is one call, and a pair runs e_i
+    and then the system attempt.  While the environment automata (for the
+    whole specification) are large, every system bound runs before them,
+    alone, so that realizable instances are not taxed by them; when they
+    exceed their state budget, only the system bounds run.
     The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
     ``_ENV_CONFLICTS * 2**i`` conflicts of the internal solver; without a
     deadline the search path is the same on any machine.  ``stats`` has one
@@ -371,11 +377,12 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     sys_automata = _conjunct_automata(spec)
     internal = problem.solver == "internal"
 
+    systems = (_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None,
+                        sys_automata) for i, k in enumerate(sys_bounds))
+
     def schedule():
-        """The attempts, in the groups that run together: each environment
-        attempt with the system attempt after it, every other attempt alone."""
-        systems = (_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None,
-                            sys_automata) for i, k in enumerate(sys_bounds))
+        """The attempts, in the groups that start together: each environment
+        attempt with the next system attempt, every other attempt alone."""
         yield [next(systems)]
         try:
             env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
@@ -397,8 +404,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         stats.extend(a.entry(None, False) for a in live if a.enc is not None)
         return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
 
-    for group in schedule():
-        live = list(group)
+    for live in schedule():
         while live:
             a, t0 = live[0], time.monotonic()
             if a.enc is None and deadline is not None and t0 > deadline:
@@ -406,7 +412,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                                       f"at bound {a.k}")
             target = a.budget  # alone, an attempt runs to its budget in one solve
             if target is not None and len(live) == 2:  # in a pair, until it is ahead
-                target = min(target, live[1].sat.conflicts + (a is group[0]))
+                target = min(target, live[1].sat.conflicts + (a.side == "environment"))
             try:
                 found = a.run(problem, target)
             except (TimeoutError, SolverError) as exc:
@@ -426,6 +432,9 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             live.remove(a)
             stats.append(a.entry(found, found is None))
             if not found:
+                # the environment attempt races on, beside the next system attempt
+                if a.side == "system" and live and (after := next(systems, None)):
+                    live.insert(0, after)  # behind it, so it runs first
                 continue
             if a.side == "system":
                 machine = a.enc.extract_moore(a.model)

@@ -243,7 +243,9 @@ def test_attempt_order(monkeypatch, defer_states, order):
 
 def test_search_path_does_not_depend_on_the_clock(monkeypatch):
     # without a deadline, a clock that advances 10 s per reading gives the
-    # attempts of a frozen clock, conflicts included
+    # attempts of a frozen clock, conflicts included; small environment
+    # budgets, so that some attempts run out of theirs
+    monkeypatch.setattr(synthesis, "_ENV_CONFLICTS", 16)
     inst = family("arbiter-full", 2)
     runs = []
     for step in (0.0, 10.0):
@@ -531,41 +533,90 @@ def test_pairs_find_what_the_attempts_find_alone(monkeypatch):
     assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in paired}
 
 
-def test_stopped_attempt_is_recorded():
-    # arbiter-full(2): s4 wins while e3 runs beside it; e3 is stopped, having
-    # spent no more conflicts than s4, and e4 never starts
+def _first_models(problem):
+    """What each side's attempts find run alone, in bound order, each to its
+    budget: the first machine, or else the first environment strategy."""
+    sides = [("system", [b for b in problem.bounds if b <= problem.cap],
+              synthesis._SYS_CONFLICTS, _conjunct_automata(problem.spec)),
+             ("environment", range(1, problem.cap + 1), synthesis._ENV_CONFLICTS,
+              _conjunct_automata(neg(problem.spec), max_states=synthesis._ENV_MAX_STATES))]
+    for side, bounds, budget, automata in sides:
+        for i, k in enumerate(bounds):
+            attempt = synthesis._Attempt(side, k, budget * 2 ** i, automata)
+            if not attempt.run(problem, attempt.budget):
+                continue
+            if side == "system":
+                return _found(SynthesisResult("realizable",
+                                              machine=attempt.enc.extract_moore(attempt.model)))
+            return _found(SynthesisResult("unrealizable",
+                                          certificate=attempt.enc.extract_env(attempt.model)))
+    return _found(SynthesisResult("unknown"))
+
+
+def test_race_keeps_each_sides_first_model():
+    # a continued solve decides as one solve does, and no specification has
+    # both a machine and an environment strategy: racing the attempts finds
+    # what running them one after the other finds
     inst = family("arbiter-full", 2)
-    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
+    # abp-receiver:1->2's obligations: in the realizable one, e1 races s2,
+    # s3 and s4, and s4 wins; in the other, e1 wins
+    bi, bu, ap = update_pair(("abp-receiver", 1), ("abp-receiver", 2))
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    problems = ([SynthesisProblem(spec, AP_RG, cap=3) for spec in random_specs()]
+                + [SynthesisProblem(inst.spec, inst.ap, cap=4)]
+                + [SynthesisProblem(f_and((o, bu.spec)), ap, cap=4)
+                   for o in reachable_obligations(cut_from_phi(bi.spec, ts_i))])
+    found = [_found(synth_ltl(p)) for p in problems]
+    assert found == [_first_models(p) for p in problems]
+    assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in found}
+
+
+def test_stopped_attempt_is_recorded():
+    # the load-balancer:2->3 conjunction (its cut's obligations and the
+    # update specification): s3 wins while e2 runs beside it; e2 is stopped,
+    # having spent no more conflicts than s3, and e3 never starts
+    bi, bu, ap = update_pair(("load-balancer", 2), ("load-balancer", 3))
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    result = synth_universal_live(ts_i, bi.spec, bu.spec, ap)
     assert result.outcome == "realizable"
     *_, won, stopped = result.stats
-    assert (won["side"], won["bound"], won["sat"]) == ("system", 4, True)
-    assert (stopped["side"], stopped["bound"]) == ("environment", 3)
+    assert (won["side"], won["bound"], won["sat"]) == ("system", 3, True)
+    assert (stopped["side"], stopped["bound"]) == ("environment", 2)
     assert stopped["sat"] is None and stopped["timeout"] is False
     assert 0 < stopped["conflicts"] <= won["conflicts"] < stopped["budget"]
     assert stopped.keys() == won.keys()
-    assert ("environment", 4) not in {(a["side"], a["bound"]) for a in result.stats}
+    assert ("environment", 3) not in {(a["side"], a["bound"]) for a in result.stats}
 
 
 def test_attempt_behind_runs_until_it_is_ahead(monkeypatch):
-    # arbiter-full(2): s3 ends without a machine, and e2 then runs alone to
-    # its budget in one solve; while paired, each run takes it past s3
-    calls = {}
+    # arbiter-full(2): e1 races s2, then s3 as each ends without a machine,
+    # then s4, which wins after e1 ends; e1 never runs alone, and e2 never
+    # starts.  Each run of the attempt behind takes it just past the other.
+    runs = []  # (solver, conflicts before the run, conflicts after it)
     solve = sat.Solver.solve
 
-    def counted(self, *args, **kwargs):
-        calls[self] = calls.get(self, 0) + 1
-        return solve(self, *args, **kwargs)
+    def logged(self, *args, **kwargs):
+        before = self.conflicts
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            runs.append((self, before, self.conflicts))
 
-    monkeypatch.setattr(sat.Solver, "solve", counted)
+    monkeypatch.setattr(sat.Solver, "solve", logged)
     inst = family("arbiter-full", 2)
     result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
     assert result.outcome == "realizable"
+    assert [(a["side"], a["bound"]) for a in result.stats] == [
+        ("system", 1), ("system", 2), ("system", 3), ("environment", 1), ("system", 4)]
+    assert not any(a["timeout"] for a in result.stats)
     # each attempt's CNF has its own number of variables
-    attempts = {(a["side"], a["bound"]): (a, calls[s]) for a in result.stats for s in calls
-                if s.nvars == a["vars"]}
-    assert len(attempts) == len(result.stats) == len(calls)
-    (e2, e2_calls), (s3, _) = attempts[("environment", 2)], attempts[("system", 3)]
-    assert e2["timeout"] and e2["conflicts"] == e2["budget"]
-    assert s3["sat"] is False and s3["conflicts"] < e2["budget"]
-    assert e2_calls <= s3["conflicts"] + 1
-    assert attempts[("system", 1)][1] == 1
+    attempt = {s: (a["side"], a["bound"]) for a in result.stats for s, _, _ in runs
+               if s.nvars == a["vars"]}
+    assert len(attempt) == len(set(attempt.values())) == len(result.stats)
+    e1 = [i for i, (s, _, _) in enumerate(runs) if attempt[s] == ("environment", 1)]
+    assert len(e1) > 1
+    for i in e1:  # the attempt that runs next is the one beside it
+        beside, before, _ = runs[i + 1]
+        assert attempt[beside][0] == "system"
+        assert runs[i][2] <= before + 1
+    assert [attempt[s] for s, _, _ in runs].count(("system", 1)) == 1
