@@ -335,28 +335,36 @@ def _render(f: Formula, outer: int) -> str:
 # -- two-level canonical form -------------------------------------------------
 
 
-def dnf_units(f: Formula) -> list[frozenset[Formula]]:
+# formula -> its pruned disjuncts; tuples, so no caller can change an entry
+_DNF: dict[Formula, tuple[frozenset[Formula], ...]] = {}
+
+
+def dnf_units(f: Formula) -> tuple[frozenset[Formula], ...]:
     """Disjuncts of a positive boolean combination as sets of non-boolean
     conjunct units; subsumed (strictly stronger) disjuncts are pruned.
 
-    ``true`` yields one empty disjunct, ``false`` none.
+    ``true`` yields one empty disjunct, ``false`` none.  The result is
+    memoized per formula, operands included, for the life of the process.
     """
-    if f.kind == "true":
-        return [frozenset()]
-    if f.kind == "false":
-        return []
-    if f.kind == "or":
-        out: list[frozenset[Formula]] = []
-        for c in f.children:
-            out.extend(dnf_units(c))
-        return _prune_subsumed(out)
-    if f.kind == "and":
-        acc: list[frozenset[Formula]] = [frozenset()]
-        for c in f.children:
-            parts = dnf_units(c)
-            acc = [a | p for a in acc for p in parts]
-        return _prune_subsumed(acc)
-    return [frozenset((f,))]
+    got = _DNF.get(f)
+    if got is None:
+        k = f.kind
+        if k == "true":
+            got = (frozenset(),)
+        elif k == "false":
+            got = ()
+        elif k == "or":
+            got = tuple(_prune_subsumed([d for c in f.children for d in dnf_units(c)]))
+        elif k == "and":
+            acc: list[frozenset[Formula]] = [frozenset()]
+            for c in f.children:
+                parts = dnf_units(c)
+                acc = [a | p for a in acc for p in parts]
+            got = tuple(_prune_subsumed(acc))
+        else:
+            got = (frozenset((f,)),)
+        _DNF[f] = got
+    return got
 
 
 def _prune_subsumed(disjuncts: list[frozenset[Formula]]) -> list[frozenset[Formula]]:

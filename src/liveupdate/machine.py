@@ -65,7 +65,7 @@ class MooreMachine:
                     raise MachineFormatError(
                         f"overlapping edges with different targets in state {self.names[i]} on input {set(letter) or '{}'}")
 
-    def input_letters(self) -> list[Letter]:
+    def input_letters(self) -> tuple[Letter, ...]:
         return all_letters(self.ap.inputs)
 
     def delta(self, state: int, inp: Letter) -> int:

@@ -3,10 +3,12 @@ update-obligation calculus built from them.
 
 ``af`` consumes one letter and returns the formula the rest of the word must
 satisfy; folding it over a finite trace and stripping the release nodes yields
-``evolve``, the obligation handed to an update system.  Its results are
-memoized per (formula, letter) for the life of the process, like the formula
-intern table.  ``liveltl_to_ltl`` packages the same information as a single
-plain-LTL formula.
+``evolve``, the obligation handed to an update system.  Two tables live for
+the whole process, like the formula intern table: ``af``'s canonical result
+per (formula, letter), and the raw derivative per (and/or/U/R subterm,
+letter), so a subterm shared by many formulas is derived once per letter.
+``liveltl_to_ltl`` packages the same information as a single plain-LTL
+formula.
 
 ``edge_step`` is a variant of ``af`` used by the obligation monitor's
 display form: obligations raised by a release keep their next-step guards, so
@@ -47,14 +49,19 @@ __all__ = [
 # (formula, letter) -> canonical derivative; formulas are hash-consed, so the
 # key is exact and the table grows only with the pairs actually derived.
 _AF: dict[tuple[Formula, Letter], Formula] = {}
+# (and/or/U/R node, letter) -> its derivative before ``canonical``.  The letter
+# is not projected onto the node's atoms: that would save entries but cost an
+# intersection per call.
+_AF_RAW: dict[tuple[Formula, Letter], Formula] = {}
 
 
 def af(f: Formula, letter: Letter) -> Formula:
     """One-letter after-derivative, with propositional simplification.
 
     Results are kept in canonical two-level form so that iterated
-    derivatives stay shallow and their closure is finite.  They are
-    memoized per (formula, letter) for the life of the process."""
+    derivatives stay shallow and their closure is finite.  For the life of
+    the process, the result is memoized per (formula, letter) and the
+    derivative of every and/or/U/R subterm per (subterm, letter)."""
     got = _AF.get((f, letter))
     if got is None:
         got = _AF[(f, letter)] = canonical(_af(f, letter))
@@ -69,14 +76,19 @@ def _af(f: Formula, letter: Letter) -> Formula:
         return t_true() if f.name in letter else t_false()
     if k == "natom":
         return t_false() if f.name in letter else t_true()
-    if k in ("and", "or"):
-        return rebuild(f, lambda c: _af(c, letter))
     if k == "X":
         return f.left
-    if k == "U":
-        return f_or((_af(f.right, letter), f_and((_af(f.left, letter), f))))
-    ar = _af(f.right, letter)
-    return f_or((f_and((_af(f.left, letter), ar)), f_and((ar, f))))
+    got = _AF_RAW.get((f, letter))
+    if got is None:
+        if k in ("and", "or"):
+            got = rebuild(f, lambda c: _af(c, letter))
+        elif k == "U":
+            got = f_or((_af(f.right, letter), f_and((_af(f.left, letter), f))))
+        else:
+            ar = _af(f.right, letter)
+            got = f_or((f_and((_af(f.left, letter), ar)), f_and((ar, f))))
+        _AF_RAW[(f, letter)] = got
+    return got
 
 
 def af_word(f: Formula, word: FiniteTrace) -> Formula:

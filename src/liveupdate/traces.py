@@ -125,10 +125,20 @@ class LassoTrace:
         return LassoTrace(tuple(eta) + self.prefix, self.loop)
 
 
-def all_letters(props: Sequence[str]) -> list[Letter]:
+# proposition tuple -> its letters, so equal letters are one shared object
+_LETTERS: dict[tuple[str, ...], tuple[Letter, ...]] = {}
+
+
+def all_letters(props: Sequence[str]) -> tuple[Letter, ...]:
     """Every letter over ``props``; bit i of the position says whether the
-    i-th proposition holds."""
-    return [frozenset(a for i, a in enumerate(props) if bits >> i & 1) for bits in range(1 << len(props))]
+    i-th proposition holds.  One tuple per proposition sequence is kept for
+    the life of the process."""
+    props = tuple(props)
+    got = _LETTERS.get(props)
+    if got is None:
+        got = _LETTERS[props] = tuple(frozenset(a for i, a in enumerate(props) if bits >> i & 1)
+                                      for bits in range(1 << len(props)))
+    return got
 
 
 def parse_trace(text: str) -> FiniteTrace:

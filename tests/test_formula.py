@@ -1,9 +1,11 @@
 import random
 
+from liveupdate import formula
 from liveupdate.formula import (
     _prune_subsumed,
     atom,
     canonical,
+    dnf_units,
     f_and,
     f_eventually,
     f_globally,
@@ -21,6 +23,7 @@ from liveupdate.formula import (
 )
 from liveupdate.parser import parse_formula
 
+from gen import random_formula
 from propeq import prop_equivalent
 
 a, b, c = atom("a"), atom("b"), atom("c")
@@ -122,3 +125,38 @@ def test_prune_subsumed_matches_the_pairwise_definition():
         family = [frozenset(rng.sample(units, rng.choice([0, 1, 1, 2, 2, 3, 4])))
                   for _ in range(rng.randrange(8))]
         assert _prune_subsumed(family) == pairwise(family), family
+
+
+def _dnf_reference(f):
+    """``dnf_units`` with no memo, as a list."""
+    if f.kind == "true":
+        return [frozenset()]
+    if f.kind == "false":
+        return []
+    if f.kind == "or":
+        return _prune_subsumed([d for c in f.children for d in _dnf_reference(c)])
+    if f.kind == "and":
+        acc = [frozenset()]
+        for c in f.children:
+            acc = [x | p for x in acc for p in _dnf_reference(c)]
+        return _prune_subsumed(acc)
+    return [frozenset((f,))]
+
+
+def test_dnf_units_memo_is_invisible(monkeypatch):
+    # boolean combinations of random formulas, so that many disjuncts are
+    # multiplied out and pruned; a cold memo and one warmed by the same
+    # formulas in reverse give the reference's disjuncts, in its order
+    rng = random.Random(4711)
+    samples = [random_formula(rng, ["a", "b", "c"], 4) for _ in range(200)]
+    samples += [rng.choice((f_and, f_or))(rng.sample(samples, 3)) for _ in range(200)]
+    samples += [f_and((f_or(rng.sample(samples, 2)), f_or(rng.sample(samples, 3)))) for _ in range(100)]
+    for warm in ([], samples[::-1]):
+        monkeypatch.setattr(formula, "_DNF", {})
+        for g in warm:
+            dnf_units(g)
+        for f in samples:
+            got = dnf_units(f)
+            assert isinstance(got, tuple) and all(isinstance(d, frozenset) for d in got)
+            assert list(got) == _dnf_reference(f), f
+            assert dnf_units(f) is got

@@ -1,7 +1,8 @@
 import random
 
 from liveupdate import rewrite
-from liveupdate.formula import Formula, atom, canonical, f_and, f_next, f_or, f_until, natom, t_false, t_true
+from liveupdate.formula import (Formula, atom, canonical, f_and, f_next, f_or, f_until, natom, rebuild, t_false,
+                                t_true)
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af, af_word, edge_step, evolve, expand, expand_n, liveltl_to_ltl, strip
 from liveupdate.traces import all_letters
@@ -144,3 +145,42 @@ def test_af_word_derives_each_pair_once(monkeypatch):
     derived.clear()
     assert af_word(phi, eta) is first
     assert derived == []
+
+
+def _af_reference(f, letter):
+    """The derivative rules of ``rewrite._af``, with no memo."""
+    k = f.kind
+    if k in ("true", "false"):
+        return f
+    if k == "atom":
+        return t_true() if f.name in letter else t_false()
+    if k == "natom":
+        return t_false() if f.name in letter else t_true()
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _af_reference(c, letter))
+    if k == "X":
+        return f.left
+    if k == "U":
+        return f_or((_af_reference(f.right, letter), f_and((_af_reference(f.left, letter), f))))
+    ar = _af_reference(f.right, letter)
+    return f_or((f_and((_af_reference(f.left, letter), ar)), f_and((ar, f))))
+
+
+def test_af_subterm_memo_is_invisible(monkeypatch):
+    # the memo starts empty, then is warmed by other formulas built and
+    # derived first, in two orders: the derivative must not follow what the
+    # process derived before.  The letters also range over an atom no sample
+    # mentions, since the memo keys the unprojected letter.
+    rng = random.Random(2309)
+    samples = [random_formula(rng, ["a", "b", "c"], 4) for _ in range(120)]
+    letters = all_letters(("a", "b", "c", "d"))
+    expected = {(f, letter): _af_reference(f, letter) for f in samples for letter in letters}
+    others = [random_formula(rng, ["a", "b", "c"], 4) for _ in range(120)]
+    for history in ([], others, others[::-1] + samples[::-1]):
+        monkeypatch.setattr(rewrite, "_AF_RAW", {})
+        for g in history:
+            for letter in letters:
+                rewrite._af(g, letter)
+        for (f, letter), want in expected.items():
+            assert rewrite._af(f, letter) is want, (f, sorted(letter))
+        assert rewrite._AF_RAW
