@@ -312,9 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
-        return EXIT_ERROR
     except BudgetError as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         if getattr(args, "json", False):

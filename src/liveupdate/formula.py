@@ -12,11 +12,17 @@ atoms, commutative operators are flattened, sorted and deduplicated, and light
 propositional simplification is applied (constant folding, complementary
 literals, absorption).  Simplification is deliberately syntactic -- two
 logically equivalent formulas may still be distinct terms.
+
+Every walk over a formula is a ``fold``: one post-order pass over its
+distinct nodes that keeps its own stack, so a shared subterm is visited once
+and no nesting depth exhausts Python's recursion limit.  The atoms, the
+temporal depth, the negation and the DNF of a formula are memoized for the
+life of the process, like the intern table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "Formula",
@@ -34,6 +40,8 @@ __all__ = [
     "f_implies",
     "f_iff",
     "neg",
+    "fold",
+    "operands",
     "rebuild",
     "subformulas",
     "canonical",
@@ -54,7 +62,7 @@ class Formula:
     61-bit hash of the kind, the name and the operands' keys, is its hash.
     """
 
-    __slots__ = ("kind", "name", "left", "right", "children", "key", "_atoms", "_tdepth")
+    __slots__ = ("kind", "name", "left", "right", "children", "key")
 
     _intern: dict[tuple, "Formula"] = {}
 
@@ -77,39 +85,65 @@ class Formula:
     @property
     def atoms(self) -> frozenset[str]:
         """Set of proposition names occurring in the formula."""
-        a = self._atoms
-        if a is None:
-            if self.kind in ("atom", "natom"):
-                a = frozenset((self.name,))
-            else:
-                a = frozenset().union(*(c.atoms for c in _parts(self))) if _parts(self) else frozenset()
-            self._atoms = a
-        return a
+        return fold(self, lambda g, below: frozenset((g.name,)) if g.name else frozenset().union(*below),
+                    memo=_ATOMS)
 
     @property
     def temporal_depth(self) -> int:
         """Maximum nesting of temporal operators (X/U/R)."""
-        d = self._tdepth
-        if d is None:
-            inner = max((c.temporal_depth for c in _parts(self)), default=0)
-            d = inner + (1 if self.kind in ("X", "U", "R") else 0)
-            self._tdepth = d
-        return d
+        return fold(self, lambda g, below: max(below, default=0) + (g.kind in ("X", "U", "R")),
+                    memo=_TDEPTH)
 
     def is_release_free(self) -> bool:
-        if self.kind == "R":
-            return False
-        return all(c.is_release_free() for c in _parts(self))
+        return all(g.kind != "R" for g in subformulas(self))
 
 
-def _parts(f: Formula) -> tuple[Formula, ...]:
-    if f.kind in ("and", "or"):
-        return f.children
-    if f.kind == "X":
-        return (f.left,)
-    if f.kind in ("U", "R"):
+def operands(f: Formula) -> tuple[Formula, ...]:
+    """The operands of ``f``: and/or children, or left (and right)."""
+    k = f.kind
+    if k == "U" or k == "R":
         return (f.left, f.right)
-    return ()
+    if k == "X":
+        return (f.left,)
+    return f.children
+
+
+T = TypeVar("T")
+
+
+def fold(f: Formula, step: Callable[[Formula, list], T],
+         below: Callable[[Formula], tuple[Formula, ...]] = operands, memo: dict | None = None) -> T:
+    """``step(g, results)`` for ``f`` and each node under it, where
+    ``results`` are the results of ``below(g)`` (by default its operands), in
+    order.  Each distinct node is stepped once, in the post-order of a
+    depth-first walk, and its result goes to ``memo``; a node already there is
+    not stepped again, so a memo kept across calls carries over.  The walk
+    keeps its own stack: no nesting depth exhausts Python's."""
+    if memo is None:
+        memo = {}
+    got = memo.get(f)
+    if got is not None:
+        return got
+    stack: list = [f]  # nodes to visit, and (node, operands) to step once its operands are
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            g, parts = g
+            memo[g] = step(g, list(map(memo.__getitem__, parts)))
+        elif g not in memo:
+            parts = below(g)
+            stack.append((g, parts))
+            for c in reversed(parts):
+                if c not in memo:
+                    stack.append(c)
+    return memo[f]
+
+
+# formula -> its atoms, its temporal depth and its negation, for the life of
+# the process, like the intern table
+_ATOMS: dict[Formula, frozenset[str]] = {}
+_TDEPTH: dict[Formula, int] = {}
+_NEG: dict[Formula, Formula] = {}
 
 
 _KIND_INDEX = {k: i for i, k in enumerate(("true", "false", "atom", "natom", "and", "or", "X", "U", "R"))}
@@ -132,8 +166,6 @@ def _mk(kind: str, name: str | None = None, left: Formula | None = None,
     f.key = hash((_KIND_INDEX[kind], int.from_bytes(name.encode(), "big") if name else 0,
                   *(g.key for g in (left, right) if g is not None),
                   *(c.key for c in children))) & _KEY_MASK
-    f._atoms = None
-    f._tdepth = None
     # setdefault keeps interning safe under concurrent construction (CPython).
     return Formula._intern.setdefault(sig, f)
 
@@ -242,45 +274,30 @@ _DUAL = {"true": "false", "false": "true", "atom": "natom", "natom": "atom",
 
 def neg(f: Formula) -> Formula:
     """Negate a PNF formula, pushing the negation down to atoms."""
-    if not _parts(f):
-        return _mk(_DUAL[f.kind], name=f.name)
-    return rebuild(f, neg, _DUAL[f.kind])
+    return fold(f, lambda g, below: rebuild(g, below, _DUAL[g.kind]), memo=_NEG)
 
 
-def rebuild(f: Formula, op: Callable[[Formula], Formula], kind: str | None = None) -> Formula:
-    """A node of ``kind`` (``f``'s own by default) over ``op`` of each operand
-    of ``f``, in ``_parts`` order, through the builders; a leaf is returned
-    unchanged.
-
-    ``and``/``or`` draw the new operands lazily, so an absorbing one stops the
-    rest from being built, and ``U``/``R`` build left before right: formulas
-    are created in the order of a rebuild written out by hand.
-    """
+def rebuild(f: Formula, parts: list[Formula], kind: str | None = None) -> Formula:
+    """A node of ``kind`` (``f``'s own by default) over ``parts``, which stand
+    for ``operands(f)`` in order, through the builders; a leaf keeps ``f``'s
+    name."""
     k = kind or f.kind
     if k == "and" or k == "or":
-        return _nary(k, map(op, f.children))
+        return _nary(k, parts)
     if k == "X":
-        return f_next(op(f.left))
+        return f_next(parts[0])
     if k == "U":
-        return f_until(op(f.left), op(f.right))
+        return f_until(*parts)
     if k == "R":
-        return f_release(op(f.left), op(f.right))
-    return f
+        return f_release(*parts)
+    return f if k == f.kind else _mk(k, name=f.name)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Postorder iteration over distinct subterms (each yielded once)."""
-    seen: set[Formula] = set()
-
-    def walk(g: Formula) -> Iterator[Formula]:
-        if g in seen:
-            return
-        seen.add(g)
-        for c in _parts(g):
-            yield from walk(c)
-        yield g
-
-    yield from walk(f)
+    order: list[Formula] = []
+    fold(f, lambda g, _: order.append(g))
+    return iter(order)
 
 
 # -- printing ---------------------------------------------------------------
@@ -290,46 +307,39 @@ _PREC = {"atom": 100, "natom": 100, "true": 100, "false": 100,
 
 
 def to_str(f: Formula) -> str:
-    return _render(f, 0)
+    return fold(f, _render)
 
 
-def _unary_operand(f: Formula) -> str:
+def _render(f: Formula, texts: list[str]) -> str:
+    k = f.kind
+    if k == "atom":
+        return f.name
+    if k == "natom":
+        return f"!{f.name}"
+    if k == "X":
+        return f"X {_unary_operand(f.left, texts[0])}"
+    if k == "U" and f.left is _TRUE:
+        return f"F {_unary_operand(f.right, texts[1])}"
+    if k == "R" and f.left is _FALSE:
+        return f"G {_unary_operand(f.right, texts[1])}"
+    if k == "U" or k == "R":
+        return f"{_wrap(f.left, texts[0], _PREC[k] + 1)} {k} {_wrap(f.right, texts[1], _PREC[k])}"
+    if k == "and" or k == "or":
+        sep = " && " if k == "and" else " || "
+        return sep.join(_wrap(c, t, _PREC[k] + 1) for c, t in zip(f.children, texts))
+    return k  # true, false
+
+
+def _wrap(f: Formula, text: str, outer: int) -> str:
+    return f"({text})" if _PREC[f.kind] < outer else text
+
+
+def _unary_operand(f: Formula, text: str) -> str:
     # unary chains (X F i1) and atomic operands need no parentheses
     if f.kind in ("atom", "natom", "true", "false", "X") or \
             (f.kind == "U" and f.left is _TRUE) or (f.kind == "R" and f.left is _FALSE):
-        return _render(f, 0)
-    return f"({_render(f, 0)})"
-
-
-def _render(f: Formula, outer: int) -> str:
-    k = f.kind
-    if k == "true":
-        s = "true"
-    elif k == "false":
-        s = "false"
-    elif k == "atom":
-        s = f.name
-    elif k == "natom":
-        s = f"!{f.name}"
-    elif k == "X":
-        s = f"X {_unary_operand(f.left)}"
-    elif k == "U":
-        if f.left is _TRUE:
-            s = f"F {_unary_operand(f.right)}"
-        else:
-            s = f"{_render(f.left, _PREC['U'] + 1)} U {_render(f.right, _PREC['U'])}"
-    elif k == "R":
-        if f.left is _FALSE:
-            s = f"G {_unary_operand(f.right)}"
-        else:
-            s = f"{_render(f.left, _PREC['R'] + 1)} R {_render(f.right, _PREC['R'])}"
-    elif k == "and":
-        s = " && ".join(_render(c, _PREC["and"] + 1) for c in f.children)
-    else:
-        s = " || ".join(_render(c, _PREC["or"] + 1) for c in f.children)
-    if _PREC[k] < outer:
-        return f"({s})"
-    return s
+        return text
+    return f"({text})"
 
 
 # -- two-level canonical form -------------------------------------------------
@@ -346,25 +356,23 @@ def dnf_units(f: Formula) -> tuple[frozenset[Formula], ...]:
     ``true`` yields one empty disjunct, ``false`` none.  The result is
     memoized per formula, operands included, for the life of the process.
     """
-    got = _DNF.get(f)
-    if got is None:
-        k = f.kind
-        if k == "true":
-            got = (frozenset(),)
-        elif k == "false":
-            got = ()
-        elif k == "or":
-            got = tuple(_prune_subsumed([d for c in f.children for d in dnf_units(c)]))
-        elif k == "and":
-            acc: list[frozenset[Formula]] = [frozenset()]
-            for c in f.children:
-                parts = dnf_units(c)
-                acc = [a | p for a in acc for p in parts]
-            got = tuple(_prune_subsumed(acc))
-        else:
-            got = (frozenset((f,)),)
-        _DNF[f] = got
-    return got
+    return fold(f, _dnf_step, lambda g: g.children, _DNF)
+
+
+def _dnf_step(f: Formula, below: list[tuple[frozenset[Formula], ...]]) -> tuple[frozenset[Formula], ...]:
+    k = f.kind
+    if k == "or":
+        return tuple(_prune_subsumed([d for parts in below for d in parts]))
+    if k == "and":
+        acc: list[frozenset[Formula]] = [frozenset()]
+        for parts in below:
+            acc = [a | p for a in acc for p in parts]
+        return tuple(_prune_subsumed(acc))
+    if k == "true":
+        return (frozenset(),)
+    if k == "false":
+        return ()
+    return (frozenset((f,)),)
 
 
 def _prune_subsumed(disjuncts: list[frozenset[Formula]]) -> list[frozenset[Formula]]:

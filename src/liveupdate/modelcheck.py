@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Verdict, mc_ltl
-from .formula import Formula, atom, f_and, f_globally, f_implies, f_next, f_or, f_until, natom, rebuild, t_true
+from .formula import (Formula, atom, f_and, f_globally, f_implies, f_next, f_or, f_until, fold, natom,
+                      rebuild, t_true)
 from .machine import MooreMachine
 from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve, strip
@@ -108,11 +109,13 @@ def _bound_releases(f: Formula, up: Formula, no_more: Formula) -> Formula:
     arrives, or the evaluation point lies strictly after it (no update ever
     follows such a point, hence the second disjunct).
     """
-    if f.kind != "R":
-        return rebuild(f, lambda c: _bound_releases(c, up, no_more))
-    l = _bound_releases(f.left, up, no_more)
-    r = _bound_releases(f.right, up, no_more)
-    return f_or((f_until(r, f_or((f_and((up, r)), f_and((l, r))))), no_more))
+    def step(g: Formula, below: list[Formula]) -> Formula:
+        if g.kind != "R":
+            return rebuild(g, below)
+        l, r = below
+        return f_or((f_until(r, f_or((f_and((up, r)), f_and((l, r))))), no_more))
+
+    return fold(f, step)
 
 
 def combine_for_update(ts_i: MooreMachine, ts_u: MooreMachine, ap: APTable) -> MooreMachine:

@@ -17,6 +17,8 @@ from .formula import (
     Formula,
     atom,
     f_and,
+    f_eventually,
+    f_globally,
     f_iff,
     f_implies,
     f_next,
@@ -28,7 +30,7 @@ from .formula import (
     t_true,
 )
 
-__all__ = ["parse_formula", "LtlSyntaxError", "UndeclaredPropositionError"]
+__all__ = ["parse_formula", "is_atom_name", "LtlSyntaxError", "UndeclaredPropositionError"]
 
 
 class LtlSyntaxError(ValueError):
@@ -46,10 +48,15 @@ class UndeclaredPropositionError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<op>&&|\|\||->|<->|[!()])|(?P<word>[a-zA-Z_][a-zA-Z0-9_]*))"
-)
+_WORD = r"[a-zA-Z_][a-zA-Z0-9_]*"
+_TOKEN = re.compile(rf"\s*(?:(?P<op>&&|\|\||->|<->|[!()])|(?P<word>{_WORD}))")
 _KEYWORDS = {"true", "false", "X", "F", "G", "U", "R"}
+
+
+def is_atom_name(name: str) -> bool:
+    """Whether a formula can mention the proposition ``name``: an identifier
+    that is no keyword."""
+    return re.fullmatch(_WORD, name) is not None and name not in _KEYWORDS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -73,93 +80,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], declared: frozenset[str] | None):
-        self.tokens = tokens
-        self.i = 0
-        self.declared = declared
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, val, pos = self.take()
-        if val != value:
-            raise LtlSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
-
-    # precedence climbing, loosest first
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek()[1] == "<->":
-            self.take()
-            return f_iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[1] == "->":
-            self.take()
-            return f_implies(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        parts = [self.conj()]
-        while self.peek()[1] == "||":
-            self.take()
-            parts.append(self.conj())
-        return f_or(parts) if len(parts) > 1 else parts[0]
-
-    def conj(self) -> Formula:
-        parts = [self.until()]
-        while self.peek()[1] == "&&":
-            self.take()
-            parts.append(self.until())
-        return f_and(parts) if len(parts) > 1 else parts[0]
-
-    def until(self) -> Formula:
-        left = self.unary()
-        nxt = self.peek()
-        if nxt[0] == "kw" and nxt[1] in ("U", "R"):
-            self.take()
-            right = self.until()
-            return f_until(left, right) if nxt[1] == "U" else f_release(left, right)
-        return left
-
-    def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "!":
-            self.take()
-            return neg(self.unary())
-        if kind == "kw" and val in ("X", "F", "G"):
-            self.take()
-            arg = self.unary()
-            if val == "X":
-                return f_next(arg)
-            if val == "F":
-                return f_until(t_true(), arg)
-            return f_release(t_false(), arg)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, val, pos = self.take()
-        if val == "(":
-            inner = self.iff()
-            self.expect(")")
-            return inner
-        if kind == "kw" and val == "true":
-            return t_true()
-        if kind == "kw" and val == "false":
-            return t_false()
-        if kind == "name":
-            if self.declared is not None and val not in self.declared:
-                raise UndeclaredPropositionError(val, pos)
-            return atom(val)
-        raise LtlSyntaxError(f"unexpected {val or 'end of input'!r}", pos)
+# binary operators: (precedence, loosest first; builder over the operands).
+# ``&&``/``||`` chains build one n-ary node, the others associate to the right.
+_BINARY = {
+    "<->": (1, lambda parts: f_iff(*parts)),
+    "->": (2, lambda parts: f_implies(*parts)),
+    "||": (3, f_or),
+    "&&": (4, f_and),
+    "U": (5, lambda parts: f_until(*parts)),
+    "R": (5, lambda parts: f_release(*parts)),
+}
+_UNARY = {"!": neg, "X": f_next, "F": f_eventually, "G": f_globally}
 
 
 def parse_formula(text: str, declared: frozenset[str] | None = None) -> Formula:
@@ -168,9 +99,57 @@ def parse_formula(text: str, declared: frozenset[str] | None = None) -> Formula:
     When ``declared`` is given, any proposition outside it raises
     UndeclaredPropositionError.
     """
-    parser = _Parser(_tokenize(text), declared)
-    result = parser.iff()
-    kind, val, pos = parser.peek()
-    if kind != "end":
-        raise LtlSyntaxError(f"trailing input {val!r}", pos)
-    return result
+    tokens = _tokenize(text)
+    out: list[Formula] = []  # operands built so far
+    ops: list[str] = []  # pending operators and open parentheses
+    depth = 0  # open parentheses
+    i = 0
+    while True:
+        kind, val, pos = tokens[i]
+        i += 1
+        if val == "(":
+            depth += 1
+        if val == "(" or val in _UNARY:
+            ops.append(val)
+            continue
+        if kind == "name":
+            if declared is not None and val not in declared:
+                raise UndeclaredPropositionError(val, pos)
+            out.append(atom(val))
+        elif val in ("true", "false"):
+            out.append(t_true() if val == "true" else t_false())
+        else:
+            raise LtlSyntaxError(f"unexpected {val or 'end of input'!r}", pos)
+        # an operand is complete: apply its prefix operators, close parentheses
+        while True:
+            while ops and ops[-1] in _UNARY:
+                out.append(_UNARY[ops.pop()](out.pop()))
+            kind, val, pos = tokens[i]
+            i += 1
+            if val != ")" or not depth:
+                break
+            _reduce(ops, out, 0)
+            ops.pop()
+            depth -= 1
+        if kind == "end" and not depth:
+            _reduce(ops, out, 0)
+            return out[0]
+        if val not in _BINARY:
+            if depth:
+                raise LtlSyntaxError(f"expected ')', found {val or 'end of input'!r}", pos)
+            raise LtlSyntaxError(f"trailing input {val!r}", pos)
+        _reduce(ops, out, _BINARY[val][0])
+        ops.append(val)
+
+
+def _reduce(ops: list[str], out: list[Formula], prec: int) -> None:
+    """Build the pending binary operators that bind tighter than ``prec``."""
+    while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] > prec:
+        op = ops.pop()
+        n = 2
+        while op in ("&&", "||") and ops and ops[-1] == op:
+            ops.pop()
+            n += 1
+        parts = out[-n:]
+        del out[-n:]
+        out.append(_BINARY[op][1](parts))

@@ -3,12 +3,15 @@ update-obligation calculus built from them.
 
 ``af`` consumes one letter and returns the formula the rest of the word must
 satisfy; folding it over a finite trace and stripping the release nodes yields
-``evolve``, the obligation handed to an update system.  Two tables live for
-the whole process, like the formula intern table: ``af``'s canonical result
-per (formula, letter), and the raw derivative per (and/or/U/R subterm,
-letter), so a subterm shared by many formulas is derived once per letter.
-``liveltl_to_ltl`` packages the same information as a single plain-LTL
-formula.
+``evolve``, the obligation handed to an update system.  ``liveltl_to_ltl``
+packages the same information as a single plain-LTL formula.
+
+Every rewrite is a ``formula.fold``: a node is rewritten once all of its
+operands are, even when the first one already decides it.  Three tables live
+for the whole process, like the formula intern table: ``af``'s canonical
+result per (formula, letter); per letter, the raw derivative of every node a
+derivative has read, so a subterm shared by many formulas is derived once per
+letter; and ``strip``'s result per formula.
 
 ``edge_step`` is a variant of ``af`` used by the obligation monitor's
 display form: obligations raised by a release keep their next-step guards, so
@@ -18,6 +21,8 @@ at the position after it (see the monitor module).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .formula import (
     Formula,
     atom,
@@ -25,7 +30,9 @@ from .formula import (
     f_and,
     f_next,
     f_or,
+    fold,
     natom,
+    operands,
     rebuild,
     t_false,
     t_true,
@@ -49,10 +56,12 @@ __all__ = [
 # (formula, letter) -> canonical derivative; formulas are hash-consed, so the
 # key is exact and the table grows only with the pairs actually derived.
 _AF: dict[tuple[Formula, Letter], Formula] = {}
-# (and/or/U/R node, letter) -> its derivative before ``canonical``.  The letter
-# is not projected onto the node's atoms: that would save entries but cost an
-# intersection per call.
-_AF_RAW: dict[tuple[Formula, Letter], Formula] = {}
+# letter -> {node: its derivative before ``canonical``}, for every node a
+# derivative has read.  The letter is not projected onto the node's atoms:
+# that would save entries but cost an intersection per call.
+_AF_RAW: dict[Letter, dict[Formula, Formula]] = {}
+# formula -> ``strip`` of it
+_STRIP: dict[Formula, Formula] = {}
 
 
 def af(f: Formula, letter: Letter) -> Formula:
@@ -61,7 +70,7 @@ def af(f: Formula, letter: Letter) -> Formula:
     Results are kept in canonical two-level form so that iterated
     derivatives stay shallow and their closure is finite.  For the life of
     the process, the result is memoized per (formula, letter) and the
-    derivative of every and/or/U/R subterm per (subterm, letter)."""
+    derivative of every subterm per (subterm, letter)."""
     got = _AF.get((f, letter))
     if got is None:
         got = _AF[(f, letter)] = canonical(_af(f, letter))
@@ -69,26 +78,38 @@ def af(f: Formula, letter: Letter) -> Formula:
 
 
 def _af(f: Formula, letter: Letter) -> Formula:
-    k = f.kind
-    if k in ("true", "false"):
-        return f
-    if k == "atom":
-        return t_true() if f.name in letter else t_false()
-    if k == "natom":
-        return t_false() if f.name in letter else t_true()
-    if k == "X":
-        return f.left
-    got = _AF_RAW.get((f, letter))
-    if got is None:
-        if k in ("and", "or"):
-            got = rebuild(f, lambda c: _af(c, letter))
-        elif k == "U":
-            got = f_or((_af(f.right, letter), f_and((_af(f.left, letter), f))))
-        else:
-            ar = _af(f.right, letter)
-            got = f_or((f_and((_af(f.left, letter), ar)), f_and((ar, f))))
-        _AF_RAW[(f, letter)] = got
-    return got
+    return fold(f, _letter_step(letter, guard=False), _current, _AF_RAW.setdefault(letter, {}))
+
+
+def _current(f: Formula) -> tuple[Formula, ...]:
+    """The operands a letter is read on: all but those of a next."""
+    return (f.left, f.right) if f.kind == "U" or f.kind == "R" else f.children
+
+
+def _letter_step(letter: Letter, guard: bool) -> Callable[[Formula, list[Formula]], Formula]:
+    """The fold step of ``_af`` and ``_pe_raw``: atoms read ``letter``, a next
+    is consumed, and U/R are unrolled once.  With ``guard``, next-guarded parts
+    stay guarded: a next is kept, and so is the next before a recurrence."""
+    def step(f: Formula, below: list[Formula]) -> Formula:
+        k = f.kind
+        if k == "atom":
+            return t_true() if f.name in letter else t_false()
+        if k == "natom":
+            return t_false() if f.name in letter else t_true()
+        if k == "X":
+            return f if guard else f.left
+        if k == "U" or k == "R":
+            return _unroll(f, *below, f_next(f) if guard else f)
+        return rebuild(f, below)
+    return step
+
+
+def _unroll(f: Formula, left: Formula, right: Formula, rest: Formula) -> Formula:
+    """``f``, a U or an R, unrolled once over the operands ``left`` and
+    ``right``, with ``rest`` for the recurrence."""
+    if f.kind == "U":
+        return f_or((right, f_and((left, rest))))
+    return f_or((f_and((left, right)), f_and((right, rest))))
 
 
 def af_word(f: Formula, word: FiniteTrace) -> Formula:
@@ -98,23 +119,9 @@ def af_word(f: Formula, word: FiniteTrace) -> Formula:
     return f
 
 
-def _pe_raw(f: Formula, letter: Letter) -> Formula:
+def _pe_raw(f: Formula, letter: Letter, memo: dict[Formula, Formula] | None = None) -> Formula:
     """Positional evaluation: like ``af`` but next-guarded parts stay guarded."""
-    k = f.kind
-    if k in ("true", "false"):
-        return f
-    if k == "atom":
-        return t_true() if f.name in letter else t_false()
-    if k == "natom":
-        return t_false() if f.name in letter else t_true()
-    if k in ("and", "or"):
-        return rebuild(f, lambda c: _pe_raw(c, letter))
-    if k == "X":
-        return f
-    if k == "U":
-        return f_or((_pe_raw(f.right, letter), f_and((_pe_raw(f.left, letter), f_next(f)))))
-    pr = _pe_raw(f.right, letter)
-    return f_or((f_and((_pe_raw(f.left, letter), pr)), f_and((pr, f_next(f)))))
+    return fold(f, _letter_step(letter, guard=True), _current, memo)
 
 
 def edge_step(f: Formula, letter: Letter) -> Formula:
@@ -124,38 +131,23 @@ def edge_step(f: Formula, letter: Letter) -> Formula:
     next-step guards kept, so a fresh obligation shows up as ``X ...`` in the
     state rather than already advanced past the consumed letter.
     """
-    return canonical(_edge_step(f, letter))
+    derive = _letter_step(letter, guard=False)
+    positional: dict[Formula, Formula] = {}
 
+    def step(g: Formula, below: list[Formula]) -> Formula:
+        if g.kind == "R":
+            return _unroll(g, _pe_raw(g.left, letter, positional), _pe_raw(g.right, letter, positional), g)
+        return derive(g, below)
 
-def _edge_step(f: Formula, letter: Letter) -> Formula:
-    k = f.kind
-    if k in ("true", "false"):
-        return f
-    if k == "atom":
-        return t_true() if f.name in letter else t_false()
-    if k == "natom":
-        return t_false() if f.name in letter else t_true()
-    if k in ("and", "or"):
-        return rebuild(f, lambda c: _edge_step(c, letter))
-    if k == "X":
-        return f.left
-    if k == "U":
-        return f_or((_edge_step(f.right, letter), f_and((_edge_step(f.left, letter), f))))
-    pr = _pe_raw(f.right, letter)
-    return f_or((f_and((_pe_raw(f.left, letter), pr)), f_and((pr, f))))
+    return canonical(fold(f, step, lambda g: () if g.kind == "R" else _current(g)))
 
 
 def expand(f: Formula) -> Formula:
     """One expansion pass: every temporal operator present before the pass is
     unrolled once; recurrence copies introduced under a fresh next are not
     re-expanded within the pass."""
-    k = f.kind
-    if k == "U":
-        return f_or((expand(f.right), f_and((expand(f.left), f_next(f)))))
-    if k == "R":
-        er = expand(f.right)
-        return f_or((f_and((expand(f.left), er)), f_and((er, f_next(f)))))
-    return rebuild(f, expand)
+    return fold(f, lambda g, below: _unroll(g, *below, f_next(g)) if g.kind in ("U", "R")
+                else rebuild(g, below))
 
 
 def expand_n(f: Formula, n: int) -> Formula:
@@ -165,8 +157,10 @@ def expand_n(f: Formula, n: int) -> Formula:
 
 
 def strip(f: Formula) -> Formula:
-    """Replace every release node by true; the result is release-free."""
-    return t_true() if f.kind == "R" else rebuild(f, strip)
+    """Replace every release node by true; the result is release-free.
+    Memoized per formula for the life of the process."""
+    return fold(f, lambda g, below: t_true() if g.kind == "R" else rebuild(g, below),
+                lambda g: () if g.kind == "R" else operands(g), _STRIP)
 
 
 def evolve(eta: FiniteTrace, phi: Formula) -> Formula:

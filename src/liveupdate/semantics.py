@@ -14,14 +14,15 @@ index at or beyond the boundary a release is immediately satisfied.
 
 from __future__ import annotations
 
-from .formula import Formula, subformulas
+from .formula import Formula, fold
 from .traces import FiniteTrace, LassoTrace
 
 __all__ = ["eval_ltl", "eval_initial", "eval_update", "words_membership"]
 
 
-def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> dict[Formula, list[bool]]:
-    """Truth table per subformula over the distinct lasso positions.
+def _table(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> list[bool]:
+    """Truth table of ``f`` over the distinct lasso positions, folded from
+    those of its subformulas.
 
     With ``initial_bound`` set, release is evaluated under the bounded-release
     semantics with that boundary (requires boundary <= len(prefix) so that all
@@ -29,28 +30,25 @@ def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> 
     """
     n = sigma.positions
     succ = [sigma.succ(i) for i in range(n)]
-    vals: dict[Formula, list[bool]] = {}
-    for g in subformulas(f):
+
+    def step(g: Formula, below: list[list[bool]]) -> list[bool]:
         k = g.kind
         if k == "true":
-            row = [True] * n
-        elif k == "false":
-            row = [False] * n
-        elif k == "atom":
-            row = [g.name in sigma.letter(i) for i in range(n)]
-        elif k == "natom":
-            row = [g.name not in sigma.letter(i) for i in range(n)]
-        elif k == "and":
-            rows = [vals[c] for c in g.children]
-            row = [all(r[i] for r in rows) for i in range(n)]
-        elif k == "or":
-            rows = [vals[c] for c in g.children]
-            row = [any(r[i] for r in rows) for i in range(n)]
-        elif k == "X":
-            sub = vals[g.left]
-            row = [sub[succ[i]] for i in range(n)]
-        elif k == "U":
-            lv, rv = vals[g.left], vals[g.right]
+            return [True] * n
+        if k == "false":
+            return [False] * n
+        if k == "atom":
+            return [g.name in sigma.letter(i) for i in range(n)]
+        if k == "natom":
+            return [g.name not in sigma.letter(i) for i in range(n)]
+        if k == "and":
+            return [all(r[i] for r in below) for i in range(n)]
+        if k == "or":
+            return [any(r[i] for r in below) for i in range(n)]
+        if k == "X":
+            return [below[0][succ[i]] for i in range(n)]
+        lv, rv = below
+        if k == "U":
             row = [False] * n  # least fixpoint
             for _ in range(n + 1):
                 changed = False
@@ -61,43 +59,41 @@ def _tables(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> 
                         changed = True
                 if not changed:
                     break
-        elif k == "R":
-            lv, rv = vals[g.left], vals[g.right]
-            if initial_bound is None:
-                row = [True] * n  # greatest fixpoint
-                for _ in range(n + 1):
-                    changed = False
-                    for i in range(n - 1, -1, -1):
-                        v = rv[i] and (lv[i] or row[succ[i]])
-                        if v != row[i]:
-                            row[i] = v
-                            changed = True
-                    if not changed:
-                        break
-            else:
-                b = initial_bound
-                row = [True] * n
-                for i in range(min(b, n) - 1, -1, -1):
-                    # all of phi2 on [i, b), or phi1 releasing at some k < b
-                    # with phi2 holding on [i, k]
-                    universal = all(rv[j] for j in range(i, b))
-                    existential = False
-                    for kk in range(i, b):
-                        if not rv[kk]:
-                            break
-                        if lv[kk]:
-                            existential = True
-                            break
-                    row[i] = universal or existential
-        else:
-            raise ValueError(f"unknown formula kind {k!r}")
-        vals[g] = row
-    return vals
+            return row
+        if initial_bound is None:
+            row = [True] * n  # greatest fixpoint
+            for _ in range(n + 1):
+                changed = False
+                for i in range(n - 1, -1, -1):
+                    v = rv[i] and (lv[i] or row[succ[i]])
+                    if v != row[i]:
+                        row[i] = v
+                        changed = True
+                if not changed:
+                    break
+            return row
+        b = initial_bound
+        row = [True] * n
+        for i in range(min(b, n) - 1, -1, -1):
+            # all of phi2 on [i, b), or phi1 releasing at some k < b
+            # with phi2 holding on [i, k]
+            universal = all(rv[j] for j in range(i, b))
+            existential = False
+            for kk in range(i, b):
+                if not rv[kk]:
+                    break
+                if lv[kk]:
+                    existential = True
+                    break
+            row[i] = universal or existential
+        return row
+
+    return fold(f, step)
 
 
 def eval_ltl(sigma: LassoTrace, i: int, f: Formula) -> bool:
     """Standard LTL satisfaction of ``f`` at position ``i`` of the lasso."""
-    return _tables(sigma, f)[f][sigma.norm(i)]
+    return _table(sigma, f)[sigma.norm(i)]
 
 
 def eval_initial(eta_len: int, sigma: LassoTrace, i: int, f: Formula) -> bool:
@@ -108,7 +104,7 @@ def eval_initial(eta_len: int, sigma: LassoTrace, i: int, f: Formula) -> bool:
     """
     if eta_len > len(sigma.prefix):
         raise ValueError("the recorded execution must be contained in the lasso prefix")
-    return _tables(sigma, f, initial_bound=eta_len)[f][sigma.norm(i)]
+    return _table(sigma, f, initial_bound=eta_len)[sigma.norm(i)]
 
 
 def eval_update(eta_len: int, sigma: LassoTrace, i: int, f: Formula) -> bool:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .formula import Formula
+from .parser import is_atom_name
 
 __all__ = ["APTable", "Cube", "FiniteTrace", "Letter", "LassoTrace", "all_letters", "parse_trace",
            "format_trace"]
@@ -60,6 +61,9 @@ class APTable:
         names = list(self.inputs) + list(self.outputs)
         if len(set(names)) != len(names):
             raise ValueError("duplicate proposition names in AP table")
+        unnamable = [a for a in names if not is_atom_name(a)]
+        if unnamable:
+            raise ValueError(f"proposition names no formula can mention: {unnamable}")
 
     @property
     def all(self) -> frozenset[str]:

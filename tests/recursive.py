@@ -1,0 +1,225 @@
+"""Recursive reference versions of the formula transformers.
+
+The library folds every transformer with one explicit-stack walk
+(``formula.fold``).  These are the same rules written as plain recursion over
+the builders, one call per operand, so the property suites can compare the
+two on random formulas.  They recurse once per nesting level, so they serve
+shallow formulas only.
+"""
+
+from __future__ import annotations
+
+from liveupdate.formula import (
+    Formula,
+    _prune_subsumed,
+    atom,
+    canonical,
+    f_and,
+    f_next,
+    f_or,
+    f_release,
+    f_until,
+    natom,
+    t_false,
+    t_true,
+)
+
+_DUAL = {"true": "false", "false": "true", "atom": "natom", "natom": "atom",
+         "and": "or", "or": "and", "X": "X", "U": "R", "R": "U"}
+_PREC = {"atom": 100, "natom": 100, "true": 100, "false": 100,
+         "X": 90, "U": 80, "R": 80, "and": 70, "or": 60}
+
+
+def rebuild(f: Formula, op, kind: str | None = None) -> Formula:
+    """A node of ``kind`` (``f``'s own by default) over ``op`` of each operand."""
+    k = kind or f.kind
+    if k in ("and", "or"):
+        build = f_and if k == "and" else f_or
+        return build(map(op, f.children))
+    if k == "X":
+        return f_next(op(f.left))
+    if k == "U":
+        return f_until(op(f.left), op(f.right))
+    if k == "R":
+        return f_release(op(f.left), op(f.right))
+    return f
+
+
+def operands(f: Formula) -> tuple[Formula, ...]:
+    if f.kind in ("and", "or"):
+        return f.children
+    if f.kind == "X":
+        return (f.left,)
+    if f.kind in ("U", "R"):
+        return (f.left, f.right)
+    return ()
+
+
+def neg(f: Formula) -> Formula:
+    if f.kind == "atom":
+        return natom(f.name)
+    if f.kind == "natom":
+        return atom(f.name)
+    if f.kind in ("true", "false"):
+        return t_false() if f.kind == "true" else t_true()
+    return rebuild(f, neg, _DUAL[f.kind])
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    seen: set[Formula] = set()
+    order: list[Formula] = []
+
+    def walk(g: Formula) -> None:
+        if g in seen:
+            return
+        seen.add(g)
+        for c in operands(g):
+            walk(c)
+        order.append(g)
+
+    walk(f)
+    return order
+
+
+def is_release_free(f: Formula) -> bool:
+    return f.kind != "R" and all(is_release_free(c) for c in operands(f))
+
+
+def atoms(f: Formula) -> frozenset[str]:
+    if f.kind in ("atom", "natom"):
+        return frozenset((f.name,))
+    return frozenset().union(*(atoms(c) for c in operands(f)))
+
+
+def temporal_depth(f: Formula) -> int:
+    inner = max((temporal_depth(c) for c in operands(f)), default=0)
+    return inner + (1 if f.kind in ("X", "U", "R") else 0)
+
+
+def to_str(f: Formula) -> str:
+    return _render(f, 0)
+
+
+def _unary_operand(f: Formula) -> str:
+    if f.kind in ("atom", "natom", "true", "false", "X") or \
+            (f.kind == "U" and f.left is t_true()) or (f.kind == "R" and f.left is t_false()):
+        return _render(f, 0)
+    return f"({_render(f, 0)})"
+
+
+def _render(f: Formula, outer: int) -> str:
+    k = f.kind
+    if k in ("true", "false"):
+        s = k
+    elif k == "atom":
+        s = f.name
+    elif k == "natom":
+        s = f"!{f.name}"
+    elif k == "X":
+        s = f"X {_unary_operand(f.left)}"
+    elif k == "U" and f.left is t_true():
+        s = f"F {_unary_operand(f.right)}"
+    elif k == "R" and f.left is t_false():
+        s = f"G {_unary_operand(f.right)}"
+    elif k in ("U", "R"):
+        s = f"{_render(f.left, _PREC[k] + 1)} {k} {_render(f.right, _PREC[k])}"
+    else:
+        sep = " && " if k == "and" else " || "
+        s = sep.join(_render(c, _PREC[k] + 1) for c in f.children)
+    return f"({s})" if _PREC[k] < outer else s
+
+
+def dnf_units(f: Formula) -> tuple[frozenset[Formula], ...]:
+    k = f.kind
+    if k == "true":
+        return (frozenset(),)
+    if k == "false":
+        return ()
+    if k == "or":
+        return tuple(_prune_subsumed([d for c in f.children for d in dnf_units(c)]))
+    if k == "and":
+        acc: list[frozenset[Formula]] = [frozenset()]
+        for c in f.children:
+            acc = [x | y for x in acc for y in dnf_units(c)]
+        return tuple(_prune_subsumed(acc))
+    return (frozenset((f,)),)
+
+
+def af(f: Formula, letter) -> Formula:
+    k = f.kind
+    if k in ("true", "false"):
+        return f
+    if k == "atom":
+        return t_true() if f.name in letter else t_false()
+    if k == "natom":
+        return t_false() if f.name in letter else t_true()
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: af(c, letter))
+    if k == "X":
+        return f.left
+    if k == "U":
+        return f_or((af(f.right, letter), f_and((af(f.left, letter), f))))
+    ar = af(f.right, letter)
+    return f_or((f_and((af(f.left, letter), ar)), f_and((ar, f))))
+
+
+def pe_raw(f: Formula, letter) -> Formula:
+    k = f.kind
+    if k in ("true", "false"):
+        return f
+    if k == "atom":
+        return t_true() if f.name in letter else t_false()
+    if k == "natom":
+        return t_false() if f.name in letter else t_true()
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: pe_raw(c, letter))
+    if k == "X":
+        return f
+    if k == "U":
+        return f_or((pe_raw(f.right, letter), f_and((pe_raw(f.left, letter), f_next(f)))))
+    pr = pe_raw(f.right, letter)
+    return f_or((f_and((pe_raw(f.left, letter), pr)), f_and((pr, f_next(f)))))
+
+
+def edge_step(f: Formula, letter) -> Formula:
+    return canonical(_edge_step(f, letter))
+
+
+def _edge_step(f: Formula, letter) -> Formula:
+    k = f.kind
+    if k in ("true", "false"):
+        return f
+    if k == "atom":
+        return t_true() if f.name in letter else t_false()
+    if k == "natom":
+        return t_false() if f.name in letter else t_true()
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _edge_step(c, letter))
+    if k == "X":
+        return f.left
+    if k == "U":
+        return f_or((_edge_step(f.right, letter), f_and((_edge_step(f.left, letter), f))))
+    pr = pe_raw(f.right, letter)
+    return f_or((f_and((pe_raw(f.left, letter), pr)), f_and((pr, f))))
+
+
+def expand(f: Formula) -> Formula:
+    k = f.kind
+    if k == "U":
+        return f_or((expand(f.right), f_and((expand(f.left), f_next(f)))))
+    if k == "R":
+        er = expand(f.right)
+        return f_or((f_and((expand(f.left), er)), f_and((er, f_next(f)))))
+    return rebuild(f, expand)
+
+
+def strip(f: Formula) -> Formula:
+    return t_true() if f.kind == "R" else rebuild(f, strip)
+
+
+def bound_releases(f: Formula, up: Formula, no_more: Formula) -> Formula:
+    if f.kind != "R":
+        return rebuild(f, lambda c: bound_releases(c, up, no_more))
+    l = bound_releases(f.left, up, no_more)
+    r = bound_releases(f.right, up, no_more)
+    return f_or((f_until(r, f_or((f_and((up, r)), f_and((l, r))))), no_more))

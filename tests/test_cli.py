@@ -9,6 +9,7 @@ from liveupdate.automata import mc_ltl
 from liveupdate.cli import main
 from liveupdate.formula import f_and
 from liveupdate.machine import parse_machine, serialize_machine
+from liveupdate.parser import parse_formula
 from liveupdate.problem import load_problem
 from liveupdate.rewrite import evolve
 
@@ -206,13 +207,72 @@ def test_os_error_exits_3(problem_dir, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("initial", ["(" * 450 + "r" + ")" * 450, "X " * 600 + "r"],
-                         ids=["parentheses", "chained-next"])
-def test_formula_nested_too_deeply_exits_3(tmp_path, capsys, initial):
+DEEP_MACHINES = """\
+INITIAL_MACHINE:
+  inputs: r
+  outputs: g
+  state s0 initial { g }
+  s0 --*--> s0
+UPDATE_MACHINE:
+  inputs: r
+  outputs: g
+  state s0 initial { g }
+  s0 --*--> s0
+"""
+
+
+# The chain of nexts ends in the output g.  Over the input r its obligation
+# would be unrealizable, and from about 60 nexts on synth_ltl runs the
+# environment attempts that refute it only after system bounds that take
+# minutes, however the formula is walked.
+@pytest.mark.parametrize("initial, obligation", [
+    ("(" * 450 + "r" + ")" * 450, "true"),
+    ("X " * 600 + "g", "X " * 599 + "g"),
+], ids=["parentheses", "chained-next"])
+@pytest.mark.parametrize("command", [["evolve"], ["monitor"], ["mc", "--finite"], ["synth", "--finite"]],
+                         ids=["evolve", "monitor", "mc", "synth"])
+def test_deeply_nested_formula_gets_a_verdict(tmp_path, capsys, initial, obligation, command):
+    path = tmp_path / "deep.problem"
+    path.write_text(f"INPUTS: r\nOUTPUTS: g\nINITIAL: {initial}\nUPDATE: G F g\nTRACE: r\n{DEEP_MACHINES}")
+    assert main(command + [str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if command == ["evolve"]:
+        assert out.out == obligation + "\n"
+
+
+@pytest.mark.parametrize("command, code", [(["evolve"], 0), (["monitor"], 0), (["mc", "--finite"], 1)],
+                         ids=["evolve", "monitor", "mc"])
+def test_chained_nexts_over_an_input_get_a_verdict(tmp_path, capsys, command, code):
+    # X^599 r after the trace: no machine controls the input r, so mc fails
+    path = tmp_path / "deep.problem"
+    path.write_text(f"INPUTS: r\nOUTPUTS: g\nINITIAL: {'X ' * 600}r\nUPDATE: G F g\nTRACE: r\n{DEEP_MACHINES}")
+    assert main(command + [str(path)]) == code
+    out = capsys.readouterr()
+    assert out.err == ""
+    if code:
+        assert out.out.startswith("fail")
+
+
+@pytest.mark.parametrize("initial, obligation", [
+    # 2,000 levels alternating && and ||; absorption leaves r && g
+    ("X (" + "r && (g || (!r && (!g || " * 500 + "r" + ")))" * 500 + ")", "r && g"),
+    # 2,000 levels of U, which stay as they are
+    ("X (" + "r U (g U " * 1000 + "r" + ")" * 1000 + ")", "r U (g U " * 1000 + "r" + ")" * 1000),
+], ids=["and-or", "until"])
+def test_evolve_takes_2000_levels(tmp_path, capsys, initial, obligation):
     path = tmp_path / "deep.problem"
     path.write_text(f"INPUTS: r\nOUTPUTS: g\nINITIAL: {initial}\nTRACE: r\n")
+    assert main(["evolve", str(path)]) == 0
+    assert parse_formula(capsys.readouterr().out) is parse_formula(obligation)
+
+
+@pytest.mark.parametrize("inputs", ["G", "m-1", "r true"])
+def test_unnamable_proposition_exits_3(tmp_path, capsys, inputs):
+    path = tmp_path / "names.problem"
+    path.write_text(f"INPUTS: {inputs}\nOUTPUTS: g\nINITIAL: G g\nTRACE: -\n")
     assert main(["evolve", str(path)]) == 3
-    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+    assert capsys.readouterr().err.startswith("error: proposition names no formula can mention")
 
 
 def test_bench_empty_filter(capsys):

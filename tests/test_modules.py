@@ -46,6 +46,42 @@ def test_unbound_global_is_reported(tmp_path):
     assert _unbound_globals(src) == ["mod.py:3 f: MissingError"]
 
 
+def _self_references(path: Path) -> list[str]:
+    """Functions that refer to their own name: a call, a callback or a same-named
+    attribute of any object but ``super()``.  Each is a recursion, one Python
+    frame per level of whatever it walks."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "super"):
+                name = node.attr
+            else:
+                continue
+            if name == fn.name:
+                found.append(f"{path.name}:{node.lineno} {fn.name}")
+    return found
+
+
+def test_no_function_refers_to_itself():
+    # formulas are walked with formula.fold, whose stack is a list: no input
+    # is nested too deeply for it
+    found = [m for path in SOURCES for m in _self_references(path)]
+    assert not found, "\n".join(found)
+
+
+def test_self_reference_is_reported(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class A(Exception):\n    def __init__(self):\n        super().__init__()\n\n"
+                   "    def walk(self):\n        return [c.walk() for c in self.kids]\n\n"
+                   "def depth(f):\n    return 1 + max(map(depth, f.parts), default=0)\n")
+    assert sorted(_self_references(src)) == ["mod.py:6 walk", "mod.py:9 depth"]
+
+
 # The benchmark's sources change only with the benchmark, so a library change
 # that deletes or renames a name they use must fail here rather than in a run.
 

@@ -1,7 +1,8 @@
 import pytest
 
 from liveupdate.formula import atom, f_next, f_release, f_until, natom, t_false, t_true
-from liveupdate.parser import LtlSyntaxError, UndeclaredPropositionError, parse_formula
+from liveupdate.parser import LtlSyntaxError, UndeclaredPropositionError, is_atom_name, parse_formula
+from liveupdate.traces import APTable
 
 
 def test_until_literal():
@@ -56,3 +57,12 @@ def test_undeclared_proposition():
     with pytest.raises(UndeclaredPropositionError) as err:
         parse_formula("a U bad", declared=frozenset(("a", "b")))
     assert err.value.name == "bad"
+
+
+def test_ap_table_rejects_names_no_formula_can_mention():
+    for name in ("G", "true", "U", "m-1", "1a", "a b"):
+        assert not is_atom_name(name)
+        with pytest.raises(ValueError, match="no formula can mention"):
+            APTable((name,), ("g",))
+    assert is_atom_name("m_1") and is_atom_name("Go")
+    assert APTable(("m_1",), ("Go",)).all == {"m_1", "Go"}

@@ -1,12 +1,12 @@
 import random
 
 from liveupdate import rewrite
-from liveupdate.formula import (Formula, atom, canonical, f_and, f_next, f_or, f_until, natom, rebuild, t_false,
-                                t_true)
+from liveupdate.formula import atom, canonical, f_and, f_next, f_or, f_until, natom, t_false, t_true
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af, af_word, edge_step, evolve, expand, expand_n, liveltl_to_ltl, strip
 from liveupdate.traces import all_letters
 from gen import random_formula
+from recursive import af as af_reference
 
 a, b = atom("a"), atom("b")
 aUb = f_until(a, b)
@@ -86,14 +86,6 @@ def test_edge_step_examples():
     assert edge_step(g_or, L()) is parse_formula("X b && G (a || X b)")
 
 
-def test_strip_builds_no_operand_after_an_absorbing_one():
-    # atoms no other test uses, so none of the rebuilt operands is interned yet
-    f = parse_formula("G order_a || X (order_b && G order_c)")
-    before = len(Formula._intern)
-    assert strip(f) is t_true()
-    assert len(Formula._intern) == before
-
-
 def test_liveltl_to_ltl_empty_trace():
     phi = parse_formula("G (a -> F b)")
     psi = parse_formula("F a")
@@ -147,25 +139,6 @@ def test_af_word_derives_each_pair_once(monkeypatch):
     assert derived == []
 
 
-def _af_reference(f, letter):
-    """The derivative rules of ``rewrite._af``, with no memo."""
-    k = f.kind
-    if k in ("true", "false"):
-        return f
-    if k == "atom":
-        return t_true() if f.name in letter else t_false()
-    if k == "natom":
-        return t_false() if f.name in letter else t_true()
-    if k in ("and", "or"):
-        return rebuild(f, lambda c: _af_reference(c, letter))
-    if k == "X":
-        return f.left
-    if k == "U":
-        return f_or((_af_reference(f.right, letter), f_and((_af_reference(f.left, letter), f))))
-    ar = _af_reference(f.right, letter)
-    return f_or((f_and((_af_reference(f.left, letter), ar)), f_and((ar, f))))
-
-
 def test_af_subterm_memo_is_invisible(monkeypatch):
     # the memo starts empty, then is warmed by other formulas built and
     # derived first, in two orders: the derivative must not follow what the
@@ -174,7 +147,7 @@ def test_af_subterm_memo_is_invisible(monkeypatch):
     rng = random.Random(2309)
     samples = [random_formula(rng, ["a", "b", "c"], 4) for _ in range(120)]
     letters = all_letters(("a", "b", "c", "d"))
-    expected = {(f, letter): _af_reference(f, letter) for f in samples for letter in letters}
+    expected = {(f, letter): af_reference(f, letter) for f in samples for letter in letters}
     others = [random_formula(rng, ["a", "b", "c"], 4) for _ in range(120)]
     for history in ([], others, others[::-1] + samples[::-1]):
         monkeypatch.setattr(rewrite, "_AF_RAW", {})
@@ -183,4 +156,8 @@ def test_af_subterm_memo_is_invisible(monkeypatch):
                 rewrite._af(g, letter)
         for (f, letter), want in expected.items():
             assert rewrite._af(f, letter) is want, (f, sorted(letter))
-        assert rewrite._AF_RAW
+        # one table per letter, and every entry is the derivative of its node
+        assert set(rewrite._AF_RAW) == set(letters)
+        for letter, table in rewrite._AF_RAW.items():
+            for g, got in table.items():
+                assert got is af_reference(g, letter), (g, sorted(letter))
