@@ -5,7 +5,11 @@ set of obligation conjuncts, a transition picks one disjunct of the derivative
 of the state under a letter, and acceptance bookkeeping tracks one set per
 until subformula (a transition fulfills an until when the target either drops
 it or carries a residue of its right-hand side).  The generalized condition is
-then degeneralized with the usual round-robin counter.
+then degeneralized with the usual round-robin counter.  A state's steps do not
+depend on the formula being translated: one process-wide table keeps, per
+conjunct set, each (letter, disjunct) step with the until units of the
+disjunct that the letter leaves unfulfilled, and every translation reads it;
+an edge fulfills each until of its own formula that is not among them.
 
 Every closure here -- the translation, the degeneralization, the pruning and
 the lasso search over every product -- is one breadth-first ``explore`` of an
@@ -131,6 +135,10 @@ def explore(initials: Iterable[Hashable], successors: Callable[[Hashable], Itera
 _NBA: dict[tuple[Formula, int], BuchiAutomaton] = {}
 # (atoms, letter) -> the one edge label that every automaton shares
 _CUBES: dict[tuple[frozenset[str], Letter], Cube] = {}
+# conjunct set -> its steps ((cube, pending untils), successor conjunct set), one
+# per letter and disjunct of the derivative; the pending untils are the until
+# units of the successor that the letter leaves unfulfilled
+_STEPS: dict[frozenset[Formula], tuple[Step, ...]] = {}
 
 
 def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
@@ -141,6 +149,24 @@ def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
     got = _NBA.get((f, max_states))
     if got is None:
         got = _NBA[(f, max_states)] = _translate(f, max_states)
+    return got
+
+
+def _steps(units: frozenset[Formula]) -> tuple[Step, ...]:
+    got = _STEPS.get(units)
+    if got is None:
+        state_formula = f_and(units)
+        atoms = state_formula.atoms
+        steps = []
+        for letter in all_letters(sorted(atoms)):
+            cube = _CUBES.get((atoms, letter))
+            if cube is None:
+                cube = _CUBES[(atoms, letter)] = Cube(letter, atoms - letter)
+            for d in dnf_units(af(state_formula, letter)):
+                pending = frozenset(u for u in d if u.kind == "U" and
+                                    not any(rd <= d for rd in dnf_units(af(u.right, letter))))
+                steps.append(((cube, pending), d))
+        got = _STEPS[units] = tuple(steps)
     return got
 
 
@@ -155,23 +181,10 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     else:
         init_units = frozenset((f,))
 
-    def successors(units: frozenset[Formula]):
-        state_formula = f_and(units)
-        atoms = state_formula.atoms
-        for letter in all_letters(sorted(atoms)):
-            cube = _CUBES.get((atoms, letter))
-            if cube is None:
-                cube = _CUBES[(atoms, letter)] = Cube(letter, atoms - letter)
-            for d in dnf_units(af(state_formula, letter)):
-                fulfilled = frozenset(
-                    i for i, u in enumerate(untils)
-                    if u not in d or any(rd <= d for rd in dnf_units(af(u.right, letter)))
-                )
-                yield (cube, fulfilled), d
-
-    # generalized automaton over conjunct-set states; edges carry the untils they fulfill
+    # generalized automaton over conjunct-set states; an edge fulfills every
+    # until of f that it leaves not pending
     try:
-        order, gtrans = explore([init_units], successors, max_states)
+        order, gtrans = explore([init_units], _steps, max_states)
     except BudgetError as exc:
         raise BudgetError(f"automaton {exc}") from None
 
@@ -180,9 +193,9 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     def degeneralized(node: tuple[int, int]):
         g, c = node
         base = 0 if c == m else c
-        for (cube, fulfilled), dst in gtrans[g]:
+        for (cube, pending), dst in gtrans[g]:
             j = base
-            while j < m and j in fulfilled:
+            while j < m and untils[j] not in pending:
                 j += 1
             yield cube, (dst, j)
 

@@ -3,15 +3,18 @@
 Two-watched-literal propagation, first-UIP learning, VSIDS-style decision
 activities with phase saving, geometric restarts and periodic deletion of
 inactive learned clauses.  Variables are positive integers, literals signed
-integers.  One table, keyed by literal, holds the assignment: a literal and
-its negation are set and cleared together, so a literal's value is one
-lookup.  A solve is resumable in the manner of MiniSat's budgeted search: it
-stops at a conflict before analysing it once its conflict budget is spent,
-keeps its search state, and a later call goes on from that conflict.  So a
-caller continues a solve to a conflict target, and interleaves solvers by
-raising their targets in turn.  Good enough for the constraint sizes bounded
-synthesis produces at desk scale; anything harder can be shipped to an
-external solver through the DIMACS format.
+integers.  A solver takes its whole CNF when it is made, ``Solver(nvars,
+clauses)`` as ``solve_external`` takes it: one pass sizes its tables, copies
+the clauses, files their watches and assigns the units at level 0.  One
+table, keyed by literal, holds the assignment: a literal and its negation are
+set and cleared together, so a literal's value is one lookup.  A solve is
+resumable in the manner of MiniSat's budgeted search: it stops at a conflict
+before analysing it once its conflict budget is spent, keeps its search
+state, and a later call goes on from that conflict.  So a caller continues a
+solve to a conflict target, and interleaves solvers by raising their targets
+in turn.  Good enough for the constraint sizes bounded synthesis produces at
+desk scale; anything harder can be shipped to an external solver through the
+DIMACS format.
 """
 
 from __future__ import annotations
@@ -30,20 +33,25 @@ class SolverError(RuntimeError):
 
 
 class Solver:
-    def __init__(self):
-        self.nvars = 0
-        self.clauses: list[list[int]] = []
-        self.learned_from = 0  # clauses[i] for i >= learned_from are learned
-        self.watches: dict[int, list[int]] = {}
-        self.value: dict[int, int] = {}  # literal -> 1 true, -1 false, 0 unassigned
-        self.level: list[int] = [0]
-        self.reason: list[int] = [-1]
-        self.activity: list[float] = [0.0]
-        self.phase: list[int] = [0]
+    def __init__(self, nvars: int, clauses: list[list[int]]):
+        """A solver over variables ``1..nvars`` loaded with ``clauses`` in one
+        pass.  Each clause is copied without its repeated literals, the
+        given lists are left as they are, and units are assigned at level 0
+        in clause order; an empty clause or contradicting units leave the
+        solver unsatisfiable.  A tautology stays a clause, which no
+        assignment makes unit or false."""
+        self.nvars = nvars
+        lits = [*range(-nvars, 0), *range(1, nvars + 1)]
+        self.value: dict[int, int] = dict.fromkeys(lits, 0)  # 1 true, -1 false, 0 unassigned
+        self.watches: dict[int, list[int]] = {lit: [] for lit in lits}
+        self.level: list[int] = [0] * (nvars + 1)
+        self.reason: list[int] = [-1] * (nvars + 1)
+        self.activity: list[float] = [0.0] * (nvars + 1)
+        self.phase: list[int] = [0] + [-1] * nvars
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.var_inc = 1.0
-        self.cla_activity: list[float] = []
+        self.learned_from = 0  # clauses[i] for i >= learned_from are learned
         self.ok = True
         self.conflicts = 0
         self._qhead = 0  # trail position of the next literal to propagate
@@ -54,45 +62,20 @@ class Solver:
         self._since_restart = 0
         self._restart_limit = 128
         self._reduce_at = 4000
-
-    def new_var(self) -> int:
-        self.nvars += 1
-        self.value[self.nvars] = self.value[-self.nvars] = 0
-        self.level.append(0)
-        self.reason.append(-1)
-        self.activity.append(0.0)
-        self.phase.append(-1)
-        self.watches[self.nvars] = []
-        self.watches[-self.nvars] = []
-        return self.nvars
-
-    def add_clause(self, lits) -> bool:
-        """Add a clause; every clause is added before ``solve`` runs, so a
-        unit is assigned at level 0.  False once the clauses contradict."""
-        if not self.ok:
-            return False
-        seen = set()
-        out = []
-        for l in lits:
-            if -l in seen:
-                return True  # tautology
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-        if not out:
-            self.ok = False
-            return False
-        if len(out) == 1:
-            if self.value[out[0]] == 0:
-                self._enqueue(out[0], -1)
-            self.ok = self.value[out[0]] == 1
-            return self.ok
-        ci = len(self.clauses)
-        self.clauses.append(out)
-        self.cla_activity.append(0.0)
-        self.watches[out[0]].append(ci)
-        self.watches[out[1]].append(ci)
-        return True
+        self.clauses: list[list[int]] = []
+        watches, value = self.watches, self.value
+        for c, n in zip(clauses, map(len, map(set, clauses))):  # n distinct literals
+            c = c[:] if n == len(c) else list(dict.fromkeys(c))
+            if n > 1:
+                watches[c[0]].append(len(self.clauses))
+                watches[c[1]].append(len(self.clauses))
+                self.clauses.append(c)
+            elif n and value[c[0]] == 0:
+                self._enqueue(c[0], -1)
+            elif not n or value[c[0]] == -1:
+                self.ok = False
+                break
+        self.cla_activity: list[float] = [0.0] * len(self.clauses)
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = abs(lit)
@@ -241,7 +224,7 @@ class Solver:
         """
         if not self.ok:
             return False
-        if self._met is None:  # the first call: propagate the units of add_clause
+        if self._met is None:  # the first call: propagate the units of the load
             if self._propagate() != -1:
                 self.ok = False
                 return False

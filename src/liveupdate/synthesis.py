@@ -155,15 +155,6 @@ class _Encoder:
         for nba in self.automata:
             self._encode_automaton(nba)
 
-    def _out_conditions(self, t: int, a: Letter, cube: Cube) -> list[int] | None:
-        """Literals that must hold for the emitted half of the letter to match
-        the cube; None if the read half already contradicts it."""
-        if not (cube.pos & self.readset) <= a or cube.neg & self.readset & a:
-            return None
-        # literals in ``emit`` order, so the CNF does not depend on string hashing
-        return [self._outvar(t, a, o) if o in cube.pos else -self._outvar(t, a, o)
-                for o in self.emit if o in cube.pos or o in cube.neg]
-
     def _outvar(self, t: int, a: Letter, o: str) -> int:
         return self.out[(t, o)] if self.mode == "moore" else self.out[(t, a, o)]
 
@@ -192,37 +183,45 @@ class _Encoder:
         for q in doomed:
             for t in range(k):
                 self.clauses.append([-reach[(t, q)]])
+        # per state, each read letter with the edges whose cube its read half
+        # matches: their targets and emitted literals, (output, holds) in
+        # ``emit`` order, so the CNF does not depend on string hashing
+        moves = []
+        for q in range(n):
+            edges = [(cube.pos & self.readset, cube.neg & self.readset,
+                      (q2, [(o, o in cube.pos) for o in self.emit if o in cube.pos or o in cube.neg],
+                       q2 in scc and scc.get(q) == scc[q2], q2 in scc and q2 in nba.accepting))
+                     for cube, q2 in nba.edges[q]] if succ[q] else []
+            moves.append([(a, [e for need, bar, e in edges if need <= a and not bar & a])
+                          for a in self.read])
+        clauses = self.clauses
         for t in range(k):
             for q in range(n):
-                if not succ[q]:
-                    continue
-                for a in self.read:
-                    for cube, q2 in nba.edges[q]:
-                        outcond = self._out_conditions(t, a, cube)
-                        if outcond is None:
-                            continue
-                        inside = q2 in scc and scc.get(q) == scc[q2]
-                        inc = q2 in scc and q2 in nba.accepting
-                        guard = [-lit for lit in outcond]
+                here = -reach[(t, q)]
+                for a, admitted in moves[q]:
+                    row = self.trans[(t, a)]
+                    for q2, emitted, inside, inc in admitted:
+                        guard = [-self._outvar(t, a, o) if holds else self._outvar(t, a, o)
+                                 for o, holds in emitted]
                         for t2 in range(k):
-                            ante = [-reach[(t, q)], -self.trans[(t, a)][t2]] + guard
+                            ante = [here, -row[t2], *guard]
                             # a self-loop's reach clause, and without acceptance its
                             # counter clauses, are tautologies
                             loop = (t2, q2) == (t, q)
                             if not loop:
-                                self.clauses.append(ante + [reach[(t2, q2)]])
+                                clauses.append(ante + [reach[(t2, q2)]])
                             if inc:
-                                self.clauses.append(ante + [cnt[(t2, q2)][0]])
+                                clauses.append(ante + [cnt[(t2, q2)][0]])
                             if not inside:  # entering an SCC starts its count afresh
                                 continue
                             chain, chain2 = cnt[(t, q)], cnt[(t2, q2)]
                             if inc:
                                 for c in range(K - 1):
-                                    self.clauses.append(ante + [-chain[c], chain2[c + 1]])
-                                self.clauses.append(ante + [-chain[K - 1]])
+                                    clauses.append(ante + [-chain[c], chain2[c + 1]])
+                                clauses.append(ante + [-chain[K - 1]])
                             elif not loop:
                                 for c in range(K):
-                                    self.clauses.append(ante + [-chain[c], chain2[c]])
+                                    clauses.append(ante + [-chain[c], chain2[c]])
 
     # -- model extraction ------------------------------------------------
 
@@ -281,16 +280,22 @@ def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomat
 
 
 class _Attempt:
-    """One bounded attempt of one side: encoded at its first run, after which
-    each run continues its internal solve.  ``budget`` is None for an external
+    """One bounded attempt of one side.  Its first run encodes the CNF and,
+    for the internal solver, loads it into a ``Solver`` in one pass; each
+    later run continues that solve.  ``budget`` is None for an external
     solver."""
 
     def __init__(self, side: str, k: int, budget: int | None, automata: list[BuchiAutomaton]):
         self.side, self.k, self.budget, self.automata = side, k, budget, automata
         self.enc: _Encoder | None = None
-        self.sat = None if budget is None else Solver()  # loaded at the first run
+        self.sat: Solver | None = None  # the internal solver, from the first run on
         self.model: set[int] = set()  # the positive literals of a model, once found
         self.time = 0.0  # spent in this attempt's own runs
+
+    @property
+    def analysed(self) -> int:
+        """The conflicts that its internal solve has analysed."""
+        return self.sat.conflicts if self.sat else 0
 
     def run(self, problem: SynthesisProblem, target: int | None) -> bool | None:
         """Whether the CNF has a model, or None when the internal solve stops
@@ -299,11 +304,8 @@ class _Attempt:
         if self.enc is None:
             enc = self.enc = _Encoder(self.automata, problem.ap, self.k,
                                       "moore" if self.side == "system" else "mealy-env")
-            if self.sat is not None:
-                for _ in range(enc.nv):
-                    self.sat.new_var()
-                for c in enc.clauses:
-                    self.sat.add_clause(c)
+            if self.budget is not None:
+                self.sat = Solver(enc.nv, enc.clauses)
         if self.sat is None:
             timeout = (None if problem.deadline is None
                        else max(0.1, problem.deadline - time.monotonic()))
@@ -412,7 +414,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                                       f"at bound {a.k}")
             target = a.budget  # alone, an attempt runs to its budget in one solve
             if target is not None and len(live) == 2:  # in a pair, until it is ahead
-                target = min(target, live[1].sat.conflicts + (a.side == "environment"))
+                target = min(target, live[1].analysed + (a.side == "environment"))
             try:
                 found = a.run(problem, target)
             except (TimeoutError, SolverError) as exc:
@@ -423,7 +425,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                 why = "the deadline passed during" if late else f"{exc} in"
                 return end("unknown", f"{why} the {a.side} attempt at bound {a.k}")
             a.time += time.monotonic() - t0
-            if found is None and a.sat.conflicts < a.budget:
+            if found is None and a.analysed < a.budget:
                 live.reverse()  # ahead of the other attempt of its pair, which runs next
                 continue
             # An exhausted budget just abandons the attempt (recorded as

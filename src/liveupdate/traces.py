@@ -6,7 +6,7 @@ letters, and a lasso the ultimately periodic word ``prefix . loop^omega``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .formula import Formula
@@ -56,6 +56,7 @@ class APTable:
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
+    all: frozenset[str] = field(init=False, repr=False, compare=False)  # every name
 
     def __post_init__(self):
         names = list(self.inputs) + list(self.outputs)
@@ -64,10 +65,7 @@ class APTable:
         unnamable = [a for a in names if not is_atom_name(a)]
         if unnamable:
             raise ValueError(f"proposition names no formula can mention: {unnamable}")
-
-    @property
-    def all(self) -> frozenset[str]:
-        return frozenset(self.inputs) | frozenset(self.outputs)
+        object.__setattr__(self, "all", frozenset(names))
 
     def check_formula(self, f: Formula) -> None:
         extra = f.atoms - self.all

@@ -4,11 +4,14 @@ The library folds every transformer with one explicit-stack walk
 (``formula.fold``).  These are the same rules written as plain recursion over
 the builders, one call per operand, so the property suites can compare the
 two on random formulas.  They recurse once per nesting level, so they serve
-shallow formulas only.
+shallow formulas only.  ``ltl_to_nba`` is the automaton translation with the
+acceptance bookkeeping of one root formula: each step scans every until of the
+root for the ones it fulfills.
 """
 
 from __future__ import annotations
 
+from liveupdate.automata import BuchiAutomaton, _coreachable, explore
 from liveupdate.formula import (
     Formula,
     _prune_subsumed,
@@ -23,6 +26,7 @@ from liveupdate.formula import (
     t_false,
     t_true,
 )
+from liveupdate.traces import Cube, all_letters
 
 _DUAL = {"true": "false", "false": "true", "atom": "natom", "natom": "atom",
          "and": "or", "or": "and", "X": "X", "U": "R", "R": "U"}
@@ -223,3 +227,40 @@ def bound_releases(f: Formula, up: Formula, no_more: Formula) -> Formula:
     l = bound_releases(f.left, up, no_more)
     r = bound_releases(f.right, up, no_more)
     return f_or((f_until(r, f_or((f_and((up, r)), f_and((l, r))))), no_more))
+
+
+def ltl_to_nba(f: Formula) -> BuchiAutomaton:
+    untils = tuple(g for g in subformulas(f) if g.kind == "U")
+    m = len(untils)
+    init_units = frozenset(f.children if f.kind == "and" else () if f.kind == "true" else (f,))
+
+    def successors(units):
+        state_formula = f_and(units)
+        atoms_ = atoms(state_formula)
+        for letter in all_letters(sorted(atoms_)):
+            for d in dnf_units(canonical(af(state_formula, letter))):
+                fulfilled = frozenset(
+                    i for i, u in enumerate(untils)
+                    if u not in d or any(rd <= d for rd in dnf_units(canonical(af(u.right, letter)))))
+                yield (Cube(letter, atoms_ - letter), fulfilled), d
+
+    order, gtrans = explore([init_units], successors)
+
+    def degeneralized(node):
+        g, c = node
+        for (cube, fulfilled), dst in gtrans[g]:
+            j = 0 if c == m else c
+            while j < m and j in fulfilled:
+                j += 1
+            yield cube, (dst, j)
+
+    nodes, rows = explore([(0, 0)], degeneralized)
+    keep = _coreachable(rows, lambda i: nodes[i][1] == m)
+    new = {old: i for i, old in enumerate(keep)}
+    return BuchiAutomaton(
+        ap=tuple(sorted(atoms(f))),
+        labels=tuple((f_and(order[nodes[i][0]]), nodes[i][1]) for i in keep),
+        initial=(0,) if 0 in new else (),
+        edges=tuple(tuple((cube, new[dst]) for cube, dst in rows[i] if dst in new) for i in keep),
+        accepting=frozenset(new[i] for i in keep if nodes[i][1] == m),
+    )

@@ -12,6 +12,7 @@ from liveupdate.parser import parse_formula
 from liveupdate.semantics import eval_ltl
 from liveupdate.traces import APTable, LassoTrace
 
+import recursive
 from gen import random_formula, random_lasso, random_machine
 
 
@@ -249,3 +250,26 @@ def test_state_ids_are_breadth_first():
                         nxt.append(w)
             frontier = nxt
         assert None not in dist and dist == sorted(dist), str(f)
+
+
+def test_step_table_is_invisible(monkeypatch):
+    # the steps of a conjunct set are kept for every later translation; an
+    # automaton is the same whether the table is cold, warmed by other
+    # translations, or not there at all (the reference scans the untils of
+    # its own root formula)
+    rng = random.Random(2025)
+    formulas = [random_formula(rng, ["a", "b", "c"], rng.choice((3, 4))) for _ in range(120)]
+    formulas += [neg(f) for f in formulas]
+    monkeypatch.setattr(automata, "_NBA", {})
+    monkeypatch.setattr(automata, "_STEPS", {})
+    cold, computed = [], 0
+    for f in formulas:
+        automata._NBA.clear()
+        automata._STEPS.clear()
+        cold.append(ltl_to_nba(f))
+        computed += len(automata._STEPS)
+    automata._NBA.clear()
+    warmed = [ltl_to_nba(f) for f in formulas]  # each after those before it
+    assert len(automata._STEPS) < computed / 2  # most conjunct sets recur
+    for f, nba, again in zip(formulas, cold, warmed):
+        assert nba == again == recursive.ltl_to_nba(f), str(f)

@@ -410,14 +410,8 @@ def test_external_solver_answer_is_used(problem_dir, tmp_path, capsys):
 import sys
 sys.path.insert(0, {str(Path(liveupdate.__file__).parents[1])!r})
 from liveupdate.sat import Solver
-s = Solver()
-for line in open(sys.argv[1]):
-    toks = line.split()
-    if toks[0] == "p":
-        for _ in range(int(toks[2])):
-            s.new_var()
-    else:
-        s.add_clause([int(t) for t in toks[:-1]])
+header, *rows = open(sys.argv[1]).read().splitlines()
+s = Solver(int(header.split()[2]), [[int(t) for t in row.split()[:-1]] for row in rows])
 if s.solve():
     print("s SATISFIABLE")
     print("v", *sorted(s.model()), 0)

@@ -18,22 +18,36 @@ def brute_force(nv, clauses):
 
 
 def test_trivial():
-    s = Solver()
-    v = s.new_var()
-    s.add_clause([v])
+    s = Solver(1, [[1]])
     assert s.solve() is True
-    assert v in s.model()
+    assert 1 in s.model()
 
 
 def test_contradiction():
-    s = Solver()
-    v = s.new_var()
-    s.add_clause([v])
-    s.add_clause([-v])
-    assert s.solve() is False
+    assert Solver(1, [[1], [-1]]).solve() is False
+
+
+def test_load_assigns_units_in_clause_order():
+    s = Solver(4, [[2], [1, 3, 1], [-4], [3, -1], [2]])
+    assert s.trail == [2, -4]
+    assert s.clauses == [[1, 3], [3, -1]]
+    assert s.watches[1] == [0] and s.watches[3] == [0, 1] and s.watches[-1] == [1]
+    assert not Solver(2, [[1], [2, -1], [-1]]).ok
+    assert not Solver(2, [[1, 2], []]).ok
+
+
+def test_load_leaves_the_clauses_as_given():
+    inst = family("arbiter-full", 2)
+    header, *rows = emit_dimacs(SynthesisProblem(inst.spec, inst.ap), 2).splitlines()
+    clauses = [[int(tok) for tok in row.split()[:-1]] for row in rows]
+    given = [c[:] for c in clauses]
+    s = Solver(int(header.split()[2]), clauses)
+    assert s.solve() is False  # propagation reorders the literals of the solver's copies
+    assert clauses == given
 
 
 def test_random_instances_match_bruteforce():
+    # random literals, so clauses with repeated literals and tautologies too
     rng = random.Random(101)
     for _ in range(300):
         nv = rng.randrange(3, 9)
@@ -41,11 +55,7 @@ def test_random_instances_match_bruteforce():
             [rng.randrange(1, nv + 1) * rng.choice([1, -1]) for _ in range(rng.choice([1, 2, 3, 3]))]
             for _ in range(rng.randrange(2, 4 * nv))
         ]
-        s = Solver()
-        for _ in range(nv):
-            s.new_var()
-        for c in clauses:
-            s.add_clause(c)
+        s = Solver(nv, clauses)
         got = s.solve()
         assert got == brute_force(nv, clauses), clauses
         if got:
@@ -55,30 +65,21 @@ def test_random_instances_match_bruteforce():
             assert all(any(val(l) for l in c) for c in clauses)
 
 
+def pigeonhole(n):
+    """A solver loaded with n + 1 pigeons in n holes."""
+    var = {(p, h): 1 + p * n + h for p in range(n + 1) for h in range(n)}
+    clauses = [[var[(p, h)] for h in range(n)] for p in range(n + 1)]
+    clauses += [[-var[(p1, h)], -var[(p2, h)]]
+                for h in range(n) for p1 in range(n + 1) for p2 in range(p1 + 1, n + 1)]
+    return Solver(len(var), clauses)
+
+
 def test_pigeonhole_unsat():
-    n = 4  # 5 pigeons, 4 holes
-    s = Solver()
-    var = {(p, h): s.new_var() for p in range(n + 1) for h in range(n)}
-    for p in range(n + 1):
-        s.add_clause([var[(p, h)] for h in range(n)])
-    for h in range(n):
-        for p1 in range(n + 1):
-            for p2 in range(p1 + 1, n + 1):
-                s.add_clause([-var[(p1, h)], -var[(p2, h)]])
-    assert s.solve() is False
+    assert pigeonhole(4).solve() is False
 
 
 def test_budget_returns_none():
-    n = 7
-    s = Solver()
-    var = {(p, h): s.new_var() for p in range(n + 1) for h in range(n)}
-    for p in range(n + 1):
-        s.add_clause([var[(p, h)] for h in range(n)])
-    for h in range(n):
-        for p1 in range(n + 1):
-            for p2 in range(p1 + 1, n + 1):
-                s.add_clause([-var[(p1, h)], -var[(p2, h)]])
-    assert s.solve(conflict_budget=10) is None
+    assert pigeonhole(7).solve(conflict_budget=10) is None
 
 
 def test_model_after_reducing_the_learned_clauses(monkeypatch):
@@ -95,11 +96,7 @@ def test_model_after_reducing_the_learned_clauses(monkeypatch):
         reduce(self)
 
     monkeypatch.setattr(Solver, "_reduce_learned", counted)
-    s = Solver()
-    for _ in range(175):
-        s.new_var()
-    for c in clauses:
-        s.add_clause(c)
+    s = Solver(175, clauses)
     assert s.solve() is True
     assert reductions
     model = s.model()
@@ -119,15 +116,6 @@ def test_parse_solver_output():
     assert sat is False
     sat, model = parse_dimacs_model("SAT\n1 -2 3 0\n")
     assert sat is True and model == {1, 3}
-
-
-def _loaded(nv, clauses):
-    s = Solver()
-    for _ in range(nv):
-        s.new_var()
-    for c in clauses:
-        s.add_clause(c)
-    return s
 
 
 def _continued(s, budget=None):
@@ -151,9 +139,9 @@ def test_solve_continued_one_conflict_at_a_time():
         nv = rng.randrange(20, 60)
         clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
                    for _ in range(int(4.26 * nv))]
-        whole = _loaded(nv, clauses)
+        whole = Solver(nv, clauses)
         verdicts.append(whole.solve())
-        sliced = _loaded(nv, clauses)
+        sliced = Solver(nv, clauses)
         assert _continued(sliced) == verdicts[-1]
         assert _search_state(sliced) == _search_state(whole)
     assert True in verdicts and False in verdicts
@@ -166,7 +154,7 @@ def test_solve_continued_past_its_budget():
     header, *rows = emit_dimacs(SynthesisProblem(inst.spec, inst.ap), 2, "environment").splitlines()
     nv = int(header.split()[2])
     clauses = [[int(tok) for tok in row.split()[:-1]] for row in rows]
-    whole, sliced = _loaded(nv, clauses), _loaded(nv, clauses)
+    whole, sliced = Solver(nv, clauses), Solver(nv, clauses)
     assert whole.solve(conflict_budget=1024) is None
     assert _continued(sliced, budget=1024) is None
     assert _search_state(sliced) == _search_state(whole)
@@ -176,15 +164,7 @@ def test_solve_continued_past_its_budget():
 
 
 def test_deadline_raises_and_the_solve_goes_on():
-    n = 4  # 5 pigeons, 4 holes
-    s = Solver()
-    var = {(p, h): s.new_var() for p in range(n + 1) for h in range(n)}
-    for p in range(n + 1):
-        s.add_clause([var[(p, h)] for h in range(n)])
-    for h in range(n):
-        for p1 in range(n + 1):
-            for p2 in range(p1 + 1, n + 1):
-                s.add_clause([-var[(p1, h)], -var[(p2, h)]])
+    s = pigeonhole(4)
     with pytest.raises(TimeoutError):
         s.solve(deadline=0.0)  # read at the first conflict
     assert s.conflicts == 0

@@ -11,7 +11,7 @@ import pytest
 from liveupdate.automata import _NBA, BudgetError, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
 from liveupdate.formula import f_and, neg, t_true
-from liveupdate.machine import serialize_machine
+from liveupdate.machine import parse_machine, serialize_machine
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
@@ -41,11 +41,7 @@ AP_RG = APTable(("r",), ("g",))
 
 def searched(enc):
     """The model that an internal solve of the CNF of ``enc`` ends with, or None."""
-    s = sat.Solver()
-    for _ in range(enc.nv):
-        s.new_var()
-    for c in enc.clauses:
-        s.add_clause(c)
+    s = sat.Solver(enc.nv, enc.clauses)
     return s.model() if s.solve() else None
 
 
@@ -472,6 +468,49 @@ def test_encoding_has_no_tautologies(key):
             for k in (1, 2):
                 enc = _Encoder(automata, ap, k, side)
                 assert not [c for c in enc.clauses if set(c) & {-lit for lit in c}], (key, side, k)
+
+
+@pytest.mark.parametrize("side", ["moore", "mealy-env"])
+def test_encoder_clauses_are_proper(side):
+    # the solver keeps a clause as it is given, but for its repeated literals:
+    # with none, and no tautology either, it searches the encoder's CNF itself
+    for spec in random_specs():
+        automata = _conjunct_automata(spec if side == "moore" else neg(spec))
+        for k in (1, 2, 3):
+            for c in _Encoder(automata, AP_RG, k, side).clauses:
+                assert c and len(set(c)) == len(c) and not set(c) & {-lit for lit in c}, \
+                    (str(spec), k, c)
+
+
+# The attempt ledger, (side, bound, vars, clauses, conflicts, sat) per attempt,
+# of relay:2->1 in synth-universal and of three recorded relay(2) executions in
+# synth-finite.  A change meant to keep the search keeps it; one meant to
+# change the search updates it and says why.
+RELAY_LEDGER = {
+    "universal": [("system", 1, 81, 461, 2, False), ("environment", 1, 109, 1221, 14, False),
+                  ("system", 2, 170, 1941, 35, True)],
+    "i0 m1 ; i0 r ; i1 ; - ; m1 ; i1 m1 ; i1 m0 ; i0 i1 m0 m1 r ; i0 i1 m1 r ; i1 m0 m1 ; i0 m0 m1 r": [
+        ("system", 1, 50, 234, 2, False), ("environment", 1, 116, 1301, 5, False),
+        ("system", 2, 108, 1020, 28, True)],
+    "i0 m0 m1 ; i0 m0 r ; i0 i1 m0 r ; i0 m0 ; i0 ; m0 m1 ; i0 m0 r": [
+        ("system", 1, 51, 263, 2, False), ("environment", 1, 157, 1999, 13, False),
+        ("system", 2, 110, 1145, 30, True)],
+    "i0 m0 ; i0 m0 ; i0 m1 ; i0 m0 r ; i0 i1 r ; i0 m0 ; i0 m0 m1 ; i0 r ; i1 m1 ; i1 m0": [
+        ("system", 1, 51, 263, 2, False), ("environment", 1, 99, 1103, 24, False),
+        ("system", 2, 110, 1145, 29, True)],
+}
+
+
+def test_attempt_ledger_is_pinned():
+    relay2_machine = Path(__file__).parents[1] / "bench" / "inputs" / "machines" / "relay-2.machine"
+    ts_i = parse_machine(relay2_machine.read_text())
+    bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
+    results = {"universal": synth_universal_live(ts_i, bi.spec, bu.spec, ap)}
+    for text in RELAY_LEDGER:
+        if text != "universal":
+            results[text] = synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap)
+    assert {key: [(a["side"], a["bound"], a["vars"], a["clauses"], a["conflicts"], a["sat"])
+                  for a in result.stats] for key, result in results.items()} == RELAY_LEDGER
 
 
 def test_emit_dimacs():
