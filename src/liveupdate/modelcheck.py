@@ -48,16 +48,20 @@ class LiveProblem:
         if self.eta is not None:
             for letter in self.eta:
                 self.ap.check_letter(letter)
-        if self.ts_i is not None and not self.ts_i.ap.all <= self.ap.all:
-            raise ValueError("initial system uses propositions outside the problem AP table")
+        if self.ts_i is not None:
+            self.check_machine(self.ts_i, "initial")
+
+    def check_machine(self, machine: MooreMachine, role: str) -> None:
+        """Reject a machine that declares propositions outside the AP table."""
+        if not machine.ap.all <= self.ap.all:
+            raise ValueError(f"{role} system uses propositions outside the problem AP table")
 
 
 def mc_finite_live(ts_u: MooreMachine, problem: LiveProblem) -> Verdict:
     """Finite-trace update correctness of ``ts_u`` after the recorded trace."""
     if problem.eta is None:
         raise ValueError("finite-trace checking needs a recorded execution")
-    if not ts_u.ap.all <= problem.ap.all:
-        raise ValueError("update system uses propositions outside the problem AP table")
+    problem.check_machine(ts_u, "update")
     obligation = evolve(problem.eta, problem.phi)
     verdict = mc_ltl(ts_u, f_and((obligation, problem.psi)))
     verdict.details["obligation"] = str(obligation)
@@ -76,6 +80,7 @@ def mc_universal_live(ts_u: MooreMachine, problem: LiveProblem,
     """
     if problem.ts_i is None:
         raise ValueError("universal checking needs the initial system")
+    problem.check_machine(ts_u, "update")
     cut = cut_from_phi(problem.phi, problem.ts_i, max_states=max_states)
     result = mc_obligations(ts_u, reachable_obligations(cut), problem.psi)
     result.details["monitor_states"] = len(cut)

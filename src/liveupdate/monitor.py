@@ -7,12 +7,11 @@ inherits if the handover happens there.
 
 Two anchoring calculi are supported:
 
-* ``anchor="edge"`` (display form): obligations raised by a release keep
-  their next-step guard, so a label reads as the obligation at the moment the
-  transition is taken (one step before the update system starts).  This is
-  the form rendered by the CLI and the one whose labels look like
-  ``X F i1`` / ``F i1 && X F i1`` for the response property of the running
-  relay example.
+* ``anchor="edge"`` (display form, rendered by the CLI): the step is
+  ``rewrite.edge_step``, ``af`` with a release's raised residue under a next,
+  so a label reads as the obligation at the moment the transition is taken,
+  one step before the update system starts.  The response property of the
+  running relay example gets the labels ``X F i1`` and ``F i1 && X F i1``.
 * ``anchor="state"`` (checking form): the transition function is the plain
   after-derivative, so the label after consuming a trace equals
   ``evolve(trace, phi)`` exactly.  Model checking and synthesis of universal
@@ -192,5 +191,6 @@ def cut_monitor(mon: ObligationMonitor, ts_i: MooreMachine,
 
 
 def reachable_obligations(mon: ObligationMonitor) -> list[Formula]:
-    """Distinct obligation labels, deduplicated by canonical key."""
+    """Distinct obligation labels as written: two equivalent labels written
+    differently both count."""
     return list(dict.fromkeys(mon.label(i) for i in range(len(mon.nodes))))

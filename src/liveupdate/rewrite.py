@@ -13,10 +13,10 @@ result per (formula, letter); per letter, the raw derivative of every node a
 derivative has read, so a subterm shared by many formulas is derived once per
 letter; and ``strip``'s result per formula.
 
-``edge_step`` is a variant of ``af`` used by the obligation monitor's
-display form: obligations raised by a release keep their next-step guards, so
-labels read as obligations anchored at the transition being taken rather than
-at the position after it (see the monitor module).
+``edge_step``, the obligation monitor's display step, is ``af`` with one
+different rule: a release raises the derivatives of its operands under a
+next, so labels read as obligations anchored at the transition being taken
+rather than at the position after it (see the monitor module).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def af(f: Formula, letter: Letter) -> Formula:
 
 
 def _af(f: Formula, letter: Letter) -> Formula:
-    return fold(f, _letter_step(letter, guard=False), _current, _AF_RAW.setdefault(letter, {}))
+    return fold(f, _letter_step(letter), _current, _AF_RAW.setdefault(letter, {}))
 
 
 def _current(f: Formula) -> tuple[Formula, ...]:
@@ -86,10 +86,9 @@ def _current(f: Formula) -> tuple[Formula, ...]:
     return (f.left, f.right) if f.kind == "U" or f.kind == "R" else f.children
 
 
-def _letter_step(letter: Letter, guard: bool) -> Callable[[Formula, list[Formula]], Formula]:
-    """The fold step of ``_af`` and ``_pe_raw``: atoms read ``letter``, a next
-    is consumed, and U/R are unrolled once.  With ``guard``, next-guarded parts
-    stay guarded: a next is kept, and so is the next before a recurrence."""
+def _letter_step(letter: Letter) -> Callable[[Formula, list[Formula]], Formula]:
+    """The fold step of ``_af``: atoms read ``letter``, a next is consumed,
+    and U/R are unrolled once."""
     def step(f: Formula, below: list[Formula]) -> Formula:
         k = f.kind
         if k == "atom":
@@ -97,9 +96,9 @@ def _letter_step(letter: Letter, guard: bool) -> Callable[[Formula, list[Formula
         if k == "natom":
             return t_false() if f.name in letter else t_true()
         if k == "X":
-            return f if guard else f.left
+            return f.left
         if k == "U" or k == "R":
-            return _unroll(f, *below, f_next(f) if guard else f)
+            return _unroll(f, *below, f)
         return rebuild(f, below)
     return step
 
@@ -119,25 +118,19 @@ def af_word(f: Formula, word: FiniteTrace) -> Formula:
     return f
 
 
-def _pe_raw(f: Formula, letter: Letter, memo: dict[Formula, Formula] | None = None) -> Formula:
-    """Positional evaluation: like ``af`` but next-guarded parts stay guarded."""
-    return fold(f, _letter_step(letter, guard=True), _current, memo)
-
-
 def edge_step(f: Formula, letter: Letter) -> Formula:
-    """Monitor transition with transition-anchored obligation raising.
-
-    Identical to ``af`` except that a release raises its residue with the
-    next-step guards kept, so a fresh obligation shows up as ``X ...`` in the
-    state rather than already advanced past the consumed letter.
-    """
-    derive = _letter_step(letter, guard=False)
-    positional: dict[Formula, Formula] = {}
+    """``af``'s fold, except that a release raises the derivatives of its
+    operands under a next: on each conjunct of one, over a disjunction whole.
+    A fresh obligation so shows up as ``X ...``, not yet advanced past the
+    consumed letter."""
+    derive = _letter_step(letter)
 
     def step(g: Formula, below: list[Formula]) -> Formula:
-        if g.kind == "R":
-            return _unroll(g, _pe_raw(g.left, letter, positional), _pe_raw(g.right, letter, positional), g)
-        return derive(g, below)
+        if g.kind != "R":
+            return derive(g, below)
+        raised = [f_and(map(f_next, d.children)) if d.kind == "and" else f_next(d)
+                  for d in (af(g.left, letter), af(g.right, letter))]
+        return _unroll(g, *raised, g)
 
     return canonical(fold(f, step, lambda g: () if g.kind == "R" else _current(g)))
 

@@ -4,9 +4,11 @@ The library folds every transformer with one explicit-stack walk
 (``formula.fold``).  These are the same rules written as plain recursion over
 the builders, one call per operand, so the property suites can compare the
 two on random formulas.  They recurse once per nesting level, so they serve
-shallow formulas only.  ``ltl_to_nba`` is the automaton translation with the
-acceptance bookkeeping of one root formula: each step scans every until of the
-root for the ones it fulfills.
+shallow formulas only.  ``positional_edge_step`` is the edge step written in
+the positional calculus, the semantic reference of ``edge_step``.
+``ltl_to_nba`` is the automaton translation with the acceptance bookkeeping
+of one root formula: each step scans every until of the root for the ones it
+fulfills.
 """
 
 from __future__ import annotations
@@ -167,30 +169,37 @@ def af(f: Formula, letter) -> Formula:
     return f_or((f_and((af(f.left, letter), ar)), f_and((ar, f))))
 
 
-def pe_raw(f: Formula, letter) -> Formula:
-    k = f.kind
-    if k in ("true", "false"):
-        return f
-    if k == "atom":
-        return t_true() if f.name in letter else t_false()
-    if k == "natom":
-        return t_false() if f.name in letter else t_true()
-    if k in ("and", "or"):
-        return rebuild(f, lambda c: pe_raw(c, letter))
-    if k == "X":
-        return f
-    if k == "U":
-        return f_or((pe_raw(f.right, letter), f_and((pe_raw(f.left, letter), f_next(f)))))
-    pr = pe_raw(f.right, letter)
-    return f_or((f_and((pe_raw(f.left, letter), pr)), f_and((pr, f_next(f)))))
-
-
 def edge_step(f: Formula, letter) -> Formula:
     return canonical(_edge_step(f, letter))
 
 
 def _edge_step(f: Formula, letter) -> Formula:
     k = f.kind
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _edge_step(c, letter))
+    if k == "U":
+        return f_or((_edge_step(f.right, letter), f_and((_edge_step(f.left, letter), f))))
+    if k == "R":
+        ar = _raised(canonical(af(f.right, letter)))
+        return f_or((f_and((_raised(canonical(af(f.left, letter))), ar)), f_and((ar, f))))
+    return af(f, letter)  # a leaf or a next
+
+
+def _raised(f: Formula) -> Formula:
+    if f.kind == "and":
+        return f_and(f_next(c) for c in f.children)
+    return f_next(f)
+
+
+# Positional evaluation keeps next-guarded parts guarded, so
+# ``positional(f, a)`` is equivalent to ``X af(f, a)``.
+# ``positional_edge_step`` raises a release's operands through it; it is the
+# semantic reference of ``edge_step``: the two agree up to LTL equivalence,
+# not in syntax.
+
+
+def positional(f: Formula, letter) -> Formula:
+    k = f.kind
     if k in ("true", "false"):
         return f
     if k == "atom":
@@ -198,13 +207,35 @@ def _edge_step(f: Formula, letter) -> Formula:
     if k == "natom":
         return t_false() if f.name in letter else t_true()
     if k in ("and", "or"):
-        return rebuild(f, lambda c: _edge_step(c, letter))
+        return rebuild(f, lambda c: positional(c, letter))
+    if k == "X":
+        return f
+    if k == "U":
+        return f_or((positional(f.right, letter), f_and((positional(f.left, letter), f_next(f)))))
+    pr = positional(f.right, letter)
+    return f_or((f_and((positional(f.left, letter), pr)), f_and((pr, f_next(f)))))
+
+
+def positional_edge_step(f: Formula, letter) -> Formula:
+    return canonical(_positional_edge_step(f, letter))
+
+
+def _positional_edge_step(f: Formula, letter) -> Formula:
+    k = f.kind
+    if k in ("true", "false"):
+        return f
+    if k == "atom":
+        return t_true() if f.name in letter else t_false()
+    if k == "natom":
+        return t_false() if f.name in letter else t_true()
+    if k in ("and", "or"):
+        return rebuild(f, lambda c: _positional_edge_step(c, letter))
     if k == "X":
         return f.left
     if k == "U":
-        return f_or((_edge_step(f.right, letter), f_and((_edge_step(f.left, letter), f))))
-    pr = pe_raw(f.right, letter)
-    return f_or((f_and((pe_raw(f.left, letter), pr)), f_and((pr, f))))
+        return f_or((_positional_edge_step(f.right, letter), f_and((_positional_edge_step(f.left, letter), f))))
+    pr = positional(f.right, letter)
+    return f_or((f_and((positional(f.left, letter), pr)), f_and((pr, f))))
 
 
 def expand(f: Formula) -> Formula:

@@ -6,11 +6,12 @@ import random
 import recursive
 from gen import random_formula
 from liveupdate import formula, rewrite
-from liveupdate.formula import (atom, dnf_units, f_and, f_globally, f_next, f_until, fold, natom, neg,
+from liveupdate.automata import ltl_to_nba, nba_emptiness
+from liveupdate.formula import (atom, dnf_units, f_and, f_globally, f_next, f_or, f_until, fold, natom, neg,
                                 subformulas, to_str)
 from liveupdate.modelcheck import _bound_releases
 from liveupdate.parser import parse_formula
-from liveupdate.rewrite import _pe_raw, af, edge_step, expand, strip
+from liveupdate.rewrite import af, edge_step, expand, strip
 from liveupdate.traces import all_letters
 
 LETTERS = all_letters(("a", "b", "c"))
@@ -40,8 +41,19 @@ def test_rewrite_transformers_match_their_references():
         assert _bound_releases(f, up, no_more) is recursive.bound_releases(f, up, no_more)
         for letter in LETTERS:
             assert rewrite._af(f, letter) is recursive.af(f, letter)
-            assert _pe_raw(f, letter) is recursive.pe_raw(f, letter)
             assert edge_step(f, letter) is recursive.edge_step(f, letter)
+
+
+def _equivalent(f, g) -> bool:
+    """LTL equivalence: no word satisfies exactly one of the two."""
+    return f is g or nba_emptiness(ltl_to_nba(f_or((f_and((f, neg(g))), f_and((neg(f), g)))))) is None
+
+
+def test_edge_step_is_equivalent_to_the_positional_reference():
+    release_under_release = [parse_formula(t) for t in ("G G F X a", "G G (a U F !b)", "G (X b R G F b)")]
+    for f in _samples(2402) + release_under_release:
+        for letter in LETTERS:
+            assert _equivalent(edge_step(f, letter), recursive.positional_edge_step(f, letter)), (f, letter)
 
 
 def test_fold_steps_operands_first_and_each_node_once():

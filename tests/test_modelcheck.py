@@ -134,3 +134,14 @@ def test_problem_validation():
         LiveProblem(t_true(), t_true(), ap)  # neither eta nor ts_i
     with pytest.raises(ValueError):
         LiveProblem(parse_formula("undeclared"), t_true(), ap, eta=())
+
+
+def test_both_checkers_reject_undeclared_update_propositions():
+    ap = APTable(("m1",), ("i1",))
+    ts_i = parse_machine("inputs: m1\noutputs: i1\nstate s0 initial { i1 }\ns0 --*--> s0\n")
+    ts_u = parse_machine("inputs: m1 zz\noutputs: i1\nstate s0 initial { i1 }\ns0 --*--> s0\n")
+    phi = parse_formula("G (m1 -> X F i1)")
+    with pytest.raises(ValueError, match="update system"):
+        mc_universal_live(ts_u, LiveProblem(phi, t_true(), ap, ts_i=ts_i))
+    with pytest.raises(ValueError, match="update system"):
+        mc_finite_live(ts_u, LiveProblem(phi, t_true(), ap, eta=()))

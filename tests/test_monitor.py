@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+import recursive
+from liveupdate import monitor
 from liveupdate.automata import BudgetError
+from liveupdate.benchmarks import family
 from liveupdate.formula import t_true
 from liveupdate.monitor import build_monitor, cut_from_phi, cut_monitor, reachable_obligations
 from liveupdate.parser import parse_formula
@@ -160,3 +163,21 @@ def test_monitor_exports(top_cycle_machine):
     data = cut.to_json()
     assert data["initial"] == 0
     assert len(data["states"]) == 5
+
+
+@pytest.mark.parametrize("name, n", [("response", 1), ("relay", 1), ("arbiter-full", 2),
+                                     ("arbiter-prioritized", 2)])
+def test_edge_monitor_matches_the_positional_reference(monkeypatch, name, n):
+    if name == "response":
+        phi, ap = parse_formula(PHI1), AP_M1
+    else:
+        inst = family(name, n)
+        phi, ap = inst.spec, inst.ap
+    mon = build_monitor(phi, ap, anchor="edge")
+    monkeypatch.setattr(monitor, "edge_step", recursive.positional_edge_step)
+    reference = build_monitor(phi, ap, anchor="edge")
+    assert mon.edges == reference.edges
+
+
+def test_edge_cut_of_relay2_closes(fig1_machine, relay2):
+    assert len(cut_from_phi(relay2.spec, fig1_machine, anchor="edge")) == 261
