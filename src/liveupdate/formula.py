@@ -43,6 +43,7 @@ __all__ = [
     "fold",
     "operands",
     "rebuild",
+    "rename",
     "subformulas",
     "canonical",
     "dnf_units",
@@ -291,6 +292,11 @@ def rebuild(f: Formula, parts: list[Formula], kind: str | None = None) -> Formul
     if k == "R":
         return f_release(*parts)
     return f if k == f.kind else _mk(k, name=f.name)
+
+
+def rename(f: Formula, to: dict[str, str]) -> Formula:
+    """``f`` with each proposition ``a`` replaced by ``to[a]``."""
+    return fold(f, lambda g, below: _mk(g.kind, name=to[g.name]) if g.name else rebuild(g, below))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:

@@ -24,8 +24,10 @@ by the corresponding model checker before being reported.  Each attempt has a
 conflict budget of the internal solver, so the order of attempts and their
 outcomes do not depend on how fast the machine is; the only clock is the
 caller's deadline.  A verdict is therefore a function of the specification,
-the propositions, the bound schedule and the solver: ``synth_ltl`` keeps each
-verified verdict for the life of the process, and results are immutable.
+the propositions, the bound schedule and the solver, and it survives renaming
+inputs among inputs and outputs among outputs: ``synth_ltl`` keeps each
+verified verdict for the life of the process, answers renamed copies from it
+with a relabelled, re-checked machine or certificate, and results are immutable.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from itertools import zip_longest
 
 from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _product_lasso, ltl_to_nba,
                        mc_ltl)
-from .formula import Formula, f_and, neg
+from .formula import _KIND_INDEX, Formula, f_and, fold, neg, operands, rename
 from .machine import MooreMachine
 from .modelcheck import LiveProblem, mc_obligations
 from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve
-from .sat import Solver, SolverError, solve_external, to_dimacs
+from .sat import Solver, SolverError, solve_external
 from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
 
 __all__ = [
@@ -331,6 +333,59 @@ _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are t
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
 # verified verdicts per (spec, ap, bounds, cap, solver); an unknown is never kept
 _SYNTH: dict[tuple, SynthesisResult] = {}
+# the first (spec, _naming order, verified verdict) per class of specifications
+# that a role-preserving renaming of the propositions maps onto each other
+_CLASSES: dict[tuple, tuple[Formula, list[str], SynthesisResult]] = {}
+
+
+def _naming(spec: Formula, ap: APTable) -> tuple[int, list[str]]:
+    """A hash of ``spec`` with its propositions numbered, and those of ``ap``
+    in the order of their numbers: inputs before outputs, each in the order in
+    which a walk that takes the operands of and/or by their name-blind shape
+    first meets them, the unused ones last.  A role-preserving renaming keeps
+    the hash unless operands of equal shape tie in another order."""
+    outputs = frozenset(ap.outputs)
+    shape: dict = {}
+    fold(spec, lambda g, below: hash((_KIND_INDEX[g.kind], g.name in outputs, *below)), memo=shape)
+    met: tuple[dict, dict] = ({}, {})  # input and output numbers, as the walk meets them
+
+    def named(g: Formula, below: list[int]) -> int:
+        if g.name:
+            role = met[g.name in outputs]
+            return hash((_KIND_INDEX[g.kind], g.name in outputs, role.setdefault(g.name, len(role))))
+        return hash((_KIND_INDEX[g.kind], *(sorted(below) if g.children else below)))
+
+    # equal shapes in reverse operand order: any order is sound, a tie only costs reuse
+    digest = fold(spec, named, lambda g: sorted(g.children[::-1], key=shape.get) or operands(g))
+    return digest, [*met[0], *(a for a in ap.inputs if a not in met[0]),
+                    *met[1], *(a for a in ap.outputs if a not in met[1])]
+
+
+def _verified(result: SynthesisResult, spec: Formula) -> SynthesisResult:
+    """``result``, once its machine passes the model check of ``spec`` or no
+    trace that its certificate allows satisfies ``spec``."""
+    if result.machine is not None:
+        if not mc_ltl(result.machine, spec).passed:
+            raise AssertionError("internal error: synthesized machine failed verification")
+    elif any(env_counterexample(result.certificate, nba) is not None
+             for nba in _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)):
+        raise AssertionError("internal error: environment certificate failed verification")
+    return result
+
+
+def _relabel(result: SynthesisResult, to: dict[str, str], ap: APTable) -> SynthesisResult:
+    """``result`` with each proposition ``a`` of its machine or certificate
+    renamed to ``to[a]``, over ``ap``."""
+    def moved(letter):
+        return frozenset(map(to.__getitem__, letter))
+
+    m, env = result.machine, result.certificate
+    if m is not None:
+        edges = [[(Cube(moved(c.pos), moved(c.neg)), t) for c, t in row] for row in m.edges]
+        return replace(result, machine=MooreMachine(ap, m.names, m.initial,
+                                                    list(map(moved, m.outputs)), edges))
+    return replace(result, certificate=EnvMachine(ap, env.k, env.initial, {
+        (t, moved(o)): (moved(i), t2) for (t, o), (i, t2) in env.table.items()}))
 
 
 def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
@@ -365,7 +420,11 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     Memoized for the life of the process: a realizable or unrealizable
     result is kept once its machine or certificate has passed the check, and
     a later call on the same problem, whatever its deadline, gets the same
-    result, ``stats`` included.  An ``unknown`` result is never kept.
+    result, ``stats`` included.  A copy of a kept problem under a
+    role-preserving renaming of the propositions gets its verdict and
+    ``stats`` too, with the machine or certificate relabelled and checked
+    again: which machine comes back depends on which copy the process solved
+    first.  An ``unknown`` result is never kept.
     """
     spec, deadline = problem.spec, problem.deadline
     sys_bounds = [b for b in problem.bounds if b <= problem.cap]
@@ -376,6 +435,13 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     known = _SYNTH.get(key)
     if known is not None:
         return known
+    digest, order = _naming(spec, problem.ap)
+    ckey = (digest, len(problem.ap.inputs), len(problem.ap.outputs), *key[2:])
+    if (rep := _CLASSES.get(ckey)) is not None:
+        to = dict(zip(rep[1], order))  # the representative's propositions -> the caller's
+        if rename(rep[0], to) is spec:
+            _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec)
+            return _SYNTH[key]
     sys_automata = _conjunct_automata(spec)
     internal = problem.solver == "internal"
 
@@ -439,18 +505,11 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                     live.insert(0, after)  # behind it, so it runs first
                 continue
             if a.side == "system":
-                machine = a.enc.extract_moore(a.model)
-                if not mc_ltl(machine, spec).passed:
-                    raise AssertionError("internal error: synthesized machine failed verification")
-                result = end("realizable", machine=machine)
+                result = end("realizable", machine=a.enc.extract_moore(a.model))
             else:
-                env = a.enc.extract_env(a.model)
-                # the automata of the spec's disjuncts: together they accept its models
-                if any(env_counterexample(env, nba) is not None for nba in a.automata):
-                    raise AssertionError("internal error: environment certificate failed "
-                                         "verification")
-                result = end("unrealizable", certificate=env)
-            _SYNTH[key] = result
+                result = end("unrealizable", certificate=a.enc.extract_env(a.model))
+            _SYNTH[key] = _verified(result, spec)
+            _CLASSES.setdefault(ckey, (spec, order, result))
             return result
     reached = {a["side"]: a["bound"] for a in stats}  # the last bound of each side
     k = reached["system"]
@@ -509,10 +568,3 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
                                 certificate=refuted.certificate, reason=None)
     return replace(universal, per_obligation=tuple(
         {"obligation": str(o), "outcome": outcome} for o, outcome in zip(obligations, outcomes)))
-
-
-def emit_dimacs(problem: SynthesisProblem, k: int, side: str = "system") -> str:
-    """CNF for one bound, for use with external solvers."""
-    automata = _conjunct_automata(problem.spec if side == "system" else neg(problem.spec))
-    enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
-    return to_dimacs(enc.nv, enc.clauses)

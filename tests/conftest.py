@@ -58,8 +58,10 @@ c2 --!m1--> c2
 @pytest.fixture(autouse=True)
 def empty_synthesis_memo():
     """Every test starts without remembered verdicts, so that one that
-    patches the search is not answered from an earlier test's entry."""
+    patches the search is not answered from an earlier test's entry, nor
+    from an entry of a specification that renames its own."""
     synthesis._SYNTH.clear()
+    synthesis._CLASSES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from liveupdate.formula import (
     f_until,
     natom,
     neg,
+    rename,
     subformulas,
     t_false,
     t_true,
@@ -110,6 +111,18 @@ def test_atoms_and_depth():
     assert f.temporal_depth == 3  # R over X over U
     assert not f.is_release_free()
     assert parse_formula("F i1").is_release_free()
+
+
+def test_rename_gives_the_formula_of_the_renamed_text():
+    f = parse_formula("G (r -> F g) && (!g U r)")
+    assert rename(f, {"r": "g", "g": "r"}) is parse_formula("G (g -> F r) && (!r U g)")
+    rng = random.Random(11)
+    turn = {"a": "b", "b": "c", "c": "a"}
+    back = {y: x for x, y in turn.items()}
+    for _ in range(200):
+        g = random_formula(rng, ["a", "b", "c"], 3)
+        assert rename(g, turn).atoms == {turn[x] for x in g.atoms}
+        assert rename(rename(g, turn), back) is g
 
 
 def test_prune_subsumed_matches_the_pairwise_definition():

@@ -4,7 +4,9 @@ import pytest
 
 from liveupdate.benchmarks import family
 from liveupdate.sat import Solver, parse_dimacs_model, to_dimacs
-from liveupdate.synthesis import SynthesisProblem, emit_dimacs
+from liveupdate.synthesis import SynthesisProblem
+
+from test_synthesis import emit_dimacs
 
 
 def brute_force(nv, clauses):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -21,7 +22,6 @@ from liveupdate.synthesis import (
     SynthesisResult,
     _Encoder,
     _conjunct_automata,
-    emit_dimacs,
     env_counterexample,
     synth_finite_live,
     synth_ltl,
@@ -37,6 +37,13 @@ def L(*names):
 
 
 AP_RG = APTable(("r",), ("g",))
+
+
+def emit_dimacs(problem, k, side="system"):
+    """The DIMACS CNF of one bound of one side of ``problem``."""
+    automata = _conjunct_automata(problem.spec if side == "system" else neg(problem.spec))
+    enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
+    return sat.to_dimacs(enc.nv, enc.clauses)
 
 
 def searched(enc):
@@ -253,6 +260,7 @@ def test_search_path_does_not_depend_on_the_clock(monkeypatch):
 
         clock = SimpleNamespace(monotonic=monotonic)
         synthesis._SYNTH.clear()  # search afresh, not from the first run's entry
+        synthesis._CLASSES.clear()
         monkeypatch.setattr(synthesis, "time", clock)
         monkeypatch.setattr(sat, "time", clock)
         result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
@@ -371,6 +379,129 @@ def test_second_call_is_answered_from_the_memo(monkeypatch):
     again = synth_ltl(SynthesisProblem(problem.spec, AP_RG, deadline=float("inf")))
     assert built == []
     assert (again.outcome, again.machine, again.stats) == (first.outcome, first.machine, first.stats)
+
+
+def counted_runs(monkeypatch):
+    """The (side, bound) of every ``_Attempt.run`` from now on."""
+    runs = []
+    run = synthesis._Attempt.run
+
+    def counted(self, *args):
+        runs.append((self.side, self.k))
+        return run(self, *args)
+
+    monkeypatch.setattr(synthesis._Attempt, "run", counted)
+    return runs
+
+
+def arbiter_and_abp(goal=""):
+    """arbiter-full(2) and abp-receiver(2), which renames it with r -> m and
+    g -> a, each with ``F`` of its ``goal``-th output conjoined if given."""
+    problems = []
+    for inst, out in ((family("arbiter-full", 2), "g"), (family("abp-receiver", 2), "a")):
+        goals = [parse_formula(f"F {out}{goal}")] if goal else []
+        problems.append(SynthesisProblem(f_and([inst.spec, *goals]), inst.ap, cap=4))
+    return problems
+
+
+@pytest.mark.parametrize("goal", ["", "0"])
+def test_renamed_copy_is_answered_from_the_memo(monkeypatch, goal):
+    arbiter, abp = arbiter_and_abp(goal)
+    first = synth_ltl(arbiter)
+    runs = counted_runs(monkeypatch)
+    again = synth_ltl(abp)
+    assert runs == []
+    assert again.outcome == first.outcome == ("unrealizable" if goal else "realizable")
+    assert again.stats == first.stats
+    if goal:
+        assert again.certificate.ap == abp.ap
+        assert env_counterexample(again.certificate, ltl_to_nba(abp.spec)) is None
+    else:
+        assert again.machine.ap == abp.ap and mc_ltl(again.machine, abp.spec).passed
+    assert synth_ltl(abp) is again  # kept under its own key too
+
+
+ARB2 = APTable(("r0", "r1"), ("g0", "g1"))
+
+
+@pytest.mark.parametrize("first,second,cap,searched", [
+    # a renaming of the propositions, then the same shape with another binding
+    (("G (r0 -> F g0) && G (r1 -> X g0)", ARB2), ("G (r1 -> F g1) && G (r0 -> X g1)", ARB2), 16,
+     False),
+    (("G (r0 -> F g0) && G (r1 -> X g0)", ARB2), ("G (r0 -> F g0) && G (r1 -> X g1)", ARB2), 16,
+     True),
+    # a renaming, then one that swaps the roles, one with an unused
+    # proposition more, and one with another cap
+    (("G (r -> F g)", AP_RG), ("G (q -> F h)", APTable(("q",), ("h",))), 16, False),
+    (("G (r -> F g)", AP_RG), ("G (g -> F r)", AP_RG), 16, True),
+    (("G (r -> F g)", AP_RG), ("G (q -> F h)", APTable(("q",), ("h", "x"))), 16, True),
+    (("G (r -> F g)", AP_RG), ("G (q -> F h)", APTable(("q",), ("h",))), 8, True),
+])
+def test_only_a_renamed_copy_is_looked_up(monkeypatch, first, second, cap, searched):
+    synth_ltl(SynthesisProblem(parse_formula(first[0]), first[1]))
+    runs = counted_runs(monkeypatch)
+    synth_ltl(SynthesisProblem(parse_formula(second[0]), second[1], cap=cap))
+    assert bool(runs) is searched
+
+
+def test_a_colliding_class_key_is_searched(monkeypatch):
+    # the class key is only an index: a hit also needs the stored
+    # specification, renamed, to be the caller's
+    naming = synthesis._naming
+    monkeypatch.setattr(synthesis, "_naming", lambda spec, ap: (0, naming(spec, ap)[1]))
+    synth_ltl(SynthesisProblem(parse_formula("G (r -> F g)"), AP_RG))
+    runs = counted_runs(monkeypatch)
+    assert synth_ltl(SynthesisProblem(parse_formula("G !g"), AP_RG)).realizable
+    assert runs
+
+
+@pytest.mark.parametrize("goal,error", [("", "synthesized machine"),
+                                        ("0", "environment certificate")])
+def test_corrupted_relabel_fails_verification(monkeypatch, goal, error):
+    arbiter, abp = arbiter_and_abp(goal)
+    synth_ltl(arbiter)
+    relabel = synthesis._relabel
+
+    def corrupted(result, to, ap):
+        result = relabel(result, to, ap)
+        if result.machine is not None:  # never grant
+            result.machine.outputs = [frozenset() for _ in result.machine.outputs]
+        else:  # always request
+            env = result.certificate
+            env.table = {key: (frozenset(ap.inputs), dst) for key, (_, dst) in env.table.items()}
+        return result
+
+    monkeypatch.setattr(synthesis, "_relabel", corrupted)
+    with pytest.raises(AssertionError, match=f"{error} failed verification"):
+        synth_ltl(abp)
+
+
+def test_renamed_row_is_answered_from_the_memo(monkeypatch):
+    # abp-receiver:1->2 after arbiter:2s->2f: every specification of its
+    # universal synthesis renames one of arbiter:2s->2f's
+    def row(initial, update):
+        bi, bu, ap = update_pair(initial, update)
+        ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+        runs = counted_runs(monkeypatch)
+        result = synth_universal_live(ts_i, bi.spec, bu.spec, ap)
+        return runs, [result.outcome, list(result.per_obligation)]
+
+    row(("arbiter-simple", 2), ("arbiter-full", 2))
+    runs, found = row(("abp-receiver", 1), ("abp-receiver", 2))
+    assert runs == []
+    code = ("import json\n"
+            "from liveupdate.benchmarks import update_pair\n"
+            "from liveupdate.synthesis import SynthesisProblem, synth_ltl, synth_universal_live\n"
+            "bi, bu, ap = update_pair(('abp-receiver', 1), ('abp-receiver', 2))\n"
+            "ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine\n"
+            "r = synth_universal_live(ts_i, bi.spec, bu.spec, ap)\n"
+            "print(json.dumps([r.outcome, list(r.per_obligation)]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(synthesis.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True).stdout
+    assert found == json.loads(fresh)
+    assert found[0] == "unrealizable" and {"realizable", "unrealizable"} == {
+        e["outcome"] for e in found[1]}
 
 
 def test_unknown_is_not_remembered():
@@ -529,13 +660,15 @@ def test_emit_dimacs_independent_of_hash_seed():
     code = ("import sys\n"
             "from liveupdate.machine import serialize_machine\n"
             "from liveupdate.parser import parse_formula\n"
-            "from liveupdate.synthesis import SynthesisProblem, emit_dimacs, synth_ltl\n"
+            "from liveupdate.sat import to_dimacs\n"
+            "from liveupdate.synthesis import SynthesisProblem, _Encoder, _conjunct_automata, synth_ltl\n"
             "from liveupdate.traces import APTable\n"
             "for text in sys.argv[2:]:\n"
             "    parse_formula(text)\n"
             "ap = APTable(('r1',), ('g1', 'g2'))\n"
             "spec = parse_formula('G (r1 -> X (g1 && g2))')\n"
-            "print(emit_dimacs(SynthesisProblem(spec, ap), 1))\n"
+            "enc = _Encoder(_conjunct_automata(spec), ap, 1, 'moore')\n"
+            "print(to_dimacs(enc.nv, enc.clauses))\n"
             "res = synth_ltl(SynthesisProblem(parse_formula(sys.argv[1]), ap))\n"
             "print([{k: v for k, v in a.items() if k != 'time'} for a in res.stats])\n"
             "print(serialize_machine(res.machine))\n")
@@ -567,6 +700,7 @@ def test_pairs_find_what_the_attempts_find_alone(monkeypatch):
                                   AP_RG, cap=3) for _ in range(60)]
     paired = [_found(synth_ltl(p)) for p in problems]
     synthesis._SYNTH.clear()
+    synthesis._CLASSES.clear()
     monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", 0)
     assert [_found(synth_ltl(p)) for p in problems] == paired
     assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in paired}
@@ -605,7 +739,11 @@ def test_race_keeps_each_sides_first_model():
                 + [SynthesisProblem(inst.spec, inst.ap, cap=4)]
                 + [SynthesisProblem(f_and((o, bu.spec)), ap, cap=4)
                    for o in reachable_obligations(cut_from_phi(bi.spec, ts_i))])
-    found = [_found(synth_ltl(p)) for p in problems]
+    found = []
+    for p in problems:  # searched afresh: abp-receiver(2) renames arbiter-full(2)
+        synthesis._SYNTH.clear()
+        synthesis._CLASSES.clear()
+        found.append(_found(synth_ltl(p)))
     assert found == [_first_models(p) for p in problems]
     assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in found}
 
