@@ -5,24 +5,32 @@ set of obligation conjuncts, a transition picks one disjunct of the derivative
 of the state under a letter, and acceptance bookkeeping tracks one set per
 until subformula (a transition fulfills an until when the target either drops
 it or carries a residue of its right-hand side).  The generalized condition is
-then degeneralized with the usual round-robin counter.  A state's steps do not
-depend on the formula being translated: one process-wide table keeps, per
-conjunct set, each (letter, disjunct) step with the until units of the
-disjunct that the letter leaves unfulfilled, and every translation reads it;
-an edge fulfills each until of its own formula that is not among them.
+degeneralized with the usual round-robin counter in the same pass: a state is
+a (conjunct set, counter) pair.  A conjunct set's steps do not depend on the
+formula being translated: one process-wide table keeps, per conjunct set,
+each (letter, disjunct) step with the until units of the disjunct that the
+letter leaves unfulfilled, and every translation reads it; an edge fulfills
+each until of its own formula that is not among them.
 
-Every closure here -- the translation, the degeneralization, the pruning and
-the lasso search over every product -- is one breadth-first ``explore`` of an
-implicit graph.  State ids are breadth-first discovery order from the one
-initial state 0, which fixes the variable order of the synthesis CNF.
-Automata are immutable, and ``ltl_to_nba`` is memoized per (formula, state
-budget) for the life of the process, so every caller of one formula shares
-one automaton; equal edge labels are one ``Cube`` object across all of them.
+Every closure here -- the translation, the pruning and the lasso search over
+every product -- is one breadth-first ``explore`` of an implicit graph.  State
+ids are breadth-first discovery order from the one initial state 0, which
+fixes the variable order of the synthesis CNF; a translation's state budget
+counts every state that it builds.  Automata are immutable, and
+``ltl_to_nba`` is memoized per (formula, state budget) for the life of the
+process, so every caller of one formula shares one automaton; equal edge
+labels are one ``Cube`` object across all of them.
+
+A specification becomes automata one way: one automaton for the negation of
+each top-level conjunct (``_conjunct_automata``).  Bounded synthesis encodes
+against them and ``mc_ltl`` checks against them, so re-verifying a
+synthesized machine translates nothing that its search did not.
 
 Counterexamples and emptiness witnesses are extracted by BFS layering: the
 shortest prefix to an accepting node on a cycle, then a loop back to it -- a
 self-loop if there is one, else through the first successor with a path back
--- so regression outputs stay readable.
+-- so regression outputs stay readable.  A model-checking counterexample is
+the shortest lasso of the first conjunct that the machine violates.
 """
 
 from __future__ import annotations
@@ -44,9 +52,7 @@ __all__ = [
     "ltl_to_nba",
     "accepting_lasso",
     "nba_emptiness",
-    "accepts_lasso",
     "mc_ltl",
-    "to_hoa",
 ]
 
 
@@ -142,7 +148,8 @@ _STEPS: dict[frozenset[Formula], tuple[Step, ...]] = {}
 
 
 def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
-    """Translate a PNF formula into an NBA over its atoms.
+    """Translate a PNF formula into an NBA over its atoms; ``max_states``
+    bounds every state that the translation builds, before pruning.
 
     The result is memoized per (formula, ``max_states``) for the life of the
     process; automata are immutable, so callers share it."""
@@ -181,34 +188,42 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     else:
         init_units = frozenset((f,))
 
-    # generalized automaton over conjunct-set states; an edge fulfills every
-    # until of f that it leaves not pending
-    try:
-        order, gtrans = explore([init_units], _steps, max_states)
-    except BudgetError as exc:
-        raise BudgetError(f"automaton {exc}") from None
-
-    # degeneralize with a round-robin counter over (generalized state, counter)
-    # pairs; counter value m is accepting
-    def degeneralized(node: tuple[int, int]):
-        g, c = node
+    # degeneralized nodes (conjunct set, round-robin counter); an edge
+    # fulfills every until of f that it leaves not pending, and counter value
+    # m is accepting
+    def successors(node: tuple[frozenset[Formula], int]):
+        units, c = node
         base = 0 if c == m else c
-        for (cube, pending), dst in gtrans[g]:
+        for (cube, pending), dst in _steps(units):
             j = base
             while j < m and untils[j] not in pending:
                 j += 1
             yield cube, (dst, j)
 
-    nodes, rows = explore([(0, 0)], degeneralized)
+    try:
+        nodes, rows = explore([(init_units, 0)], successors, max_states)
+    except BudgetError as exc:
+        raise BudgetError(f"automaton {exc}") from None
     keep = _coreachable(rows, lambda i: nodes[i][1] == m)
     new = {old: i for i, old in enumerate(keep)}
     return BuchiAutomaton(
         ap=tuple(sorted(f.atoms)),
-        labels=tuple((f_and(order[nodes[i][0]]), nodes[i][1]) for i in keep),
+        labels=tuple((f_and(nodes[i][0]), nodes[i][1]) for i in keep),
         initial=(0,) if 0 in new else (),
         edges=tuple(tuple((cube, new[dst]) for cube, dst in rows[i] if dst in new) for i in keep),
         accepting=frozenset(new[i] for i in keep if nodes[i][1] == m),
     )
+
+
+def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomaton]:
+    """One automaton per top-level conjunct of ``f``, in operand order, for
+    its negation; the empty ones (conjuncts that always hold) are dropped."""
+    out = []
+    for c in f.children if f.kind == "and" else (f,):
+        nba = ltl_to_nba(neg(c), max_states=max_states)
+        if len(nba.labels) and nba.initial:
+            out.append(nba)
+    return out
 
 
 def _sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -374,67 +389,26 @@ def _product_lasso(starts: Iterable[Hashable],
     return [label for label, _ in prefix], [label for label, _ in loop]
 
 
-def accepts_lasso(nba: BuchiAutomaton, sigma: LassoTrace) -> bool:
-    """Exact membership of an ultimately periodic word."""
-    return _product_lasso([0], lambda pos: [(None, sigma.letter(pos), sigma.succ(pos))],
-                          nba) is not None
-
-
 # -- model checking -----------------------------------------------------------
 
 
 def mc_ltl(machine: MooreMachine, f: Formula) -> Verdict:
     """Check that every trace of the machine satisfies ``f``.
 
-    A failure carries a counterexample lasso found via the product with the
-    automaton for the negation (shortest prefix, then a loop as in
-    ``accepting_lasso``).
+    The machine is checked against the automaton of each negated top-level
+    conjunct of ``f`` in operand order, the ones that synthesis searches
+    against.  A failure carries the shortest lasso (shortest prefix, then a
+    loop as in ``accepting_lasso``) of the first conjunct that it violates.
     """
-    ce = product_counterexample(machine, ltl_to_nba(neg(f)))
-    if ce is None:
-        return Verdict("pass")
-    return Verdict("fail", witness=ce)
-
-
-def product_counterexample(machine: MooreMachine, nba: BuchiAutomaton) -> CounterexampleLasso | None:
-    """Search the machine x automaton product for an accepting lasso."""
     letters = machine.input_letters()
-    found = _product_lasso(
-        [machine.initial],
-        lambda ms: [(inp, machine.letter(ms, inp), machine.delta(ms, inp)) for inp in letters],
-        nba)
-    if found is None:
-        return None
-    in_pre, in_loop = map(tuple, found)
-    return CounterexampleLasso(machine.lasso_for(in_pre, in_loop), in_pre, in_loop)
 
+    def steps(ms: int) -> list[tuple[Letter, Letter, int]]:
+        return [(inp, machine.letter(ms, inp), machine.delta(ms, inp)) for inp in letters]
 
-# -- HOA export ---------------------------------------------------------------
-
-
-def to_hoa(nba: BuchiAutomaton, name: str = "nba") -> str:
-    """HOA v1 serialization with Buchi acceptance and cube-labeled edges."""
-    ap = list(nba.ap)
-    apidx = {a: i for i, a in enumerate(ap)}
-
-    def guard(cube: Cube) -> str:
-        lits = [str(apidx[a]) for a in sorted(cube.pos)] + [f"!{apidx[a]}" for a in sorted(cube.neg)]
-        return "&".join(lits) if lits else "t"
-
-    lines = [
-        "HOA: v1",
-        f'name: "{name}"',
-        f"States: {len(nba.labels)}",
-        *(f"Start: {q}" for q in nba.initial),
-        f"AP: {len(ap)} " + " ".join(f'"{a}"' for a in ap),
-        "Acceptance: 1 Inf(0)",
-        "acc-name: Buchi",
-        "--BODY--",
-    ]
-    for q in range(len(nba.labels)):
-        acc = " {0}" if q in nba.accepting else ""
-        lines.append(f"State: {q}{acc}")
-        for cube, dst in nba.edges[q]:
-            lines.append(f"  [{guard(cube)}] {dst}")
-    lines.append("--END--")
-    return "\n".join(lines) + "\n"
+    for nba in _conjunct_automata(f):
+        found = _product_lasso([machine.initial], steps, nba)
+        if found is not None:
+            in_pre, in_loop = map(tuple, found)
+            return Verdict("fail", witness=CounterexampleLasso(machine.lasso_for(in_pre, in_loop),
+                                                               in_pre, in_loop))
+    return Verdict("pass")

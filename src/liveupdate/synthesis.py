@@ -10,24 +10,27 @@ cycle lies in one SCC of the automaton, so rejecting visits are counted only
 inside the SCCs with a cycle through an accepting state, afresh on each
 entry; an accepting state that loops on every letter is simply unreachable.
 
-Unrealizability is established by the dual search: a Mealy environment
-reading the system's outputs and picking inputs so that every resulting trace
-violates the specification.  System and environment bounds are interleaved,
-and each environment attempt races the system attempts after it, the next
-taking the place of one that ends without a machine: the attempt behind
-continues its internal solve until it is ahead of the other, and the first to
-find a machine wins.  A specification cannot have both a machine and an
-environment strategy, so the race finds what running each side's attempts one
-after the other would find, without running one to the end of its budget
-while the other holds the answer.  Every winner is re-verified
-by the corresponding model checker before being reported.  Each attempt has a
-conflict budget of the internal solver, so the order of attempts and their
-outcomes do not depend on how fast the machine is; the only clock is the
-caller's deadline.  A verdict is therefore a function of the specification,
-the propositions, the bound schedule and the solver, and it survives renaming
+Unrealizability is established by the dual search: a Mealy environment reading
+the system's outputs and picking inputs so that every resulting trace violates
+the specification.  System and environment bounds are interleaved, and each
+environment attempt races the system attempts after it, the next taking the
+place of one that ends without a machine: the attempt behind continues its
+internal solve until it is ahead of the other, and the first to find a machine
+wins.  A specification cannot have both a machine and an environment strategy,
+so the race finds what running each side's attempts one after the other would
+find, without running one to the end of its budget while the other holds the
+answer.  Every winner is re-verified before being reported, against the
+automata of the top-level conjuncts that its search encoded -- a machine by
+``mc_ltl``, a certificate by its product with each environment automaton -- so
+checking a searched winner translates nothing.  Each attempt has a conflict
+budget of the internal solver, so the order of attempts and their outcomes do
+not depend on how fast the machine is; the only clock is the caller's
+deadline.  A verdict is therefore a function of the specification, the
+propositions, the bound schedule and the solver, and it survives renaming
 inputs among inputs and outputs among outputs: ``synth_ltl`` keeps each
 verified verdict for the life of the process, answers renamed copies from it
-with a relabelled, re-checked machine or certificate, and results are immutable.
+with a relabelled, re-checked machine or certificate, and results are
+immutable.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import time
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 
-from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _product_lasso, ltl_to_nba,
-                       mc_ltl)
+from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _conjunct_automata,
+                       _product_lasso, mc_ltl)
 from .formula import _KIND_INDEX, Formula, f_and, fold, neg, operands, rename
 from .machine import MooreMachine
 from .modelcheck import LiveProblem, mc_obligations
@@ -104,10 +107,6 @@ class SynthesisResult:
     @property
     def realizable(self) -> bool:
         return self.outcome == "realizable"
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    return list(f.children) if f.kind == "and" else [f]
 
 
 class _Encoder:
@@ -268,17 +267,6 @@ def env_counterexample(env: EnvMachine, nba: BuchiAutomaton) -> LassoTrace | Non
         return None
     prefix, loop = found
     return LassoTrace(tuple(prefix), tuple(loop))
-
-
-def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomaton]:
-    """One automaton per top-level conjunct of ``f``, for its negation; the
-    empty ones (conjuncts that always hold) are dropped."""
-    out = []
-    for c in _conjuncts(f):
-        nba = ltl_to_nba(neg(c), max_states=max_states)
-        if len(nba.labels) and nba.initial:
-            out.append(nba)
-    return out
 
 
 class _Attempt:

@@ -6,9 +6,10 @@ the builders, one call per operand, so the property suites can compare the
 two on random formulas.  They recurse once per nesting level, so they serve
 shallow formulas only.  ``positional_edge_step`` is the edge step written in
 the positional calculus, the semantic reference of ``edge_step``.
-``ltl_to_nba`` is the automaton translation with the acceptance bookkeeping
-of one root formula: each step scans every until of the root for the ones it
-fulfills.
+``ltl_to_nba`` is the automaton translation in two passes -- a generalized
+automaton over conjunct sets, then its degeneralization -- with the acceptance
+bookkeeping of one root formula: each step scans every until of the root for
+the ones it fulfills.
 """
 
 from __future__ import annotations

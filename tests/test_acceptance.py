@@ -8,7 +8,7 @@ these are the exit criteria of the build.
 import random
 import time
 
-from liveupdate.automata import accepts_lasso, ltl_to_nba, mc_ltl
+from liveupdate.automata import ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import ACCEPTANCE_ROWS, TABLE1_ROWS, update_pair
 from liveupdate.formula import t_true
 from liveupdate.modelcheck import LiveProblem, mc_universal_live, mc_universal_product
@@ -20,6 +20,7 @@ from liveupdate.synthesis import SynthesisProblem, synth_ltl, synth_universal_li
 from liveupdate.traces import APTable, parse_trace
 
 from gen import random_formula, random_lasso, random_machine, random_trace
+from nba import accepts_lasso
 from propeq import prop_equivalent
 
 

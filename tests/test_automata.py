@@ -4,9 +4,9 @@ import random
 import pytest
 
 from liveupdate import automata
-from liveupdate.automata import BudgetError, accepts_lasso, explore, ltl_to_nba, mc_ltl, nba_emptiness, to_hoa
+from liveupdate.automata import BudgetError, _product_lasso, explore, ltl_to_nba, mc_ltl, nba_emptiness
 from liveupdate.benchmarks import TABLE1_ROWS, update_pair
-from liveupdate.formula import neg, t_false
+from liveupdate.formula import f_and, neg, t_false
 from liveupdate.machine import parse_machine
 from liveupdate.parser import parse_formula
 from liveupdate.semantics import eval_ltl
@@ -14,6 +14,7 @@ from liveupdate.traces import APTable, LassoTrace
 
 import recursive
 from gen import random_formula, random_lasso, random_machine
+from nba import accepts_lasso, to_hoa
 
 
 def L(*names):
@@ -166,6 +167,33 @@ def test_mc_ltl_agrees_with_lasso_enumeration():
         assert verdict.passed == brute, str(f)
 
 
+def test_mc_ltl_by_conjuncts_agrees_with_whole_negation():
+    # the reference searches the product with the automaton of the whole
+    # negated formula; mc_ltl checks each negated top-level conjunct and
+    # reports the witness of the first one that the machine violates
+    rng = random.Random(47)
+    ap = APTable(("x",), ("y", "z"))
+    failures = 0
+    for _ in range(150):
+        m = random_machine(rng, ap, 3)
+        f = f_and([random_formula(rng, ["x", "y", "z"], 2) for _ in range(rng.randrange(1, 4))])
+        letters = m.input_letters()
+        whole = _product_lasso([m.initial], lambda s: [(i, m.letter(s, i), m.delta(s, i)) for i in letters],
+                               ltl_to_nba(neg(f)))
+        verdict = mc_ltl(m, f)
+        assert verdict.passed == (whole is None), str(f)
+        if verdict.passed:
+            continue
+        failures += 1
+        ce = verdict.witness
+        assert not eval_ltl(ce.lasso, 0, f), str(f)
+        assert ce.lasso == m.lasso_for(ce.input_prefix, ce.input_loop)
+        conjuncts = f.children if f.kind == "and" else (f,)
+        first = next(c for c in conjuncts if not mc_ltl(m, c).passed)
+        assert mc_ltl(m, first).witness == ce, str(f)
+    assert 0 < failures < 150
+
+
 def test_counterexamples_minimal_prefix():
     m = parse_machine("inputs: r\noutputs: g\nstate s0 initial { }\ns0 --*--> s0\n")
     verdict = mc_ltl(m, parse_formula("F g"))
@@ -216,6 +244,14 @@ def test_memo_is_per_state_budget(monkeypatch):
     assert len(ltl_to_nba(g)) > 1
     with pytest.raises(BudgetError):
         ltl_to_nba(g, max_states=1)
+
+
+def test_budget_counts_every_state_built():
+    # two conjunct sets, three (conjunct set, counter) states
+    f = parse_formula("G (a -> F b)")
+    with pytest.raises(BudgetError, match=r"^automaton exceeds 2 states"):
+        ltl_to_nba(f, max_states=2)
+    assert len(ltl_to_nba(f, max_states=3)) == 3
 
 
 def test_equal_cubes_are_one_object():
@@ -273,3 +309,15 @@ def test_step_table_is_invisible(monkeypatch):
     assert len(automata._STEPS) < computed / 2  # most conjunct sets recur
     for f, nba, again in zip(formulas, cold, warmed):
         assert nba == again == recursive.ltl_to_nba(f), str(f)
+
+
+def test_one_pass_translation_matches_the_two_pass_reference():
+    # the reference builds the generalized automaton over conjunct sets, then
+    # degeneralizes it; the translation explores (conjunct set, counter)
+    # states at once and must number, connect and accept them alike
+    rng = random.Random(2026)
+    formulas = [random_formula(rng, ["a", "b", "c", "d"], rng.choice((3, 4, 5))) for _ in range(150)]
+    for f in formulas + [neg(f) for f in formulas]:
+        got, ref = automata._translate(f, 20000), recursive.ltl_to_nba(f)
+        assert (got.labels, got.edges, got.initial, got.accepting) == \
+            (ref.labels, ref.edges, ref.initial, ref.accepting), str(f)

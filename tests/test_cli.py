@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,6 +92,11 @@ def test_evolve_command(problem_dir, capsys):
     assert capsys.readouterr().out.strip() == "F i1"
 
 
+def test_evolve_json(problem_dir, capsys):
+    assert main(["evolve", str(problem_dir / "monitor.problem"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"trace": "m1 ; i1 m1", "obligation": "F i1"}
+
+
 def test_mc_finite_pass(problem_dir, capsys):
     assert main(["mc", "--finite", str(problem_dir / "mc.problem"), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -151,6 +157,20 @@ def test_synth_universal(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["outcome"] == "realizable"
     assert data["per_obligation"]
+
+
+def test_synth_universal_text_lists_obligations(tmp_path, capsys):
+    path = tmp_path / "u.problem"
+    path.write_text(UNIVERSAL_PROBLEM)
+    dot = tmp_path / "update.dot"
+    code = main(["synth", "--universal", str(path), "--dot", str(dot)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "realizable"
+    listed = [line for line in lines[1:] if line.startswith("  [")]
+    assert listed and all(line.startswith("  [realizable  ] ") for line in listed)
+    assert lines[1 + len(listed)].startswith("inputs: r")
+    assert dot.read_text().startswith("digraph")
 
 
 def test_missing_section_error(problem_dir, capsys):
@@ -292,6 +312,23 @@ def test_bench_robot_row(capsys):
     assert out[0]["fin_trace_unknown"] == 0
 
 
+def test_bench_acceptance_keeps_the_acceptance_rows(capsys):
+    code = main(["bench", "--acceptance", "--rows", "seq-visit", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [e["row"] for e in out] == ["visit->seq-visit", "seq-visit->patrolling"]
+
+
+def test_bench_verdict_mismatch_exits_1(monkeypatch, capsys):
+    from liveupdate import cli
+    rows = [dataclasses.replace(r, expected="unreal") if r.key == "visit->seq-visit" else r
+            for r in cli.TABLE1_ROWS]
+    monkeypatch.setattr(cli, "TABLE1_ROWS", rows)
+    assert main(["bench", "--rows", "visit->seq-visit"]) == 1
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[0] == "visit->seq-visit" and row[4:6] == ["real", "unreal"]
+
+
 def test_bench_row_has_one_deadline(monkeypatch):
     # the row's initial system and its universal synthesis share the deadline
     from liveupdate import cli
@@ -319,6 +356,14 @@ def test_bench_budget_row_is_unknown(capsys):
     assert code == 2
     assert out[0]["universal"] == "unknown"
     assert "monitor exceeds 1 states" in out[0]["reason"]
+
+
+def test_bench_text_gives_the_unknown_reason(capsys):
+    code = main(["bench", "--rows", "visit->seq-visit", "--monitor-budget", "1"])
+    assert code == 2
+    row, detail = capsys.readouterr().out.splitlines()[1:]
+    assert row.split()[:5] == ["visit->seq-visit", "-", "-", "-", "unknown"]
+    assert detail.startswith("  unknown: ") and "monitor exceeds 1 states" in detail
 
 
 def test_bench_unknown_row_has_a_reason(monkeypatch, capsys):
@@ -398,7 +443,7 @@ def test_monitor_budget_is_unknown(tmp_path, capsys, argv):
 
 def test_automaton_budget_is_unknown(problem_dir, capsys, monkeypatch):
     from liveupdate import automata
-    monkeypatch.setattr(automata.ltl_to_nba, "__defaults__", (1,))
+    monkeypatch.setattr(automata._conjunct_automata, "__defaults__", (1,))
     code = main(["mc", "--finite", str(problem_dir / "mc.problem")])
     assert code == 2
     assert "automaton exceeds 1 states" in capsys.readouterr().err

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from liveupdate.machine import MachineFormatError, parse_machine, serialize_machine, to_dot
-from liveupdate.traces import APTable
+from liveupdate.cli import main
+from liveupdate.machine import MachineFormatError, MooreMachine, parse_machine, serialize_machine, to_dot
+from liveupdate.traces import APTable, Cube
 
 from gen import random_machine
 
@@ -127,6 +128,43 @@ def test_duplicate_state_error():
     text = "inputs: r\noutputs: g\nstate s0 initial { g }\nstate s0 { }\ns0 --*--> s0\n"
     with pytest.raises(MachineFormatError, match="duplicate"):
         parse_machine(text)
+
+
+HEADER = "inputs: r\noutputs: g\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER + "state s0 initial { x }\ns0 --*--> s0\n",
+     "state s0 outputs undeclared propositions ['x']"),
+    (HEADER + "state s0 initial g\ns0 --*--> s0\n", "malformed state line: 'state s0 initial g'"),
+    (HEADER + "state s0 start { g }\ns0 --*--> s0\n", "malformed state line: 'state s0 start { g }'"),
+    (HEADER + "state s0 initial { g }\nstate s1 initial { }\ns0 --*--> s0\ns1 --*--> s1\n",
+     "multiple initial states"),
+    (HEADER + "state s0 initial { g }\ns0 -> s0\n", "unrecognized line: 's0 -> s0'"),
+    ("inputs: r\nstate s0 initial { g }\ns0 --*--> s0\n", "missing inputs:/outputs: header"),
+    (HEADER + "state s0 { g }\ns0 --*--> s0\n", "no initial state"),
+    (HEADER + "state s0 initial { g }\ns0 --*--> s1\n", "edge references unknown state: s0 --...--> s1"),
+    (HEADER + "state s0 initial { g }\ns0 --g--> s0\n", "cube literal 'g' is not a declared input"),
+    (HEADER + "state s0 initial { g }\ns0 --r & !r--> s0\n", "contradictory cube 'r & !r'"),
+], ids=["undeclared-output", "state-without-braces", "state-bad-head", "two-initial-states",
+        "unrecognized-line", "missing-header", "no-initial-state", "unknown-endpoint",
+        "cube-undeclared-literal", "cube-contradictory"])
+def test_format_errors(tmp_path, capsys, text, message):
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine(text)
+    assert str(err.value) == message
+    (tmp_path / "bad.machine").write_text(text)
+    problem = tmp_path / "bad.problem"
+    problem.write_text("INPUTS: r\nOUTPUTS: g\nINITIAL: G g\nTRACE: -\nINITIAL_MACHINE: @bad.machine\n")
+    assert main(["evolve", str(problem)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_constructor_rejects_duplicate_ids():
+    ap = APTable(("r",), ("g",))
+    loop = [(Cube(frozenset(), frozenset()), 0)]
+    with pytest.raises(MachineFormatError, match="^duplicate state ids$"):
+        MooreMachine(ap, ["s0", "s0"], 0, [frozenset(), frozenset()], [loop, loop])
 
 
 def test_dot_export(fig1_machine):

@@ -9,19 +9,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from liveupdate.automata import _NBA, BudgetError, ltl_to_nba, mc_ltl
+from liveupdate.automata import _NBA, BudgetError, _conjunct_automata, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
 from liveupdate.formula import f_and, neg, t_true
 from liveupdate.machine import parse_machine, serialize_machine
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
-from liveupdate import monitor, sat, synthesis
+from liveupdate import automata, monitor, sat, synthesis
 from liveupdate.synthesis import (
     SynthesisProblem,
     SynthesisResult,
     _Encoder,
-    _conjunct_automata,
     env_counterexample,
     synth_finite_live,
     synth_ltl,
@@ -560,6 +559,27 @@ def test_corrupted_machine_fails_verification(monkeypatch):
         synth_finite_live(t_true(), parse_formula("G F g"), (), AP_RG)
 
 
+@pytest.mark.parametrize("spec, ap, outcome", [
+    (family("relay", 1).spec, family("relay", 1).ap, "realizable"),
+    (parse_formula("F r && G (r -> X g)"), AP_RG, "unrealizable"),
+], ids=["relay-1", "env-certificate"])
+def test_verification_translates_nothing(monkeypatch, spec, ap, outcome):
+    # the machine or certificate is checked against the automata that the
+    # search encoded: no translation happens after the search
+    monkeypatch.setattr(automata, "_NBA", {})
+    searched = []
+    verified = synthesis._verified
+
+    def spy(result, f):
+        searched.append(set(automata._NBA))
+        return verified(result, f)
+
+    monkeypatch.setattr(synthesis, "_verified", spy)
+    result = synth_ltl(SynthesisProblem(spec, ap))
+    assert result.outcome == outcome
+    assert searched == [set(automata._NBA)] and len(automata._NBA) > 1
+
+
 def test_corrupted_certificate_fails_verification(monkeypatch):
     extract = _Encoder.extract_env
 
@@ -579,7 +599,7 @@ def test_env_automaton_budget_gives_unknown(monkeypatch):
             raise BudgetError("forced")
         return ltl_to_nba(f, max_states)
 
-    monkeypatch.setattr(synthesis, "ltl_to_nba", budgeted)
+    monkeypatch.setattr(automata, "ltl_to_nba", budgeted)
     spec = parse_formula("G (r -> X g) && G (r -> X !g)")
     result = synth_ltl(SynthesisProblem(spec, AP_RG, bounds=(1, 2), cap=2))
     assert result.outcome == "unknown"
@@ -661,7 +681,8 @@ def test_emit_dimacs_independent_of_hash_seed():
             "from liveupdate.machine import serialize_machine\n"
             "from liveupdate.parser import parse_formula\n"
             "from liveupdate.sat import to_dimacs\n"
-            "from liveupdate.synthesis import SynthesisProblem, _Encoder, _conjunct_automata, synth_ltl\n"
+            "from liveupdate.automata import _conjunct_automata\n"
+            "from liveupdate.synthesis import SynthesisProblem, _Encoder, synth_ltl\n"
             "from liveupdate.traces import APTable\n"
             "for text in sys.argv[2:]:\n"
             "    parse_formula(text)\n"

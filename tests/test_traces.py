@@ -1,0 +1,23 @@
+import pytest
+
+from liveupdate.cli import main
+from liveupdate.traces import APTable, Cube, LassoTrace
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Cube.parse("r & q", frozenset({"r"}), "input"), "cube literal 'q' is not a declared input"),
+    (lambda: Cube.parse("!r & r", frozenset({"r"}), "input"), "contradictory cube '!r & r'"),
+    (lambda: APTable(("r", "g"), ("g",)), "duplicate proposition names in AP table"),
+    (lambda: LassoTrace((frozenset(),), ()), "lasso loop must be nonempty"),
+], ids=["cube-undeclared-literal", "cube-contradictory", "duplicate-ap-name", "empty-lasso-loop"])
+def test_value_errors(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_duplicate_ap_name_in_a_problem_exits_3(tmp_path, capsys):
+    path = tmp_path / "dup.problem"
+    path.write_text("INPUTS: r g\nOUTPUTS: g\nINITIAL: G g\nTRACE: -\n")
+    assert main(["evolve", str(path)]) == 3
+    assert capsys.readouterr().err == "error: duplicate proposition names in AP table\n"
