@@ -207,13 +207,9 @@ def cmd_bench(args) -> int:
                 print(f"  unknown: {e['reason']}")
             if "error" in e:
                 print(f"  error: {e['error']}")
-    bad = [e for e in report if e["universal"] in ("error", "unknown")]
-    mismatched = [e for e in report if e["universal"] in ("real", "unreal") and e["universal"] != e["expected"]]
-    if mismatched:
+    if any(e["universal"] in ("real", "unreal") and e["universal"] != e["expected"] for e in report):
         return EXIT_FAIL
-    if bad:
-        return EXIT_UNKNOWN
-    return EXIT_PASS
+    return EXIT_UNKNOWN if any(e["universal"] in ("error", "unknown") for e in report) else EXIT_PASS
 
 
 def cmd_gen(args) -> int:
@@ -246,11 +242,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     solver_help = ("'internal' (a conflict budget per attempt) or the path to a DIMACS solver "
                    "(each attempt runs until it answers or --timeout passes)")
 
-    def common(p, monitor_budget=True):
+    def common(p, monitor_budget=True, modes=False):
         p.add_argument("problem", help="problem file")
         p.add_argument("--json", action="store_true", help="JSON output")
         if monitor_budget:
             p.add_argument("--monitor-budget", type=_bound, default=10000)
+        if modes:
+            mode = p.add_mutually_exclusive_group(required=True)
+            mode.add_argument("--finite", action="store_true")
+            mode.add_argument("--universal", action="store_true")
 
     p = sub.add_parser("monitor", help="build (and optionally cut) the obligation monitor")
     common(p)
@@ -265,17 +265,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("mc", help="model-check a live update")
-    common(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--finite", action="store_true")
-    mode.add_argument("--universal", action="store_true")
+    common(p, modes=True)
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("synth", help="synthesize an update system")
-    common(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--finite", action="store_true")
-    mode.add_argument("--universal", action="store_true")
+    common(p, modes=True)
     p.add_argument("--bound-max", type=_bound, default=16)
     p.add_argument("--timeout", type=_seconds, default=None,
                    help="seconds; one deadline for the whole command")

@@ -89,11 +89,13 @@ def mc_universal_live(ts_u: MooreMachine, problem: LiveProblem,
 
 def mc_obligations(ts_u: MooreMachine, obligations: list[Formula], psi: Formula) -> Verdict:
     """Check ``o && psi`` for every obligation ``o``; the first failure is
-    reported with its obligation and counterexample."""
+    reported with its obligation and counterexample.  The product with a
+    conjunct automaton that several obligations share is searched once."""
     table = []
     failure: Verdict | None = None
+    searched: dict = {}
     for o in obligations:
-        v = mc_ltl(ts_u, f_and((o, psi)))
+        v = mc_ltl(ts_u, f_and((o, psi)), searched)
         table.append({"obligation": str(o), "outcome": v.outcome})
         if not v.passed and failure is None:
             failure = v

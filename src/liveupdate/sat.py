@@ -5,16 +5,16 @@ activities with phase saving, geometric restarts and periodic deletion of
 inactive learned clauses.  Variables are positive integers, literals signed
 integers.  A solver takes its whole CNF when it is made, ``Solver(nvars,
 clauses)`` as ``solve_external`` takes it: one pass sizes its tables, copies
-the clauses, files their watches and assigns the units at level 0.  One
-table, keyed by literal, holds the assignment: a literal and its negation are
-set and cleared together, so a literal's value is one lookup.  A solve is
-resumable in the manner of MiniSat's budgeted search: it stops at a conflict
-before analysing it once its conflict budget is spent, keeps its search
-state, and a later call goes on from that conflict.  So a caller continues a
-solve to a conflict target, and interleaves solvers by raising their targets
-in turn.  Good enough for the constraint sizes bounded synthesis produces at
-desk scale; anything harder can be shipped to an external solver through the
-DIMACS format.
+the clauses as given (repeated literals too), files their watches and assigns
+the units at level 0.  One table, keyed by literal, holds the assignment: a
+literal and its negation are set and cleared together, so a literal's value
+is one lookup.  A solve is resumable in the manner of MiniSat's budgeted
+search: it stops at a conflict before analysing it once its conflict budget
+is spent, keeps its search state, and a later call goes on from that
+conflict.  So a caller continues a solve to a conflict target, and
+interleaves solvers by raising their targets in turn.  Good enough for the
+constraint sizes bounded synthesis produces at desk scale; anything harder
+can be shipped to an external solver through the DIMACS format.
 """
 
 from __future__ import annotations
@@ -35,11 +35,14 @@ class SolverError(RuntimeError):
 class Solver:
     def __init__(self, nvars: int, clauses: list[list[int]]):
         """A solver over variables ``1..nvars`` loaded with ``clauses`` in one
-        pass.  Each clause is copied without its repeated literals, the
-        given lists are left as they are, and units are assigned at level 0
-        in clause order; an empty clause or contradicting units leave the
-        solver unsatisfiable.  A tautology stays a clause, which no
-        assignment makes unit or false."""
+        pass.  Each clause is copied as given, the given lists are left as
+        they are, and units are assigned at level 0 in clause order; an
+        empty clause or contradicting units leave the solver unsatisfiable.
+        Tautologies and repeated literals stay, which is sound: propagation
+        enqueues a literal only when every other position is false and
+        reports a conflict only when all are.  A literal in both watched
+        positions has the clause scanned whole when it is falsified, so at
+        worst a unit comes later."""
         self.nvars = nvars
         lits = [*range(-nvars, 0), *range(1, nvars + 1)]
         self.value: dict[int, int] = dict.fromkeys(lits, 0)  # 1 true, -1 false, 0 unassigned
@@ -63,16 +66,15 @@ class Solver:
         self._restart_limit = 128
         self._reduce_at = 4000
         self.clauses: list[list[int]] = []
-        watches, value = self.watches, self.value
-        for c, n in zip(clauses, map(len, map(set, clauses))):  # n distinct literals
-            c = c[:] if n == len(c) else list(dict.fromkeys(c))
-            if n > 1:
-                watches[c[0]].append(len(self.clauses))
-                watches[c[1]].append(len(self.clauses))
-                self.clauses.append(c)
-            elif n and value[c[0]] == 0:
+        kept, watches, value = self.clauses, self.watches, self.value
+        for c in clauses:
+            if len(c) > 1:
+                watches[c[0]].append(len(kept))
+                watches[c[1]].append(len(kept))
+                kept.append(c[:])
+            elif c and value[c[0]] == 0:
                 self._enqueue(c[0], -1)
-            elif not n or value[c[0]] == -1:
+            elif not c or value[c[0]] == -1:
                 self.ok = False
                 break
         self.cla_activity: list[float] = [0.0] * len(self.clauses)

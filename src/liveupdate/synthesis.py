@@ -146,21 +146,14 @@ class _Encoder:
             self.out = {
                 (t, a, o): self.newvar() for t in range(k) for a in read for o in self.emit
             }
-        for t in range(k):
-            for a in read:
-                row = self.trans[(t, a)]
-                self.clauses.append(list(row))
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        self.clauses.append([-row[i], -row[j]])
+        for row in self.trans.values():  # (t, a) order
+            self.clauses.append(list(row))
+            self.clauses.extend([-row[i], -row[j]] for i in range(k) for j in range(i + 1, k))
         for nba in self.automata:
             self._encode_automaton(nba)
 
-    def _outvar(self, t: int, a: Letter, o: str) -> int:
-        return self.out[(t, o)] if self.mode == "moore" else self.out[(t, a, o)]
-
     def _encode_automaton(self, nba: BuchiAutomaton) -> None:
-        k, K = self.k, self.kcount
+        k, K, read, emit, clauses = self.k, self.kcount, self.read, self.emit, self.clauses
         n = len(nba.labels)
         # an accepting state that loops on every letter is a violation once
         # reached: it gets no edges, and its reach variables are false
@@ -174,55 +167,65 @@ class _Encoder:
         counted = sorted(scc)  # state order, so the CNF does not depend on set iteration
         reach = {(t, q): self.newvar() for t in range(k) for q in range(n)}
         cnt = {(t, q): [self.newvar() for _ in range(K)] for t in range(k) for q in counted}
-        for chain in cnt.values():
-            for c in range(K - 1):
-                self.clauses.append([-chain[c + 1], chain[c]])
+        clauses.extend([-chain[c + 1], chain[c]] for chain in cnt.values() for c in range(K - 1))
         for q0 in nba.initial:
-            self.clauses.append([reach[(0, q0)]])
+            clauses.append([reach[(0, q0)]])
             if q0 in scc and q0 in nba.accepting:
-                self.clauses.append([cnt[(0, q0)][0]])
-        for q in doomed:
-            for t in range(k):
-                self.clauses.append([-reach[(t, q)]])
-        # per state, each read letter with the edges whose cube its read half
-        # matches: their targets and emitted literals, (output, holds) in
+                clauses.append([cnt[(0, q0)][0]])
+        clauses.extend([-reach[(t, q)]] for q in doomed for t in range(k))
+        # per state and read letter, the edges whose cube its read half
+        # matches (the letters a half admits are found once per distinct
+        # half): their target's reach and counter variables by machine state,
+        # and their emitted outputs with the sign of each guard literal, in
         # ``emit`` order, so the CNF does not depend on string hashing
+        reach_to = [[reach[(t2, q2)] for t2 in range(k)] for q2 in range(n)]
+        cnt_to = {q2: [cnt[(t2, q2)] for t2 in range(k)] for q2 in counted}
+        admits: dict = {}
         moves = []
         for q in range(n):
-            edges = [(cube.pos & self.readset, cube.neg & self.readset,
-                      (q2, [(o, o in cube.pos) for o in self.emit if o in cube.pos or o in cube.neg],
-                       q2 in scc and scc.get(q) == scc[q2], q2 in scc and q2 in nba.accepting))
-                     for cube, q2 in nba.edges[q]] if succ[q] else []
-            moves.append([(a, [e for need, bar, e in edges if need <= a and not bar & a])
-                          for a in self.read])
-        clauses = self.clauses
+            moves.append(per_letter := [[] for _ in read])
+            for cube, q2 in nba.edges[q] if succ[q] else ():
+                need, bar = half = cube.pos & self.readset, cube.neg & self.readset
+                if half not in admits:
+                    admits[half] = [i for i, a in enumerate(read) if need <= a and not bar & a]
+                edge = (reach_to[q2], cnt_to.get(q2), q2 == q,
+                        tuple((o, -1 if o in cube.pos else 1) for o in emit
+                              if o in cube.pos or o in cube.neg),
+                        q2 in scc and scc.get(q) == scc[q2], q2 in scc and q2 in nba.accepting)
+                for i in admits[half]:
+                    per_letter[i].append(edge)
+        moore, out = self.mode == "moore", self.out
         for t in range(k):
+            guards: dict = {}  # per emitted outputs (and letter, on the Mealy side)
+            rows = [[-v for v in self.trans[(t, a)]] for a in read]  # negated, like chain
             for q in range(n):
                 here = -reach[(t, q)]
-                for a, admitted in moves[q]:
-                    row = self.trans[(t, a)]
-                    for q2, emitted, inside, inc in admitted:
-                        guard = [-self._outvar(t, a, o) if holds else self._outvar(t, a, o)
-                                 for o, holds in emitted]
-                        for t2 in range(k):
-                            ante = [here, -row[t2], *guard]
+                chain = [-v for v in cnt[(t, q)]] if q in scc else None
+                for a, row, admitted in zip(read, rows, moves[q]):
+                    for reach2, chains2, same, emitted, inside, inc in admitted:
+                        key = emitted if moore else (a, emitted)
+                        guard = guards.get(key)
+                        if guard is None:
+                            guard = guards[key] = [sign * out[(t, o) if moore else (t, a, o)]
+                                                   for o, sign in emitted]
+                        for t2, trans in enumerate(row):
                             # a self-loop's reach clause, and without acceptance its
                             # counter clauses, are tautologies
-                            loop = (t2, q2) == (t, q)
+                            loop = same and t2 == t
                             if not loop:
-                                clauses.append(ante + [reach[(t2, q2)]])
+                                clauses.append([here, trans, *guard, reach2[t2]])
                             if inc:
-                                clauses.append(ante + [cnt[(t2, q2)][0]])
+                                clauses.append([here, trans, *guard, chains2[t2][0]])
                             if not inside:  # entering an SCC starts its count afresh
                                 continue
-                            chain, chain2 = cnt[(t, q)], cnt[(t2, q2)]
+                            chain2 = chains2[t2]
                             if inc:
                                 for c in range(K - 1):
-                                    clauses.append(ante + [-chain[c], chain2[c + 1]])
-                                clauses.append(ante + [-chain[K - 1]])
+                                    clauses.append([here, trans, *guard, chain[c], chain2[c + 1]])
+                                clauses.append([here, trans, *guard, chain[K - 1]])
                             elif not loop:
                                 for c in range(K):
-                                    clauses.append(ante + [-chain[c], chain2[c]])
+                                    clauses.append([here, trans, *guard, chain[c], chain2[c]])
 
     # -- model extraction ------------------------------------------------
 

@@ -146,17 +146,9 @@ def all_letters(props: Sequence[str]) -> tuple[Letter, ...]:
 def parse_trace(text: str) -> FiniteTrace:
     """Parse ``;``-separated letters; atoms within a letter are whitespace
     separated, an empty segment (or ``-``) is the empty letter."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    letters = []
-    for seg in text.split(";"):
-        seg = seg.strip()
-        if seg in ("", "-"):
-            letters.append(frozenset())
-        else:
-            letters.append(frozenset(seg.split()))
-    return tuple(letters)
+    return tuple(frozenset() if seg.strip() == "-" else frozenset(seg.split()) for seg in text.split(";"))
 
 
 def format_trace(trace: Iterable[Letter]) -> str:

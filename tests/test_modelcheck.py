@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from liveupdate.formula import t_true
+from liveupdate import automata
+from liveupdate.formula import f_and, t_true
 from liveupdate.machine import parse_machine
-from liveupdate.modelcheck import LiveProblem, mc_finite_live, mc_universal_live, mc_universal_product
+from liveupdate.modelcheck import (LiveProblem, mc_finite_live, mc_obligations, mc_universal_live,
+                                   mc_universal_product)
 from liveupdate.automata import mc_ltl
+from liveupdate.monitor import cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
 from liveupdate.semantics import words_membership
 from liveupdate.traces import APTable, parse_trace
@@ -100,6 +103,41 @@ def test_universal_equals_bruteforce_small():
             for eta in ts_i.fin_traces(4)
         )
         assert got == brute, f"{phi} | {psi}"
+
+
+def test_obligations_search_each_product_once(fig1_machine, relay2, monkeypatch):
+    searched = []
+    product_lasso = automata._product_lasso
+
+    def counted(initials, steps, nba):
+        searched.append(id(nba))
+        return product_lasso(initials, steps, nba)
+
+    monkeypatch.setattr(automata, "_product_lasso", counted)
+    relay = reachable_obligations(cut_from_phi(relay2.spec, fig1_machine))
+    cases = [(ts_u, relay, relay2.spec) for ts_u in (fig1_machine, parse_machine(NEVER_I0))]
+    rng = random.Random(29)
+    ap = APTable(("x",), ("y",))
+    for _ in range(60):
+        obligations = [random_formula(rng, ["x", "y"], 2) for _ in range(3)]
+        cases.append((random_machine(rng, ap, 2), obligations + obligations[:1],
+                      random_formula(rng, ["x", "y"], 2)))
+    counts = []
+    for ts_u, obligations, psi in cases:
+        searched.clear()
+        got = mc_obligations(ts_u, obligations, psi)
+        shared = len(searched)
+        assert shared == len(set(searched))
+        alone = [mc_ltl(ts_u, f_and((o, psi))) for o in obligations]
+        counts.append((shared, len(searched) - shared))
+        assert got.details["obligations"] == [{"obligation": str(o), "outcome": v.outcome}
+                                              for o, v in zip(obligations, alone)]
+        first = next(((o, v) for o, v in zip(obligations, alone) if not v.passed), None)
+        assert got.passed == (first is None)
+        if first is not None:
+            assert got.failing_obligation is first[0] and got.witness == first[1].witness
+    assert all(shared <= apart for shared, apart in counts)
+    assert counts[0][0] < counts[0][1]  # relay(2)'s obligations share their psi conjuncts
 
 
 def test_universal_product_agrees(fig1_machine, relay2):

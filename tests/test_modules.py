@@ -82,6 +82,33 @@ def test_self_reference_is_reported(tmp_path):
     assert sorted(_self_references(src)) == ["mod.py:6 walk", "mod.py:9 depth"]
 
 
+def _foreign_imports(path: Path) -> list[str]:
+    """Absolute imports of anything but the standard library and liveupdate."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"liveupdate"}]
+    return found
+
+
+def test_runtime_is_stdlib_only():
+    found = [m for path in SOURCES for m in _foreign_imports(path)]
+    assert not found, "\n".join(found)
+
+
+def test_foreign_import_is_reported(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os.path, numpy\nfrom . import sat\nfrom liveupdate.sat import Solver\n\n"
+                   "def f():\n    from yaml import load\n")
+    assert _foreign_imports(src) == ["mod.py:1 numpy", "mod.py:6 yaml"]
+
+
 # The benchmark's sources change only with the benchmark, so a library change
 # that deletes or renames a name they use must fail here rather than in a run.
 

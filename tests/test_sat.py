@@ -32,7 +32,7 @@ def test_contradiction():
 def test_load_assigns_units_in_clause_order():
     s = Solver(4, [[2], [1, 3, 1], [-4], [3, -1], [2]])
     assert s.trail == [2, -4]
-    assert s.clauses == [[1, 3], [3, -1]]
+    assert s.clauses == [[1, 3, 1], [3, -1]]
     assert s.watches[1] == [0] and s.watches[3] == [0, 1] and s.watches[-1] == [1]
     assert not Solver(2, [[1], [2, -1], [-1]]).ok
     assert not Solver(2, [[1, 2], []]).ok
@@ -65,6 +65,27 @@ def test_random_instances_match_bruteforce():
             def val(lit):
                 return (abs(lit) in model) == (lit > 0)
             assert all(any(val(l) for l in c) for c in clauses)
+
+
+def test_repeated_literals_are_sound():
+    # a clause keeps its repeated literals, so one literal can sit in both
+    # watched positions, from the load on ([x, x], [x, x, y]) or once the
+    # watch moves ([y, x, y] after x is falsified).  Every such clause over
+    # three variables, next to every sequence of up to two units, and every
+    # pair of them, gives brute force's verdict and a model of the clauses.
+    lits = [v * sign for v in (1, 2, 3) for sign in (1, -1)]
+    repeated = [shape for x in lits for y in lits if abs(x) != abs(y)
+                for shape in ([x, x], [x, x, y], [y, x, y], [x, y, x])]
+    units = [[]] + [[[u]] for u in lits] + [[[u], [w]] for u in lits for w in lits]
+    cnfs = [[c, *us] for c in repeated for us in units]
+    cnfs += [[c, d] for c in repeated for d in repeated]
+    for clauses in cnfs:
+        s = Solver(3, clauses)
+        got = s.solve()
+        assert got == brute_force(3, clauses), clauses
+        if got:
+            model = s.model()
+            assert all(any((abs(l) in model) == (l > 0) for l in c) for c in clauses), clauses
 
 
 def pigeonhole(n):

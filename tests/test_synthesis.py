@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -652,16 +653,50 @@ RELAY_LEDGER = {
 }
 
 
-def test_attempt_ledger_is_pinned():
+# The sha256 of ``to_dimacs`` of each attempt's CNF in the ledger, in its
+# order: a change that keeps the search keeps every clause and its literal
+# order, which sizes and conflict counts alone may not show.
+RELAY_CNF_SHA256 = {
+    "universal": ["a6af2f122b1ce2dbe2c868fa19ded63eb1e1bac2d059c93be83ca4b6b0be2840",
+                  "661f0b28e33b1fb56b61cc5a99de97e2eec27259535bf01cb21e095f59baf40e",
+                  "8cbdafdf820bcace7c1a3200e131429405df059ab0e1ba6cf566631c416f634d"],
+    "i0 m1 ; i0 r ; i1 ; - ; m1 ; i1 m1 ; i1 m0 ; i0 i1 m0 m1 r ; i0 i1 m1 r ; i1 m0 m1 ; i0 m0 m1 r": [
+        "8f9efe7300b32ea6a2b629a8d17a51f658fe8e891a500b618c8428d20fda3381",
+        "994456f9f92f8b0ea9a12c1c43a877db10cdc9897283da1558e932205e7d4253",
+        "e6f9322db7782632fd5c812338189bfb02d626d84969480b1ff2e153e6487660"],
+    "i0 m0 m1 ; i0 m0 r ; i0 i1 m0 r ; i0 m0 ; i0 ; m0 m1 ; i0 m0 r": [
+        "7e6a97fdab57fd35ec9b72cc4b404b39169cfc8af0fbcd9328dd5b4e9b1b6d54",
+        "6424cff3ce8e7ac7a7e44dd847a6045378ef16283c46a939dc177d6d6ff14b6c",
+        "5cdda53f4ccd6fb11ce338d11037a27f5db9ac3be3ec2df024880329a4d4367d"],
+    "i0 m0 ; i0 m0 ; i0 m1 ; i0 m0 r ; i0 i1 r ; i0 m0 ; i0 m0 m1 ; i0 r ; i1 m1 ; i1 m0": [
+        "02e66638067726b2f14784c89eb5114de022db38f99c7bf9452388976e94f79a",
+        "f7760ca9c076996b8a82bc72d78f6046bbb459381e587809586612715a126ba1",
+        "68b08d09977fb57c620bfd45f014c502b6eb945735a20fd59e22a0324f82587f"],
+}
+
+
+def test_attempt_ledger_is_pinned(monkeypatch):
+    cnfs = {}  # (side, bound) -> digest, per ledger entry
+    encode = _Encoder._build
+
+    def build(enc):
+        encode(enc)
+        side = "system" if enc.mode == "moore" else "environment"
+        cnfs[(side, enc.k)] = hashlib.sha256(sat.to_dimacs(enc.nv, enc.clauses).encode()).hexdigest()
+
+    monkeypatch.setattr(_Encoder, "_build", build)
     relay2_machine = Path(__file__).parents[1] / "bench" / "inputs" / "machines" / "relay-2.machine"
     ts_i = parse_machine(relay2_machine.read_text())
     bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
-    results = {"universal": synth_universal_live(ts_i, bi.spec, bu.spec, ap)}
+    results, digests = {}, {}
     for text in RELAY_LEDGER:
-        if text != "universal":
-            results[text] = synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap)
+        cnfs.clear()
+        results[text] = (synth_universal_live(ts_i, bi.spec, bu.spec, ap) if text == "universal"
+                         else synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap))
+        digests[text] = [cnfs[(a["side"], a["bound"])] for a in results[text].stats]
     assert {key: [(a["side"], a["bound"], a["vars"], a["clauses"], a["conflicts"], a["sat"])
                   for a in result.stats] for key, result in results.items()} == RELAY_LEDGER
+    assert digests == RELAY_CNF_SHA256
 
 
 def test_emit_dimacs():
