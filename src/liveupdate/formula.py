@@ -2,9 +2,11 @@
 
 Formulas are immutable and hash-consed: structurally identical terms share a
 single representative, and that object is the formula's identity, so equality
-is ``is`` and costs O(1).  Every formula also carries an integer ``key``, a
-hash of its structure alone, which orders the operands of ``and``/``or``.  No
-result therefore depends on which formulas the process built before.
+is ``is`` and costs O(1), and its hash is the built-in identity hash.  The
+iteration order of a set of formulas therefore follows memory addresses, and
+no result may follow it.  Every formula also carries an integer ``key``, a
+hash of its structure alone, which orders the operands of ``and``/``or``, so
+no result depends on which formulas the process built before.
 
 Construction goes through the module-level builders (``atom``, ``f_and``,
 ``f_until``, ...) which keep terms in normal form: negation exists only on
@@ -59,8 +61,9 @@ class Formula:
     store an n-ary sorted ``children`` tuple; ``X`` uses ``left``; ``U``/``R``
     use ``left``/``right``; (n)atoms use ``name``.
 
-    The interned object is the identity (there is no ``__eq__``); ``key``, a
-    61-bit hash of the kind, the name and the operands' keys, is its hash.
+    The interned object is the identity and the hash (no ``__eq__`` or
+    ``__hash__`` is defined); ``key``, a 61-bit hash of the kind, the name
+    and the operands' keys, orders the operands of ``and``/``or``.
     """
 
     __slots__ = ("kind", "name", "left", "right", "children", "key")
@@ -73,9 +76,6 @@ class Formula:
     right: "Formula | None"
     children: tuple["Formula", ...]
     key: int
-
-    def __hash__(self) -> int:
-        return self.key
 
     def __str__(self) -> str:
         return to_str(self)

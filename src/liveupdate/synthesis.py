@@ -152,9 +152,14 @@ class _Encoder:
         for nba in self.automata:
             self._encode_automaton(nba)
 
-    def _encode_automaton(self, nba: BuchiAutomaton) -> None:
-        k, K, read, emit, clauses = self.k, self.kcount, self.read, self.emit, self.clauses
-        n = len(nba.labels)
+    def _shape(self, nba: BuchiAutomaton) -> tuple:
+        """What the encoding of ``nba`` takes from the automaton alone, at any
+        bound, kept for the life of the process: its doomed states, accepting
+        SCCs and counted states, and per state and read letter the moves
+        ``(q2, same, emitted, inside, inc)`` of the edges that admit the letter."""
+        key = (id(nba), self.read, self.emit)
+        if key in _SHAPES:
+            return _SHAPES[key][1]
         # an accepting state that loops on every letter is a violation once
         # reached: it gets no edges, and its reach variables are false
         doomed = [q for q in sorted(nba.accepting)
@@ -165,6 +170,33 @@ class _Encoder:
         scc = {q: i for i, comp in enumerate(_accepting_sccs(succ, nba.accepting.__contains__))
                for q in comp}
         counted = sorted(scc)  # state order, so the CNF does not depend on set iteration
+        # the letters a read half admits are found once per distinct half; the
+        # emitted outputs, with the sign of each guard literal, are in ``emit``
+        # order, so the CNF does not depend on string hashing
+        admits: dict = {}
+        seen: dict = {}  # one kept object per distinct guard and move
+        moves = []  # per state, per read letter
+        for q in range(len(nba.labels)):
+            per_letter = [[] for _ in self.read]
+            for cube, q2 in nba.edges[q] if succ[q] else ():
+                need, bar = half = cube.pos & self.readset, cube.neg & self.readset
+                if half not in admits:
+                    admits[half] = [i for i, a in enumerate(self.read) if need <= a and not bar & a]
+                emitted = tuple((o, -1 if o in cube.pos else 1) for o in self.emit
+                                if o in cube.pos or o in cube.neg)
+                edge = (q2, q2 == q, seen.setdefault(emitted, emitted),
+                        q2 in scc and scc.get(q) == scc[q2], q2 in scc and q2 in nba.accepting)
+                edge = seen.setdefault(edge, edge)
+                for i in admits[half]:
+                    per_letter[i].append(edge)
+            moves.append(tuple(map(tuple, per_letter)))
+        _SHAPES[key] = nba, (doomed, scc, counted, moves)  # kept, so no other takes its id
+        return _SHAPES[key][1]
+
+    def _encode_automaton(self, nba: BuchiAutomaton) -> None:
+        k, K, read, clauses = self.k, self.kcount, self.read, self.clauses
+        doomed, scc, counted, moves = self._shape(nba)
+        n = len(moves)
         reach = {(t, q): self.newvar() for t in range(k) for q in range(n)}
         cnt = {(t, q): [self.newvar() for _ in range(K)] for t in range(k) for q in counted}
         clauses.extend([-chain[c + 1], chain[c]] for chain in cnt.values() for c in range(K - 1))
@@ -173,27 +205,9 @@ class _Encoder:
             if q0 in scc and q0 in nba.accepting:
                 clauses.append([cnt[(0, q0)][0]])
         clauses.extend([-reach[(t, q)]] for q in doomed for t in range(k))
-        # per state and read letter, the edges whose cube its read half
-        # matches (the letters a half admits are found once per distinct
-        # half): their target's reach and counter variables by machine state,
-        # and their emitted outputs with the sign of each guard literal, in
-        # ``emit`` order, so the CNF does not depend on string hashing
+        # a target state's reach and counter variables, by machine state
         reach_to = [[reach[(t2, q2)] for t2 in range(k)] for q2 in range(n)]
-        cnt_to = {q2: [cnt[(t2, q2)] for t2 in range(k)] for q2 in counted}
-        admits: dict = {}
-        moves = []
-        for q in range(n):
-            moves.append(per_letter := [[] for _ in read])
-            for cube, q2 in nba.edges[q] if succ[q] else ():
-                need, bar = half = cube.pos & self.readset, cube.neg & self.readset
-                if half not in admits:
-                    admits[half] = [i for i, a in enumerate(read) if need <= a and not bar & a]
-                edge = (reach_to[q2], cnt_to.get(q2), q2 == q,
-                        tuple((o, -1 if o in cube.pos else 1) for o in emit
-                              if o in cube.pos or o in cube.neg),
-                        q2 in scc and scc.get(q) == scc[q2], q2 in scc and q2 in nba.accepting)
-                for i in admits[half]:
-                    per_letter[i].append(edge)
+        cnt_to = [[cnt[(t2, q2)] for t2 in range(k)] if q2 in scc else None for q2 in range(n)]
         moore, out = self.mode == "moore", self.out
         for t in range(k):
             guards: dict = {}  # per emitted outputs (and letter, on the Mealy side)
@@ -202,7 +216,8 @@ class _Encoder:
                 here = -reach[(t, q)]
                 chain = [-v for v in cnt[(t, q)]] if q in scc else None
                 for a, row, admitted in zip(read, rows, moves[q]):
-                    for reach2, chains2, same, emitted, inside, inc in admitted:
+                    for q2, same, emitted, inside, inc in admitted:
+                        reach2, chains2 = reach_to[q2], cnt_to[q2]
                         key = emitted if moore else (a, emitted)
                         guard = guards.get(key)
                         if guard is None:
@@ -274,13 +289,14 @@ def env_counterexample(env: EnvMachine, nba: BuchiAutomaton) -> LassoTrace | Non
 
 class _Attempt:
     """One bounded attempt of one side.  Its first run encodes the CNF and,
-    for the internal solver, loads it into a ``Solver`` in one pass; each
-    later run continues that solve.  ``budget`` is None for an external
-    solver."""
+    for the internal solver, loads it into a ``Solver`` in one pass and drops
+    the encoder's copy; each later run continues that solve.  ``budget`` is
+    None for an external solver."""
 
     def __init__(self, side: str, k: int, budget: int | None, automata: list[BuchiAutomaton]):
         self.side, self.k, self.budget, self.automata = side, k, budget, automata
         self.enc: _Encoder | None = None
+        self.clauses = 0  # the CNF's clause count, once encoded
         self.sat: Solver | None = None  # the internal solver, from the first run on
         self.model: set[int] = set()  # the positive literals of a model, once found
         self.time = 0.0  # spent in this attempt's own runs
@@ -297,8 +313,10 @@ class _Attempt:
         if self.enc is None:
             enc = self.enc = _Encoder(self.automata, problem.ap, self.k,
                                       "moore" if self.side == "system" else "mealy-env")
+            self.clauses = len(enc.clauses)
             if self.budget is not None:
                 self.sat = Solver(enc.nv, enc.clauses)
+                enc.clauses = []  # the solver holds its own copy
         if self.sat is None:
             timeout = (None if problem.deadline is None
                        else max(0.1, problem.deadline - time.monotonic()))
@@ -312,8 +330,7 @@ class _Attempt:
 
     def entry(self, sat: bool | None, timeout: bool) -> dict:
         """The attempt's ``stats`` entry."""
-        enc = self.enc
-        return {"side": self.side, "bound": self.k, "vars": enc.nv, "clauses": len(enc.clauses),
+        return {"side": self.side, "bound": self.k, "vars": self.enc.nv, "clauses": self.clauses,
                 "budget": self.budget, "conflicts": self.sat and self.sat.conflicts,
                 "time": self.time, "sat": sat, "timeout": timeout}
 
@@ -322,6 +339,8 @@ _SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per 
 _ENV_CONFLICTS = 512  # the same for the environment bounds
 _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
+# (automaton id, read letters, emitted propositions) -> (automaton, encoding shape)
+_SHAPES: dict[tuple, tuple[BuchiAutomaton, tuple]] = {}
 # verified verdicts per (spec, ap, bounds, cap, solver); an unknown is never kept
 _SYNTH: dict[tuple, SynthesisResult] = {}
 # the first (spec, _naming order, verified verdict) per class of specifications

@@ -622,6 +622,44 @@ def test_encoding_has_no_tautologies(key):
                 assert not [c for c in enc.clauses if set(c) & {-lit for lit in c}], (key, side, k)
 
 
+def test_only_an_external_attempt_keeps_the_clauses(monkeypatch):
+    # the internal solver copies the CNF, so its attempt drops the encoder's
+    # clause lists and counts them; an external solver is given them
+    problem = SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG)
+    automata = _conjunct_automata(problem.spec)
+    count = len(_Encoder(automata, AP_RG, 2, "moore").clauses)
+    internal = synthesis._Attempt("system", 2, 100, automata)
+    assert internal.run(problem, None)
+    assert internal.enc.clauses == [] and internal.entry(True, False)["clauses"] == count
+    given = []
+
+    def solve_external(solver, nv, clauses, timeout):
+        given.append(len(clauses))
+        return False, set()
+
+    monkeypatch.setattr(synthesis, "solve_external", solve_external)
+    external = synthesis._Attempt("system", 2, None, automata)
+    assert external.run(problem, None) is False
+    assert given == [count] and len(external.enc.clauses) == count
+    assert external.entry(False, False)["clauses"] == count
+
+
+def test_kept_encoding_shape_gives_the_fresh_cnf():
+    # an automaton's shape is kept per read letters and emitted propositions:
+    # the same automata under the propositions in another order, or read by
+    # the other side, give the CNF that an empty table gives
+    spec = parse_formula("G (r1 -> F (g1 && !g2)) && G (r2 -> X (g2 || !g1))")
+    aps = [APTable(("r1", "r2"), ("g1", "g2")), APTable(("r2", "r1"), ("g2", "g1"))]
+    cases = [(automata, ap, k, mode) for mode, f in (("moore", spec), ("mealy-env", neg(spec)))
+             for automata in [_conjunct_automata(f)] for ap in aps for k in (1, 2)]
+    kept = [_Encoder(*case).clauses for case in cases]
+    fresh = []
+    for case in cases:
+        synthesis._SHAPES.clear()
+        fresh.append(_Encoder(*case).clauses)
+    assert kept == fresh
+
+
 @pytest.mark.parametrize("side", ["moore", "mealy-env"])
 def test_encoder_clauses_are_proper(side):
     # the solver keeps a clause as it is given, but for its repeated literals:
@@ -735,6 +773,48 @@ def test_emit_dimacs_independent_of_hash_seed():
                            env={**env, "PYTHONHASHSEED": str(seed)},
                            capture_output=True, text=True, check=True).stdout
             for seed in (0, 1, 2) for history in histories}
+    assert len(outs) == 1
+
+
+def test_results_independent_of_addresses():
+    # formulas hash by identity, so the iteration order of a set of formulas
+    # follows memory addresses.  Junk objects of many sizes, allocated before
+    # the import and between rows, move those addresses; no CNF, search or
+    # result may follow them.
+    code = ("import hashlib, sys\n"
+            "n = int(sys.argv[1])\n"
+            "junk = [bytes(i % 160) for i in range(n)]\n"
+            "from liveupdate import sat, synthesis\n"
+            "from liveupdate.benchmarks import TABLE1_ROWS, update_pair\n"
+            "from liveupdate.machine import serialize_machine\n"
+            "from liveupdate.synthesis import SynthesisProblem, synth_finite_live, synth_ltl, "
+            "synth_universal_live\n"
+            "from liveupdate.traces import parse_trace\n"
+            "build = synthesis._Encoder._build\n"
+            "def digested(enc):\n"
+            "    build(enc)\n"
+            "    print(hashlib.sha256(sat.to_dimacs(enc.nv, enc.clauses).encode()).hexdigest())\n"
+            "synthesis._Encoder._build = digested\n"
+            "def show(r):\n"
+            "    env = r.certificate\n"
+            "    print(r.outcome, r.reason, r.per_obligation)\n"
+            "    print([{k: v for k, v in a.items() if k != 'time'} for a in r.stats])\n"
+            "    print(serialize_machine(r.machine) if r.machine else sorted(\n"
+            "        (t, sorted(o), sorted(i), t2) for (t, o), (i, t2) in env.table.items()))\n"
+            "    junk.extend(bytes(i % 160) for i in range(n))\n"
+            "for key in ('arbiter:2s->2f', 'abp-receiver:1->2', 'load-balancer:2->4'):\n"
+            "    row = next(r for r in TABLE1_ROWS if r.key == key)\n"
+            "    bi, bu, ap = update_pair(row.initial, row.update)\n"
+            "    initial = synth_ltl(SynthesisProblem(bi.spec, bi.ap))\n"
+            "    show(initial)\n"
+            "    show(synth_universal_live(initial.machine, bi.spec, bu.spec, ap))\n"
+            "bi, bu, ap = update_pair(('relay', 2), ('relay', 1))\n"
+            "show(synth_finite_live(bi.spec, bu.spec, parse_trace(sys.argv[2]), ap))\n")
+    execution = next(text for text in RELAY_LEDGER if text != "universal")
+    env = {**os.environ, "PYTHONPATH": str(Path(synthesis.__file__).parents[1])}
+    outs = {subprocess.run([sys.executable, "-c", code, str(n), execution], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for n in (0, 1000, 100000)}
     assert len(outs) == 1
 
 
