@@ -35,6 +35,7 @@ the shortest lasso of the first conjunct that the machine violates.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -102,14 +103,17 @@ Step = tuple[Hashable, Hashable]  # (edge label, node the edge enters)
 
 
 def explore(initials: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Step]],
-            max_states: int | None = None) -> tuple[list[Hashable], list[list[tuple[Hashable, int]]]]:
+            max_states: int | None = None, deadline: float | None = None,
+            ) -> tuple[list[Hashable], list[list[tuple[Hashable, int]]]]:
     """Breadth-first closure of an implicitly given graph.
 
     ``successors(v)`` lists the ``(label, w)`` edges leaving ``v``.  Returns
     the nodes in discovery order, initials first, and for each node its
     ``(label, node index)`` edges.  A node beyond ``max_states`` raises
     ``BudgetError``; its message gives the frontier, the nodes found but not
-    yet expanded.
+    yet expanded.  With a ``time.monotonic()`` ``deadline``, the clock is
+    read before each node is expanded, and a node due after the deadline
+    raises ``TimeoutError``.
     """
     index: dict[Hashable, int] = {}
     nodes: list[Hashable] = []
@@ -127,6 +131,8 @@ def explore(initials: Iterable[Hashable], successors: Callable[[Hashable], Itera
     for v in initials:
         node(v)
     while len(rows) < len(nodes):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"the deadline passed after {len(rows)} of {len(nodes)} states")
         row: list[tuple[Hashable, int]] = []
         rows.append(row)
         row.extend((label, node(w)) for label, w in successors(nodes[len(rows) - 1]))
@@ -147,15 +153,19 @@ _CUBES: dict[tuple[frozenset[str], Letter], Cube] = {}
 _STEPS: dict[frozenset[Formula], tuple[Step, ...]] = {}
 
 
-def ltl_to_nba(f: Formula, max_states: int = 20000) -> BuchiAutomaton:
+def ltl_to_nba(f: Formula, max_states: int = 20000, *,
+               deadline: float | None = None) -> BuchiAutomaton:
     """Translate a PNF formula into an NBA over its atoms; ``max_states``
-    bounds every state that the translation builds, before pruning.
+    bounds every state that the translation builds, before pruning, and a
+    translation that runs past the ``time.monotonic()`` ``deadline`` raises
+    ``TimeoutError``.
 
     The result is memoized per (formula, ``max_states``) for the life of the
-    process; automata are immutable, so callers share it."""
+    process, whatever the deadline; automata are immutable, so callers share
+    it.  A translation that raises keeps nothing."""
     got = _NBA.get((f, max_states))
     if got is None:
-        got = _NBA[(f, max_states)] = _translate(f, max_states)
+        got = _NBA[(f, max_states)] = _translate(f, max_states, deadline)
     return got
 
 
@@ -177,7 +187,7 @@ def _steps(units: frozenset[Formula]) -> tuple[Step, ...]:
     return got
 
 
-def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
+def _translate(f: Formula, max_states: int, deadline: float | None = None) -> BuchiAutomaton:
     untils = tuple(g for g in subformulas(f) if g.kind == "U")
     m = len(untils)
 
@@ -201,7 +211,7 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
             yield cube, (dst, j)
 
     try:
-        nodes, rows = explore([(init_units, 0)], successors, max_states)
+        nodes, rows = explore([(init_units, 0)], successors, max_states, deadline)
     except BudgetError as exc:
         raise BudgetError(f"automaton {exc}") from None
     keep = _coreachable(rows, lambda i: nodes[i][1] == m)
@@ -215,12 +225,14 @@ def _translate(f: Formula, max_states: int) -> BuchiAutomaton:
     )
 
 
-def _conjunct_automata(f: Formula, max_states: int = 20000) -> list[BuchiAutomaton]:
+def _conjunct_automata(f: Formula, max_states: int = 20000, *,
+                       deadline: float | None = None) -> list[BuchiAutomaton]:
     """One automaton per top-level conjunct of ``f``, in operand order, for
-    its negation; the empty ones (conjuncts that always hold) are dropped."""
+    its negation; the empty ones (conjuncts that always hold) are dropped.
+    Each translation reads ``deadline`` as ``ltl_to_nba`` does."""
     out = []
     for c in f.children if f.kind == "and" else (f,):
-        nba = ltl_to_nba(neg(c), max_states=max_states)
+        nba = ltl_to_nba(neg(c), max_states=max_states, deadline=deadline)
         if len(nba.labels) and nba.initial:
             out.append(nba)
     return out

@@ -4,17 +4,18 @@ Two-watched-literal propagation, first-UIP learning, VSIDS-style decision
 activities with phase saving, geometric restarts and periodic deletion of
 inactive learned clauses.  Variables are positive integers, literals signed
 integers.  A solver takes its whole CNF when it is made, ``Solver(nvars,
-clauses)`` as ``solve_external`` takes it: one pass sizes its tables, copies
-the clauses as given (repeated literals too), files their watches and assigns
-the units at level 0.  One table, keyed by literal, holds the assignment: a
-literal and its negation are set and cleared together, so a literal's value
-is one lookup.  A solve is resumable in the manner of MiniSat's budgeted
-search: it stops at a conflict before analysing it once its conflict budget
-is spent, keeps its search state, and a later call goes on from that
-conflict.  So a caller continues a solve to a conflict target, and
+clauses)`` as ``solve_external`` takes it: one pass sizes its tables, takes
+over the clause lists as given (repeated literals too, and without a copy),
+files their watches and assigns the units at level 0.  The assignment and the
+watches are lists indexed by the literal itself: -v sits at 2n+1-v by Python's
+negative indexing, a literal and its negation are set and cleared together,
+and a literal's value is one lookup.  A solve is resumable in the manner of
+MiniSat's budgeted search: it stops at a conflict before analysing it once its
+conflict budget is spent, keeps its search state, and a later call goes on
+from that conflict.  So a caller continues a solve to a conflict target, and
 interleaves solvers by raising their targets in turn.  Good enough for the
-constraint sizes bounded synthesis produces at desk scale; anything harder
-can be shipped to an external solver through the DIMACS format.
+constraint sizes bounded synthesis produces at desk scale; anything harder can
+be shipped to an external solver through the DIMACS format.
 """
 
 from __future__ import annotations
@@ -35,22 +36,23 @@ class SolverError(RuntimeError):
 class Solver:
     def __init__(self, nvars: int, clauses: list[list[int]]):
         """A solver over variables ``1..nvars`` loaded with ``clauses`` in one
-        pass.  Each clause is copied as given, the given lists are left as
-        they are, and units are assigned at level 0 in clause order; an
-        empty clause or contradicting units leave the solver unsatisfiable.
-        Tautologies and repeated literals stay, which is sound: propagation
-        enqueues a literal only when every other position is false and
-        reports a conflict only when all are.  A literal in both watched
-        positions has the clause scanned whole when it is falsified, so at
-        worst a unit comes later."""
+        pass.  It owns the given lists: it keeps each clause of two or more
+        literals as that list and reorders its literals as it searches, so a
+        caller that still needs them gives copies, and no list twice.  Units
+        are assigned at level 0 in clause order; an empty clause or
+        contradicting units leave the solver unsatisfiable.  Tautologies and
+        repeated literals stay, which is sound: propagation enqueues a literal
+        only when every other position is false and reports a conflict only
+        when all are.  A literal in both watched positions has the clause
+        scanned whole when it is falsified, so at worst a unit comes later."""
         self.nvars = nvars
-        lits = [*range(-nvars, 0), *range(1, nvars + 1)]
-        self.value: dict[int, int] = dict.fromkeys(lits, 0)  # 1 true, -1 false, 0 unassigned
-        self.watches: dict[int, list[int]] = {lit: [] for lit in lits}
+        self.value: list[int] = [0] * (2 * nvars + 1)  # 1 true, -1 false, 0 unassigned
+        self.watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
         self.level: list[int] = [0] * (nvars + 1)
         self.reason: list[int] = [-1] * (nvars + 1)
         self.activity: list[float] = [0.0] * (nvars + 1)
         self.phase: list[int] = [0] + [-1] * nvars
+        self.seen: list[bool] = [False] * (nvars + 1)  # all False between analyses
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.var_inc = 1.0
@@ -71,7 +73,7 @@ class Solver:
             if len(c) > 1:
                 watches[c[0]].append(len(kept))
                 watches[c[1]].append(len(kept))
-                kept.append(c[:])
+                kept.append(c)
             elif c and value[c[0]] == 0:
                 self._enqueue(c[0], -1)
             elif not c or value[c[0]] == -1:
@@ -89,28 +91,29 @@ class Solver:
 
     def _propagate(self) -> int:
         """Returns a conflicting clause index or -1."""
-        value = self.value
+        value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
+        level, reason, depth = self.level, self.reason, len(self.trail_lim)
         i = self._qhead
-        while i < len(self.trail):
-            lit = self.trail[i]
+        while i < len(trail):
+            falsified = -trail[i]
             i += 1
-            falsified = -lit
-            watch = self.watches[falsified]
+            watch = watches[falsified]
             j = 0
             while j < len(watch):
                 ci = watch[j]
-                clause = self.clauses[ci]
-                # make sure falsified is at position 1
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[ci]
                 first = clause[0]
+                if first == falsified:  # make sure falsified is at position 1
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
                 if value[first] == 1:
                     j += 1
                     continue
                 for k in range(2, len(clause)):
-                    if value[clause[k]] != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1], clause[k] = lit, clause[1]
+                        watches[lit].append(ci)
                         watch[j] = watch[-1]
                         watch.pop()
                         break
@@ -118,39 +121,38 @@ class Solver:
                     if value[first] == -1:
                         self._qhead = i
                         return ci
-                    self._enqueue(first, ci)
+                    value[first], value[-first] = 1, -1  # enqueued, the clause its reason
+                    v = abs(first)
+                    level[v] = depth
+                    reason[v] = ci
+                    trail.append(first)
                     j += 1
         self._qhead = i
         return -1
 
-    def _bump_var(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for k in range(1, self.nvars + 1):
-                self.activity[k] *= 1e-100
-            self.var_inc *= 1e-100
-
     def _analyze(self, confl: int) -> tuple[list[int], int]:
-        learnt = [0]
-        seen = [False] * (self.nvars + 1)
-        counter = 0
-        lit = 0
-        index = len(self.trail) - 1
+        seen, level, activity = self.seen, self.level, self.activity
+        trail, clauses, inc = self.trail, self.clauses, self.var_inc
+        learnt, counter, lit = [0], 0, 0
+        index = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
-            clause = self.clauses[confl]
-            start = 1 if lit != 0 else 0
-            for q in clause[start:]:
+            clause = clauses[confl]
+            for q in clause[1:] if lit else clause:
                 v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump_var(v)
-                    if self.level[v] >= cur_level:
+                    activity[v] += inc  # bumped
+                    if activity[v] > 1e100:
+                        for k in range(1, self.nvars + 1):
+                            activity[k] *= 1e-100
+                        inc = self.var_inc = inc * 1e-100
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
-                lit = self.trail[index]
+                lit = trail[index]
                 index -= 1
                 if seen[abs(lit)]:
                     break
@@ -159,33 +161,34 @@ class Solver:
             if counter == 0:
                 break
             confl = self.reason[abs(lit)]
-            clause = self.clauses[confl]
+            clause = clauses[confl]
             if clause[0] != lit:
                 k = clause.index(lit)
                 clause[0], clause[k] = clause[k], clause[0]
         learnt[0] = -lit
+        for q in learnt[1:]:  # the only variables still seen
+            seen[abs(q)] = False
         if len(learnt) == 1:
             return learnt, 0
-        k = max(range(1, len(learnt)), key=lambda i2: self.level[abs(learnt[i2])])
+        k = max(range(1, len(learnt)), key=lambda i2: level[abs(learnt[i2])])
         learnt[1], learnt[k] = learnt[k], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _backtrack(self, target: int) -> None:
-        while len(self.trail_lim) > target:
-            bound = self.trail_lim.pop()
-            while len(self.trail) > bound:
-                lit = self.trail.pop()
-                v = abs(lit)
-                self.phase[v] = 1 if lit > 0 else -1
-                self.value[lit] = self.value[-lit] = 0
-        self._qhead = min(self._qhead, len(self.trail))
+        if len(self.trail_lim) > target:
+            bound, value, phase = self.trail_lim[target], self.value, self.phase
+            for lit in self.trail[bound:]:
+                phase[abs(lit)] = value[abs(lit)]
+                value[lit] = value[-lit] = 0
+            del self.trail[bound:], self.trail_lim[target:]
+            self._qhead = min(self._qhead, bound)
 
     def _decide(self) -> int:
-        value = self.value
+        value, activity = self.value, self.activity
         best, besta = 0, -1.0
         for v in range(1, self.nvars + 1):
-            if value[v] == 0 and self.activity[v] > besta:
-                best, besta = v, self.activity[v]
+            if value[v] == 0 and activity[v] > besta:
+                best, besta = v, activity[v]
         if best == 0:
             return 0
         return best if self.phase[best] >= 0 else -best
@@ -199,17 +202,17 @@ class Solver:
         keep |= {ci for ci in locked if ci >= keep_from}
         kept = sorted(keep)
         remap = {ci: keep_from + i for i, ci in enumerate(kept)}
-        for lit in self.trail:  # no other reason is read before it is overwritten
-            v = abs(lit)
-            if self.reason[v] >= keep_from:
-                self.reason[v] = remap[self.reason[v]]
+        reason = self.reason
+        for v in map(abs, self.trail):  # no other reason is read before it is overwritten
+            if reason[v] >= keep_from:
+                reason[v] = remap[reason[v]]
         self.clauses = self.clauses[:keep_from] + [self.clauses[ci] for ci in kept]
         self.cla_activity = self.cla_activity[:keep_from] + [self.cla_activity[ci] for ci in kept]
-        self.watches = {lit: [] for lit in self.watches}
+        watches = self.watches = [[] for _ in self.watches]
         for ci, clause in enumerate(self.clauses):
             if len(clause) > 1:
-                self.watches[clause[0]].append(ci)
-                self.watches[clause[1]].append(ci)
+                watches[clause[0]].append(ci)
+                watches[clause[1]].append(ci)
 
     def solve(self, conflict_budget: int | None = None,
               deadline: float | None = None) -> bool | None:

@@ -289,8 +289,9 @@ def env_counterexample(env: EnvMachine, nba: BuchiAutomaton) -> LassoTrace | Non
 
 class _Attempt:
     """One bounded attempt of one side.  Its first run encodes the CNF and,
-    for the internal solver, loads it into a ``Solver`` in one pass and drops
-    the encoder's copy; each later run continues that solve.  ``budget`` is
+    for the internal solver, counts its clauses and hands the encoder's clause
+    lists to a ``Solver``, which owns them from then on, and drops the
+    encoder's reference; each later run continues that solve.  ``budget`` is
     None for an external solver."""
 
     def __init__(self, side: str, k: int, budget: int | None, automata: list[BuchiAutomaton]):
@@ -316,7 +317,7 @@ class _Attempt:
             self.clauses = len(enc.clauses)
             if self.budget is not None:
                 self.sat = Solver(enc.nv, enc.clauses)
-                enc.clauses = []  # the solver holds its own copy
+                enc.clauses = []  # the solver owns the clauses
         if self.sat is None:
             timeout = (None if problem.deadline is None
                        else max(0.1, problem.deadline - time.monotonic()))
@@ -420,7 +421,9 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     and then the system attempt.  While the environment automata (for the
     whole specification) are large, every system bound runs before them,
     alone, so that realizable instances are not taxed by them; when they
-    exceed their state budget, only the system bounds run.
+    exceed their state budget, only the system bounds run.  The translation
+    of either side's automata reads the deadline too, and one that runs past
+    it ends the search ``unknown`` with a reason that names it.
     The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
     ``_ENV_CONFLICTS * 2**i`` conflicts of the internal solver; without a
     deadline the search path is the same on any machine.  ``stats`` has one
@@ -452,7 +455,11 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         if rename(rep[0], to) is spec:
             _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec)
             return _SYNTH[key]
-    sys_automata = _conjunct_automata(spec)
+    try:
+        sys_automata = _conjunct_automata(spec, deadline=deadline)
+    except TimeoutError:
+        return SynthesisResult("unknown", reason="the deadline passed during the translation "
+                                                 "of the system automata")
     internal = problem.solver == "internal"
 
     systems = (_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None,
@@ -460,12 +467,18 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
 
     def schedule():
         """The attempts, in the groups that start together: each environment
-        attempt with the next system attempt, every other attempt alone."""
+        attempt with the next system attempt, every other attempt alone; an
+        empty group once the deadline passed during the environment
+        translation."""
         yield [next(systems)]
         try:
-            env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)
+            env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES,
+                                              deadline=deadline)
         except BudgetError:
             yield from ([a] for a in systems)
+            return
+        except TimeoutError:
+            yield []
             return
         envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
                          env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
@@ -483,6 +496,9 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
 
     for live in schedule():
+        if not live:
+            return end("unknown", "the deadline passed during the translation of the "
+                                  "environment automata")
         while live:
             a, t0 = live[0], time.monotonic()
             if a.enc is None and deadline is not None and t0 > deadline:

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,6 +246,36 @@ def test_memo_is_per_state_budget(monkeypatch):
     assert len(ltl_to_nba(g)) > 1
     with pytest.raises(BudgetError):
         ltl_to_nba(g, max_states=1)
+
+
+def unread():
+    raise AssertionError("the clock is read without a deadline")
+
+
+def test_explore_reads_the_deadline_before_each_node(monkeypatch):
+    # a clock that advances 1 s per reading: by the deadline 5, nodes 0 to 5
+    # are expanded and node 6 is not; without a deadline the clock is unread
+    def successors(n):
+        return [("inc", n + 1)] if n < 99 else []
+
+    ticks = itertools.count()
+    monkeypatch.setattr(automata, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(TimeoutError, match="after 6 of 7 states"):
+        explore([0], successors, deadline=5)
+    monkeypatch.setattr(automata, "time", SimpleNamespace(monotonic=unread))
+    assert len(explore([0], successors)[0]) == 100
+
+
+def test_translation_past_the_deadline_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(automata, "_NBA", {})
+    monkeypatch.setattr(automata, "time", SimpleNamespace(monotonic=lambda: 10.0))
+    f = parse_formula("G (a -> F b)")
+    with pytest.raises(TimeoutError):
+        ltl_to_nba(f, deadline=5.0)
+    assert automata._NBA == {}
+    monkeypatch.setattr(automata, "time", SimpleNamespace(monotonic=unread))
+    nba = ltl_to_nba(f)
+    assert ltl_to_nba(f, deadline=5.0) is nba  # kept, whatever the deadline
 
 
 def test_budget_counts_every_state_built():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,20 @@ from liveupdate.sat import Solver, parse_dimacs_model, to_dimacs
 from liveupdate.synthesis import SynthesisProblem
 
 from test_synthesis import emit_dimacs
+
+
+def random_3sat(rng, nv):
+    """A random 3-SAT CNF over ``nv`` variables near the threshold."""
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
+            for _ in range(int(4.26 * nv))]
+
+
+def environment_cnf():
+    """The environment CNF of arbiter-full(2) at k=2: refuted after 2,546
+    conflicts."""
+    inst = family("arbiter-full", 2)
+    header, *rows = emit_dimacs(SynthesisProblem(inst.spec, inst.ap), 2, "environment").splitlines()
+    return int(header.split()[2]), [[int(tok) for tok in row.split()[:-1]] for row in rows]
 
 
 def brute_force(nv, clauses):
@@ -38,14 +53,17 @@ def test_load_assigns_units_in_clause_order():
     assert not Solver(2, [[1, 2], []]).ok
 
 
-def test_load_leaves_the_clauses_as_given():
-    inst = family("arbiter-full", 2)
-    header, *rows = emit_dimacs(SynthesisProblem(inst.spec, inst.ap), 2).splitlines()
-    clauses = [[int(tok) for tok in row.split()[:-1]] for row in rows]
+def test_load_takes_the_clauses_as_given():
+    # the solver owns the lists it is given: it keeps each clause of two or
+    # more literals as that very list and reorders its literals, and a solver
+    # loaded from a copy searches alike
+    nv, clauses = environment_cnf()
     given = [c[:] for c in clauses]
-    s = Solver(int(header.split()[2]), clauses)
-    assert s.solve() is False  # propagation reorders the literals of the solver's copies
-    assert clauses == given
+    s, copied = Solver(nv, clauses), Solver(nv, [c[:] for c in clauses])
+    assert list(map(id, s.clauses)) == [id(c) for c in clauses if len(c) > 1]
+    assert s.solve() is False and copied.solve() is False
+    assert _search_state(s) == _search_state(copied)
+    assert clauses != given
 
 
 def test_random_instances_match_bruteforce():
@@ -108,9 +126,7 @@ def test_budget_returns_none():
 def test_model_after_reducing_the_learned_clauses(monkeypatch):
     # a random 3-SAT instance near the threshold: satisfiable after 4,548
     # conflicts, with one reduction of the learned clauses on the way
-    rng = random.Random(11)
-    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 176), 3)]
-               for _ in range(745)]
+    clauses = random_3sat(random.Random(11), 175)
     reductions = []
     reduce = Solver._reduce_learned
 
@@ -155,16 +171,15 @@ def _search_state(s):
 
 def test_solve_continued_one_conflict_at_a_time():
     # random 3-SAT near the threshold: each solve, continued one conflict at
-    # a time, learns the clauses and ends with the trail of one solve
+    # a time, learns the clauses and ends with the trail of one solve.  Each
+    # solver owns its clauses, so each is loaded from its own copy
     rng = random.Random(2003)
     verdicts = []
     for _ in range(40):
         nv = rng.randrange(20, 60)
-        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3)]
-                   for _ in range(int(4.26 * nv))]
-        whole = Solver(nv, clauses)
+        clauses = random_3sat(rng, nv)
+        whole, sliced = Solver(nv, clauses), Solver(nv, [c[:] for c in clauses])
         verdicts.append(whole.solve())
-        sliced = Solver(nv, clauses)
         assert _continued(sliced) == verdicts[-1]
         assert _search_state(sliced) == _search_state(whole)
     assert True in verdicts and False in verdicts
@@ -172,12 +187,10 @@ def test_solve_continued_one_conflict_at_a_time():
 
 def test_solve_continued_past_its_budget():
     # the environment CNF of arbiter-full(2) at k=2: out of a 1,024-conflict
-    # budget, then refuted when continued, either way
-    inst = family("arbiter-full", 2)
-    header, *rows = emit_dimacs(SynthesisProblem(inst.spec, inst.ap), 2, "environment").splitlines()
-    nv = int(header.split()[2])
-    clauses = [[int(tok) for tok in row.split()[:-1]] for row in rows]
-    whole, sliced = Solver(nv, clauses), Solver(nv, clauses)
+    # budget, then refuted when continued, either way; each solver is loaded
+    # from its own copy of the clauses
+    nv, clauses = environment_cnf()
+    whole, sliced = Solver(nv, clauses), Solver(nv, [c[:] for c in clauses])
     assert whole.solve(conflict_budget=1024) is None
     assert _continued(sliced, budget=1024) is None
     assert _search_state(sliced) == _search_state(whole)
@@ -192,3 +205,24 @@ def test_deadline_raises_and_the_solve_goes_on():
         s.solve(deadline=0.0)  # read at the first conflict
     assert s.conflicts == 0
     assert s.solve() is False
+
+
+# The sha256 of every search's verdict, conflicts, learned clauses, trail and
+# sorted model, over random 3-SAT near the threshold (the one over 175
+# variables reduces its learned clauses) and the environment CNF of
+# arbiter-full(2) at k=2: 8,589 conflicts in all.  A change meant to keep the
+# search keeps it; one meant to change the search updates it and says why.
+SEARCH_SHA256 = "14dbb1938ebc2f18dec8f93b8bfe998e85a9006fc3adedb81d26cb1905dcb144"
+
+
+def test_search_is_pinned():
+    rng = random.Random(31)
+    cnfs = [(nv, random_3sat(rng, nv)) for nv in [rng.randrange(40, 120) for _ in range(12)]]
+    cnfs += [(175, random_3sat(random.Random(11), 175)), environment_cnf()]
+    digest = hashlib.sha256()
+    for nv, clauses in cnfs:
+        s = Solver(nv, clauses)
+        found = s.solve()
+        learned = s.clauses[s.learned_from:] if s.learned_from else []
+        digest.update(repr((found, s.conflicts, learned, s.trail, sorted(s.model()))).encode())
+    assert digest.hexdigest() == SEARCH_SHA256

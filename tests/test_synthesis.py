@@ -217,7 +217,9 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
         now[0] += 3.0
         return False  # ends at its first run, without a conflict or a model
 
-    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    clock = SimpleNamespace(monotonic=lambda: now[0])  # the translations read it too
+    monkeypatch.setattr(synthesis, "time", clock)
+    monkeypatch.setattr(automata, "time", clock)
     monkeypatch.setattr(sat.Solver, "solve", slow_solve)
     relay1 = family("relay", 1)
     result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
@@ -282,7 +284,9 @@ def test_environment_schedule_is_lazy(monkeypatch):
         now[0] += 3.0
         return False
 
-    monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    clock = SimpleNamespace(monotonic=lambda: now[0])  # the translations read it too
+    monkeypatch.setattr(synthesis, "time", clock)
+    monkeypatch.setattr(automata, "time", clock)
     monkeypatch.setattr(sat.Solver, "solve", slow_unsat)
     problem = SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=10_000, deadline=110.0)
     tracemalloc.start()
@@ -594,11 +598,40 @@ def test_corrupted_certificate_fails_verification(monkeypatch):
         synth_ltl(SynthesisProblem(parse_formula("F r"), AP_RG))
 
 
+@pytest.mark.parametrize("side", ["system", "environment"])
+def test_translation_past_the_deadline_is_unknown(monkeypatch, side):
+    # a fake clock that jumps past the deadline once the translation of one
+    # side's automata starts: the environment automaton is of the whole
+    # specification, whose negation is a disjunction, and a system automaton
+    # of a conjunct's negation.  The result is unknown, its reason names that
+    # translation, and neither it nor the automaton is kept
+    spec = parse_formula("G (r -> X g) && G (!r -> X !g)")  # no machine of one state
+    now, late = [100.0], []
+    translate = automata._translate
+
+    def slow(f, max_states, deadline=None):
+        if (f is spec) == (side == "environment"):
+            now[0] = 200.0
+            late.append(f)
+        return translate(f, max_states, deadline)
+
+    clock = SimpleNamespace(monotonic=lambda: now[0])
+    for module in (automata, synthesis, sat):
+        monkeypatch.setattr(module, "time", clock)
+    monkeypatch.setattr(automata, "_NBA", {})
+    monkeypatch.setattr(automata, "_translate", slow)
+    result = synth_ltl(SynthesisProblem(spec, AP_RG, deadline=150.0))
+    assert result.outcome == "unknown"
+    assert result.reason == f"the deadline passed during the translation of the {side} automata"
+    assert [a["side"] for a in result.stats] == ([] if side == "system" else ["system"])
+    assert synthesis._SYNTH == {} and late and late[0] not in {f for f, _ in automata._NBA}
+
+
 def test_env_automaton_budget_gives_unknown(monkeypatch):
-    def budgeted(f, max_states=20000):
+    def budgeted(f, max_states=20000, deadline=None):
         if max_states == synthesis._ENV_MAX_STATES:
             raise BudgetError("forced")
-        return ltl_to_nba(f, max_states)
+        return ltl_to_nba(f, max_states, deadline=deadline)
 
     monkeypatch.setattr(automata, "ltl_to_nba", budgeted)
     spec = parse_formula("G (r -> X g) && G (r -> X !g)")
@@ -713,28 +746,54 @@ RELAY_CNF_SHA256 = {
 }
 
 
-def test_attempt_ledger_is_pinned(monkeypatch):
-    cnfs = {}  # (side, bound) -> digest, per ledger entry
+def relay_ledger_runs(monkeypatch, built):
+    """``(key, result)`` for each problem of ``RELAY_LEDGER`` in turn, with
+    ``built(enc)`` called on every encoder once its CNF is built, before a
+    solver takes the clauses."""
     encode = _Encoder._build
 
     def build(enc):
         encode(enc)
-        side = "system" if enc.mode == "moore" else "environment"
-        cnfs[(side, enc.k)] = hashlib.sha256(sat.to_dimacs(enc.nv, enc.clauses).encode()).hexdigest()
+        built(enc)
 
     monkeypatch.setattr(_Encoder, "_build", build)
     relay2_machine = Path(__file__).parents[1] / "bench" / "inputs" / "machines" / "relay-2.machine"
     ts_i = parse_machine(relay2_machine.read_text())
     bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
-    results, digests = {}, {}
     for text in RELAY_LEDGER:
+        yield text, (synth_universal_live(ts_i, bi.spec, bu.spec, ap) if text == "universal"
+                     else synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap))
+
+
+def test_attempt_ledger_is_pinned(monkeypatch):
+    cnfs = {}  # (side, bound) -> digest, per ledger entry
+
+    def digest(enc):
+        side = "system" if enc.mode == "moore" else "environment"
+        cnfs[(side, enc.k)] = hashlib.sha256(sat.to_dimacs(enc.nv, enc.clauses).encode()).hexdigest()
+
+    results, digests = {}, {}
+    for text, result in relay_ledger_runs(monkeypatch, digest):
+        results[text] = result
+        digests[text] = [cnfs[(a["side"], a["bound"])] for a in result.stats]
         cnfs.clear()
-        results[text] = (synth_universal_live(ts_i, bi.spec, bu.spec, ap) if text == "universal"
-                         else synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap))
-        digests[text] = [cnfs[(a["side"], a["bound"])] for a in results[text].stats]
     assert {key: [(a["side"], a["bound"], a["vars"], a["clauses"], a["conflicts"], a["sat"])
                   for a in result.stats] for key, result in results.items()} == RELAY_LEDGER
     assert digests == RELAY_CNF_SHA256
+
+
+def test_no_clause_list_is_shared(monkeypatch):
+    # a solver owns the clause lists it is given and reorders their literals,
+    # which is sound only if the encoder builds every clause as a list of its
+    # own: no list object appears twice in one CNF, nor in two CNFs of the
+    # ledger's attempts.  Every CNF is kept alive, so no id is reused
+    cnfs = []
+    for _ in relay_ledger_runs(monkeypatch, lambda enc: cnfs.append(enc.clauses)):
+        pass
+    assert len(cnfs) == sum(map(len, RELAY_LEDGER.values()))
+    assert all(len(set(map(id, cnf))) == len(cnf) for cnf in cnfs)
+    ids = [id(c) for cnf in cnfs for c in cnf]
+    assert len(set(ids)) == len(ids)
 
 
 def test_emit_dimacs():
