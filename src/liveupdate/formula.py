@@ -18,8 +18,8 @@ logically equivalent formulas may still be distinct terms.
 Every walk over a formula is a ``fold``: one post-order pass over its
 distinct nodes that keeps its own stack, so a shared subterm is visited once
 and no nesting depth exhausts Python's recursion limit.  The atoms, the
-temporal depth, the negation and the DNF of a formula are memoized for the
-life of the process, like the intern table.
+temporal depth, the negation, the DNF and the canonical form of a formula
+are memoized for the life of the process, like the intern table.
 """
 
 from __future__ import annotations
@@ -215,12 +215,13 @@ def _nary(kind: str, parts: Iterable[Formula]) -> Formula:
     if not flat:
         return unit
     # complementary literals collapse to the absorbing constant
-    for f in flat:
-        if f.kind == "atom" and any(g.kind == "natom" and g.name == f.name for g in flat):
-            return zero
+    negated = {f.name for f in flat if f.kind == "natom"}
+    if negated and any(f.kind == "atom" and f.name in negated for f in flat):
+        return zero
     # absorption: x & (x | y) = x  /  x | (x & y) = x
     dual = "or" if kind == "and" else "and"
-    kept = [f for f in flat if not (f.kind == dual and any(c in flat for c in f.children))]
+    members = flat.keys()
+    kept = [f for f in flat if f.kind != dual or members.isdisjoint(f.children)]
     if len(kept) == 1:
         return kept[0]
     kept.sort(key=lambda f: f.key)
@@ -411,14 +412,22 @@ def from_dnf(disjuncts: Iterable[frozenset[Formula]]) -> Formula:
     return f_or(f_and(d) for d in disjuncts)
 
 
+# formula -> its canonical form, for the life of the process
+_CANON: dict[Formula, Formula] = {}
+
+
 def canonical(f: Formula) -> Formula:
     """Canonical two-level or-of-ands form over non-boolean units.
 
     Derivative-style rewriting (``af`` and friends) normalizes every result
     with this, which keeps iterated derivatives at bounded depth and makes
-    their closure finite.
+    their closure finite.  The result is memoized per formula for the life of
+    the process.
     """
     if f.kind not in ("and", "or"):
         return f
-    return from_dnf(dnf_units(f))
+    got = _CANON.get(f)
+    if got is None:
+        got = _CANON[f] = from_dnf(dnf_units(f))
+    return got
 

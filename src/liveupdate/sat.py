@@ -9,13 +9,17 @@ over the clause lists as given (repeated literals too, and without a copy),
 files their watches and assigns the units at level 0.  The assignment and the
 watches are lists indexed by the literal itself: -v sits at 2n+1-v by Python's
 negative indexing, a literal and its negation are set and cleared together,
-and a literal's value is one lookup.  A solve is resumable in the manner of
-MiniSat's budgeted search: it stops at a conflict before analysing it once its
-conflict budget is spent, keeps its search state, and a later call goes on
-from that conflict.  So a caller continues a solve to a conflict target, and
-interleaves solvers by raising their targets in turn.  Good enough for the
-constraint sizes bounded synthesis produces at desk scale; anything harder can
-be shipped to an external solver through the DIMACS format.
+and a literal's value is one lookup.  A decision takes the unassigned
+variable of the highest activity, the lowest-numbered on a tie: a list holds
+each unassigned variable's activity and -1 for an assigned one, so ``max``
+and ``index`` find it without a loop in Python.  A solve is resumable in the
+manner of MiniSat's budgeted search: it stops at a conflict before analysing
+it once its conflict budget is spent, keeps its search state, and a later
+call goes on from that conflict.  So a caller continues a solve to a
+conflict target, and interleaves solvers by raising their targets in turn.
+Good enough for the constraint sizes bounded synthesis produces at desk
+scale; anything harder can be shipped to an external solver through the
+DIMACS format.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class Solver:
         self.level: list[int] = [0] * (nvars + 1)
         self.reason: list[int] = [-1] * (nvars + 1)
         self.activity: list[float] = [0.0] * (nvars + 1)
+        # activity[v] while v is unassigned, -1.0 while it is assigned
+        self.free: list[float] = [-1.0] + [0.0] * nvars
         self.phase: list[int] = [0] + [-1] * nvars
         self.seen: list[bool] = [False] * (nvars + 1)  # all False between analyses
         self.trail: list[int] = []
@@ -85,6 +91,7 @@ class Solver:
         v = abs(lit)
         self.value[lit] = 1
         self.value[-lit] = -1
+        self.free[v] = -1.0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -92,7 +99,7 @@ class Solver:
     def _propagate(self) -> int:
         """Returns a conflicting clause index or -1."""
         value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
-        level, reason, depth = self.level, self.reason, len(self.trail_lim)
+        level, reason, free, depth = self.level, self.reason, self.free, len(self.trail_lim)
         i = self._qhead
         while i < len(trail):
             falsified = -trail[i]
@@ -123,6 +130,7 @@ class Solver:
                         return ci
                     value[first], value[-first] = 1, -1  # enqueued, the clause its reason
                     v = abs(first)
+                    free[v] = -1.0
                     level[v] = depth
                     reason[v] = ci
                     trail.append(first)
@@ -144,8 +152,11 @@ class Solver:
                     seen[v] = True
                     activity[v] += inc  # bumped
                     if activity[v] > 1e100:
+                        free = self.free
                         for k in range(1, self.nvars + 1):
                             activity[k] *= 1e-100
+                            if free[k] != -1.0:
+                                free[k] = activity[k]
                         inc = self.var_inc = inc * 1e-100
                     if level[v] >= cur_level:
                         counter += 1
@@ -177,18 +188,21 @@ class Solver:
     def _backtrack(self, target: int) -> None:
         if len(self.trail_lim) > target:
             bound, value, phase = self.trail_lim[target], self.value, self.phase
+            free, activity = self.free, self.activity
             for lit in self.trail[bound:]:
-                phase[abs(lit)] = value[abs(lit)]
+                v = abs(lit)
+                phase[v] = value[v]
                 value[lit] = value[-lit] = 0
+                free[v] = activity[v]
             del self.trail[bound:], self.trail_lim[target:]
             self._qhead = min(self._qhead, bound)
 
     def _decide(self) -> int:
-        value, activity = self.value, self.activity
-        best, besta = 0, -1.0
-        for v in range(1, self.nvars + 1):
-            if value[v] == 0 and activity[v] > besta:
-                best, besta = v, activity[v]
+        """The unassigned variable of the highest activity, the lowest of
+        them on a tie, in its saved phase; 0 when every variable is
+        assigned."""
+        free = self.free
+        best = free.index(max(free))
         if best == 0:
             return 0
         return best if self.phase[best] >= 0 else -best

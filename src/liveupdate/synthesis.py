@@ -170,24 +170,27 @@ class _Encoder:
         scc = {q: i for i, comp in enumerate(_accepting_sccs(succ, nba.accepting.__contains__))
                for q in comp}
         counted = sorted(scc)  # state order, so the CNF does not depend on set iteration
-        # the letters a read half admits are found once per distinct half; the
-        # emitted outputs, with the sign of each guard literal, are in ``emit``
-        # order, so the CNF does not depend on string hashing
-        admits: dict = {}
+        # per distinct cube, the read letters it admits and the outputs it
+        # emits, with the sign of each guard literal, in ``emit`` order, so the
+        # CNF does not depend on string hashing
+        cubes: dict = {}
         seen: dict = {}  # one kept object per distinct guard and move
         moves = []  # per state, per read letter
         for q in range(len(nba.labels)):
             per_letter = [[] for _ in self.read]
             for cube, q2 in nba.edges[q] if succ[q] else ():
-                need, bar = half = cube.pos & self.readset, cube.neg & self.readset
-                if half not in admits:
-                    admits[half] = [i for i, a in enumerate(self.read) if need <= a and not bar & a]
-                emitted = tuple((o, -1 if o in cube.pos else 1) for o in self.emit
-                                if o in cube.pos or o in cube.neg)
-                edge = (q2, q2 == q, seen.setdefault(emitted, emitted),
+                got = cubes.get(cube)
+                if got is None:
+                    need, bar = cube.pos & self.readset, cube.neg & self.readset
+                    emitted = tuple((o, -1 if o in cube.pos else 1) for o in self.emit
+                                    if o in cube.pos or o in cube.neg)
+                    got = cubes[cube] = ([i for i, a in enumerate(self.read) if need <= a and not bar & a],
+                                         seen.setdefault(emitted, emitted))
+                admitted, emitted = got
+                edge = (q2, q2 == q, emitted,
                         q2 in scc and scc.get(q) == scc[q2], q2 in scc and q2 in nba.accepting)
                 edge = seen.setdefault(edge, edge)
-                for i in admits[half]:
+                for i in admitted:
                     per_letter[i].append(edge)
             moves.append(tuple(map(tuple, per_letter)))
         _SHAPES[key] = nba, (doomed, scc, counted, moves)  # kept, so no other takes its id

@@ -15,6 +15,7 @@ from liveupdate.formula import (
     f_or,
     f_release,
     f_until,
+    from_dnf,
     natom,
     neg,
     rename,
@@ -173,3 +174,70 @@ def test_dnf_units_memo_is_invisible(monkeypatch):
             assert isinstance(got, tuple) and all(isinstance(d, frozenset) for d in got)
             assert list(got) == _dnf_reference(f), f
             assert dnf_units(f) is got
+
+
+def test_canonical_memo_is_invisible(monkeypatch):
+    # the samples of the DNF memo's test: a cold memo and one warmed by the
+    # same formulas in reverse give the form built from the reference's
+    # disjuncts, and a canonical form is its own
+    rng = random.Random(4711)
+    samples = [random_formula(rng, ["a", "b", "c"], 4) for _ in range(200)]
+    samples += [rng.choice((f_and, f_or))(rng.sample(samples, 3)) for _ in range(200)]
+    samples += [f_and((f_or(rng.sample(samples, 2)), f_or(rng.sample(samples, 3)))) for _ in range(100)]
+    for warm in ([], samples[::-1]):
+        monkeypatch.setattr(formula, "_CANON", {})
+        for g in warm:
+            canonical(g)
+        for f in samples:
+            got = canonical(f)
+            assert got is from_dnf(_dnf_reference(f)), f
+            assert canonical(got) is got
+
+
+def _nary_reference(kind, parts):
+    """``f_and``/``f_or`` with pairwise tests, and the rule that decided it:
+    each atom is compared with every operand for its negation, and each dual
+    operand's members are looked up one at a time."""
+    unit, zero = (t_true(), t_false()) if kind == "and" else (t_false(), t_true())
+    flat = {}
+    for p in parts:
+        if p is zero:
+            return zero, "constant"
+        if p is unit:
+            continue
+        if p.kind == kind:
+            flat.update(dict.fromkeys(p.children))
+        else:
+            flat[p] = None
+    if not flat:
+        return unit, "constant"
+    for f in flat:
+        if f.kind == "atom" and any(g.kind == "natom" and g.name == f.name for g in flat):
+            return zero, "complement"
+    dual = "or" if kind == "and" else "and"
+    kept = [f for f in flat if not (f.kind == dual and any(c in flat for c in f.children))]
+    rule = "absorption" if len(kept) < len(flat) else "node"
+    if len(kept) == 1:
+        return kept[0], rule
+    kept.sort(key=lambda f: f.key)
+    return formula._mk(kind, children=tuple(kept)), rule
+
+
+def test_nary_matches_the_pairwise_reference():
+    # 2-8 operands drawn from random formulas and from literals with their
+    # negations, and and/or operands over members drawn from the same list,
+    # so that operands absorb and complement each other
+    rng = random.Random(218)
+    literals = [g for x in "abcd" for g in (atom(x), natom(x))]
+    drawn = [random_formula(rng, ["a", "b", "c", "d"], 3) for _ in range(80)]
+    pool = literals + [g for g in drawn if g.kind not in ("true", "false")]
+    rules = dict.fromkeys(("constant", "complement", "absorption", "node"), 0)
+    for _ in range(3000):
+        members = rng.sample(pool, rng.randrange(2, 9))
+        parts = [rng.choice((f_and, f_or))(rng.sample(members, rng.randrange(1, len(members))))
+                 if rng.random() < 0.3 else m for m in members]
+        for kind, build in (("and", f_and), ("or", f_or)):
+            want, rule = _nary_reference(kind, parts)
+            assert build(parts) is want, (kind, parts)
+            rules[rule] += 1
+    assert min(rules.values()) > 100, rules

@@ -226,3 +226,56 @@ def test_search_is_pinned():
         learned = s.clauses[s.learned_from:] if s.learned_from else []
         digest.update(repr((found, s.conflicts, learned, s.trail, sorted(s.model()))).encode())
     assert digest.hexdigest() == SEARCH_SHA256
+
+
+def _decide_by_scan(s):
+    """``Solver._decide`` as a scan over the variables: the first unassigned
+    one of the highest activity, in its saved phase."""
+    best, besta = 0, -1.0
+    for v in range(1, s.nvars + 1):
+        if s.value[v] == 0 and s.activity[v] > besta:
+            best, besta = v, s.activity[v]
+    if best == 0:
+        return 0
+    return best if s.phase[best] >= 0 else -best
+
+
+def _check_decide(s):
+    assert s.free == [-1.0] + [s.activity[v] if s.value[v] == 0 else -1.0
+                               for v in range(1, s.nvars + 1)]
+    assert s._decide() == _decide_by_scan(s)
+
+
+def test_decide_picks_the_lowest_of_the_most_active():
+    # random 3-SAT with level-0 units and activities drawn from a few values,
+    # so most maxima are ties: every decision of the search, and the state
+    # after every backtrack, agree with the scan; every third solve starts
+    # with var_inc near 1e100, which forces rescales of the activities
+    rng = random.Random(1003)
+    rescaled = 0
+    for trial in range(30):
+        nv = rng.randrange(20, 60)
+        units = [[rng.choice((v, -v))] for v in rng.sample(range(1, nv + 1), 3)]
+        s = Solver(nv, random_3sat(rng, nv) + units)
+        for v in range(1, nv + 1):
+            s.activity[v] = rng.choice((0.0, 1.0, 1.0, 2.5, 2.5, 4.0))
+            if s.value[v] == 0:  # the free list mirrors an unassigned variable's activity
+                s.free[v] = s.activity[v]
+        _check_decide(s)
+        decide, backtrack = s._decide, s._backtrack
+
+        def checked_decide():
+            got = decide()
+            assert got == _decide_by_scan(s)
+            return got
+
+        def checked_backtrack(target):
+            backtrack(target)
+            _check_decide(s)
+
+        s._decide, s._backtrack = checked_decide, checked_backtrack
+        if trial % 3 == 0:
+            s.var_inc = 0.9e100
+        s.solve()
+        rescaled += s.var_inc < 1e90
+    assert rescaled >= 5
