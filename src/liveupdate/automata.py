@@ -26,11 +26,12 @@ each top-level conjunct (``_conjunct_automata``).  Bounded synthesis encodes
 against them and ``mc_ltl`` checks against them, so re-verifying a
 synthesized machine translates nothing that its search did not.
 
-Counterexamples and emptiness witnesses are extracted by BFS layering: the
-shortest prefix to an accepting node on a cycle, then a loop back to it -- a
-self-loop if there is one, else through the first successor with a path back
--- so regression outputs stay readable.  A model-checking counterexample is
-the shortest lasso of the first conjunct that the machine violates.
+Counterexamples and emptiness witnesses are read off the discovery tree of
+that breadth-first search: the shortest prefix to an accepting node on a
+cycle, then a loop back to it -- a self-loop if there is one, else through the
+first successor with a path back -- so regression outputs stay readable.  A
+model-checking counterexample is the shortest lasso of the first conjunct
+that the machine violates.
 """
 
 from __future__ import annotations
@@ -312,61 +313,50 @@ def accepting_lasso(initials: Iterable[Hashable],
     """An accepting lasso of an implicitly given graph, or None if there is none.
 
     ``successors(v)`` lists the ``(label, w)`` edges leaving ``v``.  The result
-    is ``(prefix, loop)``: the fewest steps from an initial node to an
-    accepting node on a cycle, then a loop back to that node -- a self-loop if
-    there is one, else through the first successor with a path back.
+    is ``(prefix, loop)``, read off the tree of edges that first discovered
+    each node in one ``explore``.  The anchor is the first accepting node on
+    a cycle in discovery order, so its tree path from an initial node is a
+    shortest prefix.  The loop is a self-loop if the anchor has one, else the
+    edge to the first successor in the anchor's SCC, then the tree path back
+    of an ``explore`` of that SCC from the successor.
     """
     initials = list(dict.fromkeys(initials))
     nodes, rows = explore(initials, successors)
-    starts = list(range(len(initials)))
     acc = [accepting(v) for v in nodes]
-    good = {v for comp in _accepting_sccs([[w for _, w in row] for row in rows], acc.__getitem__)
-            for v in comp if acc[v]}
-    if not good:
+    comps = _accepting_sccs([[w for _, w in row] for row in rows], acc.__getitem__)
+    if not comps:
         return None
-    anchor, prefix = _shortest_path(rows, starts, good)
-    loop = _loop(rows, anchor)
+    anchor = min(v for comp in comps for v in comp if acc[v])
+    prefix = _tree_path(rows, len(initials), anchor)
+    loop = next(([step] for step in rows[anchor] if step[1] == anchor), None)
+    if loop is None:
+        scc = next(set(comp) for comp in comps if anchor in comp)
+        label, w = next(step for step in rows[anchor] if step[1] in scc)
+        inner, inner_rows = explore([w], lambda v: [step for step in rows[v] if step[1] in scc])
+        back = _tree_path(inner_rows, 1, inner.index(anchor))
+        loop = [(label, w)] + [(lab, inner[x]) for lab, x in back]
     return ([(label, nodes[w]) for label, w in prefix],
             [(label, nodes[w]) for label, w in loop])
 
 
-def _loop(rows: list[list[tuple[Hashable, int]]], anchor: int) -> list[tuple[Hashable, int]]:
-    for label, w in rows[anchor]:
-        if w == anchor:
-            return [(label, w)]
-    for label, w in rows[anchor]:
-        back = _shortest_path(rows, [w], {anchor})
-        if back is not None:
-            return [(label, w)] + back[1]
-    raise AssertionError("anchor lies on no cycle")
-
-
-def _shortest_path(rows: list[list[tuple[Hashable, int]]], sources: list[int],
-                   targets: set[int]) -> tuple[int, list[tuple[Hashable, int]]] | None:
-    """Breadth-first search: the target reached and the steps to it."""
-    for s in sources:
-        if s in targets:
-            return s, []
-    parents: dict[int, tuple[int, Hashable] | None] = dict.fromkeys(sources)
-    frontier = list(parents)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for label, w in rows[v]:
-                if w in parents:
-                    continue
-                parents[w] = (v, label)
-                if w in targets:
-                    path = []
-                    cur = w
-                    while parents[cur] is not None:
-                        prev, step = parents[cur]
-                        path.append((step, cur))
-                        cur = prev
-                    return w, path[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
+def _tree_path(rows: list[list[tuple[Hashable, int]]], roots: int,
+               target: int) -> list[tuple[Hashable, int]]:
+    """The steps from a root to ``target`` along the edges that first
+    discovered each node of an ``explore``; its first ``roots`` nodes are the
+    initials, which have no parent."""
+    # explore numbers nodes as it meets them, so node roots + i is entered
+    # first by the i-th edge that enters a node not yet met
+    parent: list[tuple[int, Hashable]] = []
+    for v, row in enumerate(rows):
+        for label, w in row:
+            if w == roots + len(parent):
+                parent.append((v, label))
+    path = []
+    while target >= roots:
+        v, label = parent[target - roots]
+        path.append((label, target))
+        target = v
+    return path[::-1]
 
 
 def nba_emptiness(nba: BuchiAutomaton) -> LassoTrace | None:

@@ -31,8 +31,8 @@ Reactive-system families:
                     spurious.
 * arbiter-prioritized: request-response where client 0 is served with
                     bounded latency (within two steps).
-* abp-receiver:     per-bit acknowledge duties with the same no-spurious
-                    discipline as the full arbiter.
+* abp-receiver:     the full arbiter with per-bit messages ``m_b`` as
+                    requests and acknowledgements ``a_b`` as grants.
 * abp-transmitter:  per-bit send duties, sends unilateral.
 * load-balancer:    jobs in, worker assignments out, every worker used
                     infinitely often.
@@ -97,6 +97,19 @@ def _weak_until(a: Formula, b: Formula) -> Formula:
     return f_release(b, f_or((a, b)))
 
 
+def _request_grant(n: int, request: str, grant: str) -> tuple[APTable, Formula]:
+    # exclusive grants, each request eventually granted, and no grant before
+    # a request, at the start and again after every grant
+    rs = [f"{request}{j}" for j in range(n)]
+    gs = [f"{grant}{j}" for j in range(n)]
+    conj = _mutex(gs)
+    for r, g in zip(rs, gs):
+        conj.append(f_globally(f_implies(atom(r), f_eventually(atom(g)))))
+        conj.append(_weak_until(natom(g), atom(r)))
+        conj.append(f_globally(f_implies(atom(g), f_next(_weak_until(natom(g), atom(r))))))
+    return APTable(tuple(rs), tuple(gs)), f_and(conj)
+
+
 def family(name: str, n: int) -> BenchmarkInstance:
     """Instantiate a benchmark family at parameter ``n`` >= 1."""
     if n < 1:
@@ -145,15 +158,7 @@ def family(name: str, n: int) -> BenchmarkInstance:
         ap = APTable((), tuple(gs))
         spec = f_and([f_globally(f_eventually(atom(g))) for g in gs] + _mutex(gs))
     elif name == "arbiter-full":
-        rs = [f"r{j}" for j in range(n)]
-        gs = [f"g{j}" for j in range(n)]
-        ap = APTable(tuple(rs), tuple(gs))
-        conj = _mutex(gs)
-        for r, g in zip(rs, gs):
-            conj.append(f_globally(f_implies(atom(r), f_eventually(atom(g)))))
-            conj.append(_weak_until(natom(g), atom(r)))
-            conj.append(f_globally(f_implies(atom(g), f_next(_weak_until(natom(g), atom(r))))))
-        spec = f_and(conj)
+        ap, spec = _request_grant(n, "r", "g")
     elif name == "arbiter-prioritized":
         rs = [f"r{j}" for j in range(n)]
         gs = [f"g{j}" for j in range(n)]
@@ -165,15 +170,7 @@ def family(name: str, n: int) -> BenchmarkInstance:
                                          f_next(f_or((atom(gs[0]), f_next(atom(gs[0]))))))))
         spec = f_and(conj)
     elif name == "abp-receiver":
-        ms = [f"m{b}" for b in range(n)]
-        as_ = [f"a{b}" for b in range(n)]
-        ap = APTable(tuple(ms), tuple(as_))
-        conj = _mutex(as_)
-        for m, a in zip(ms, as_):
-            conj.append(f_globally(f_implies(atom(m), f_eventually(atom(a)))))
-            conj.append(_weak_until(natom(a), atom(m)))
-            conj.append(f_globally(f_implies(atom(a), f_next(_weak_until(natom(a), atom(m))))))
-        spec = f_and(conj)
+        ap, spec = _request_grant(n, "m", "a")
     elif name == "abp-transmitter":
         ks = [f"k{b}" for b in range(n)]
         ss = [f"s{b}" for b in range(n)]

@@ -324,13 +324,6 @@ def parse_dimacs_model(text: str) -> tuple[bool | None, set[int]]:
                 lit = int(tok)
                 if lit > 0:
                     model.add(lit)
-    # minisat-style output files: first line SAT/UNSAT then literals
-    if sat is None:
-        toks = text.split()
-        if toks and toks[0] in ("SAT", "UNSAT", "SATISFIABLE", "UNSATISFIABLE"):
-            sat = toks[0].startswith("SAT")
-            if sat:
-                model = {int(t) for t in toks[1:] if t.lstrip("-").isdigit() and int(t) > 0}
     return sat, model
 
 

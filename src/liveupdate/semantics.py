@@ -48,29 +48,16 @@ def _table(sigma: LassoTrace, f: Formula, initial_bound: int | None = None) -> l
         if k == "X":
             return [below[0][succ[i]] for i in range(n)]
         lv, rv = below
-        if k == "U":
-            row = [False] * n  # least fixpoint
-            for _ in range(n + 1):
-                changed = False
+        if k == "U" or initial_bound is None:
+            # until: least fixpoint from False; release: greatest from True
+            row, old = [k == "R"] * n, None
+            while row != old:
+                old = row[:]
                 for i in range(n - 1, -1, -1):
-                    v = rv[i] or (lv[i] and row[succ[i]])
-                    if v != row[i]:
-                        row[i] = v
-                        changed = True
-                if not changed:
-                    break
-            return row
-        if initial_bound is None:
-            row = [True] * n  # greatest fixpoint
-            for _ in range(n + 1):
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = rv[i] and (lv[i] or row[succ[i]])
-                    if v != row[i]:
-                        row[i] = v
-                        changed = True
-                if not changed:
-                    break
+                    if k == "U":
+                        row[i] = rv[i] or (lv[i] and row[succ[i]])
+                    else:
+                        row[i] = rv[i] and (lv[i] or row[succ[i]])
             return row
         b = initial_bound
         row = [True] * n

@@ -43,7 +43,7 @@ from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _conjunct_a
                        _product_lasso, mc_ltl)
 from .formula import _KIND_INDEX, Formula, f_and, fold, neg, operands, rename
 from .machine import MooreMachine
-from .modelcheck import LiveProblem, mc_obligations
+from .modelcheck import LiveProblem
 from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve
 from .sat import Solver, SolverError, solve_external
@@ -571,22 +571,23 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
 
     The obligations reachable in the cut monitor are conjoined with the
     update specification for the universal result, which is solved first.
-    If it is realizable, its machine, re-checked against every ``o && psi``,
-    makes every obligation realizable; otherwise each obligation is solved
-    individually, giving the per-context realizability table.  If the
-    conjunction is ``unknown`` and some ``o && psi`` is unrealizable, the
+    If it is realizable, its machine makes every obligation realizable:
+    ``synth_ltl`` has model-checked it against ``f_and(obligations + [psi])``,
+    and ``f_and`` only flattens, sorts, drops conjuncts that absorption shows
+    implied and turns complementary literals into ``false``, which no machine
+    realizes, so the machine satisfies every ``o && psi`` and passes
+    ``mc_universal_live`` without a second check.  Otherwise each obligation
+    is solved individually, giving the per-context realizability table.  If
+    the conjunction is ``unknown`` and some ``o && psi`` is unrealizable, the
     result is unrealizable with that obligation's certificate, which refutes
     the conjunction too.  The ``kwargs`` go to every ``SynthesisProblem``,
     so a ``deadline`` is one deadline for the whole call: once it has
     passed, the remaining obligations are ``unknown``.
     """
-    ap.check_formula(phi)
+    LiveProblem(phi, psi, ap, ts_i=ts_i)  # rejects undeclared propositions before any work
     obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
     universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
     if universal.realizable:
-        check = mc_obligations(universal.machine, obligations, psi)
-        if not check.passed:
-            raise AssertionError("internal error: universal update failed verification")
         outcomes = ["realizable"] * len(obligations)
     else:
         results = [synth_ltl(SynthesisProblem(f_and((o, psi)), ap, **kwargs)) for o in obligations]

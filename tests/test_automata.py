@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from liveupdate import automata
-from liveupdate.automata import BudgetError, _product_lasso, explore, ltl_to_nba, mc_ltl, nba_emptiness
+from liveupdate.automata import (BudgetError, _product_lasso, accepting_lasso, explore, ltl_to_nba, mc_ltl,
+                                 nba_emptiness)
 from liveupdate.benchmarks import TABLE1_ROWS, update_pair
 from liveupdate.formula import f_and, neg, t_false
 from liveupdate.machine import parse_machine
@@ -220,6 +221,58 @@ def test_emptiness_second_initial_state():
     witness = nba_emptiness(nba)
     assert witness is not None
     assert accepts_lasso(nba, witness)
+
+
+def _distances(sources, succ):
+    """Breadth-first step counts from ``sources`` to every node they reach."""
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in succ[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def test_accepting_lasso_on_random_graphs_with_several_initials():
+    rng = random.Random(33)
+    found = 0
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        succ = [[w for w in range(n) if rng.random() < 0.25] for _ in range(n)]
+        acc = {v for v in range(n) if rng.random() < 0.3}
+        initials = rng.sample(range(n), rng.randint(2, min(3, n)))
+        # each edge is labeled by its (source, target) pair
+        got = accepting_lasso(initials, lambda v: [((v, w), w) for w in succ[v]], acc.__contains__)
+        reach = [set(_distances(succ[v], succ)) for v in range(n)]  # in one step or more
+        dist = _distances(initials, succ)
+        good = {v for v in acc if v in dist and v in reach[v]}
+        if not good:
+            assert got is None
+            continue
+        found += 1
+        prefix, loop = got
+        anchor = loop[-1][1]
+        assert anchor in good
+        assert len(prefix) == min(dist[v] for v in good)
+        start = prefix[0][0][0] if prefix else anchor
+        assert start in initials
+        for path in (prefix, loop):
+            for label, w in path:
+                assert label == (start, w)
+                start = w
+            assert start == anchor
+        if anchor in succ[anchor]:
+            assert loop == [((anchor, anchor), anchor)]
+        else:
+            first = next(w for w in succ[anchor] if anchor in reach[w])
+            assert loop[0][1] == first
+            assert len(loop) == 1 + _distances([first], succ)[anchor]
+    assert found > 300
 
 
 def test_translation_is_memoized():

@@ -46,6 +46,8 @@ def test_universal_realizable_implies_finite_samples(fig1_machine, relay2):
     result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec, ap,
                                   deadline=time.monotonic() + 300)
     assert result.realizable
+    assert mc_universal_live(result.machine, LiveProblem(relay2.spec, relay1.spec, ap,
+                                                         ts_i=fig1_machine)).passed
     for eta in sorted(fig1_machine.fin_traces(2)):
         p = LiveProblem(relay2.spec, relay1.spec, ap, eta=eta)
         assert mc_finite_live(result.machine, p).passed

@@ -198,6 +198,12 @@ def test_universal_trivial_initial(monkeypatch):
     assert builds == []  # the cut is taken straight from phi
 
 
+def test_universal_rejects_an_initial_machine_outside_the_ap_table():
+    ts_i = parse_machine("inputs: r zz\noutputs: g\nstate s0 initial { }\ns0 --*--> s0\n")
+    with pytest.raises(ValueError, match="initial system"):
+        synth_universal_live(ts_i, t_true(), parse_formula("G (r -> F g)"), AP_RG)
+
+
 def test_universal_budget_counts_cut_states(fig1_machine, relay2):
     # the cut of relay(2) has 27 states, the uncut monitor 66
     relay1 = family("relay", 1)
