@@ -48,7 +48,6 @@ def cmd_monitor(args) -> int:
     prob.require("initial")
     if args.cut:
         prob.require("initial_machine")
-        prob.ap.check_formula(prob.initial)
         mon = cut_from_phi(prob.initial, prob.initial_machine, args.anchor, args.monitor_budget)
     else:
         mon = build_monitor(prob.initial, prob.ap, args.monitor_budget, args.anchor)

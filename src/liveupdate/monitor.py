@@ -134,9 +134,9 @@ def _step_fn(anchor: Anchor):
     return edge_step if anchor == "edge" else af
 
 
-def _explore(initial, successors, max_states: int):
+def _explore(initial, successors, max_states: int, deadline: float | None = None):
     try:
-        return explore([initial], successors, max_states)
+        return explore([initial], successors, max_states, deadline)
     except BudgetError as exc:
         raise BudgetError(f"monitor {exc}") from None
 
@@ -159,13 +159,14 @@ def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
 
 
 def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
-                 max_states: int = 10000) -> ObligationMonitor:
+                 max_states: int = 10000, *, deadline: float | None = None) -> ObligationMonitor:
     """The monitor of ``phi`` restricted to the letters of the machine's
     executions, built without the uncut monitor.
 
     The monitor consumes the combined letter ``output(state) | input`` when
     the machine takes the corresponding edge; cut states pair the derivative
-    formula with the machine state reached.
+    formula with the machine state reached.  A cut that runs past the
+    ``time.monotonic()`` ``deadline`` raises ``TimeoutError``.
     """
     if not phi.atoms <= ts_i.ap.all:
         raise ValueError("monitored formula mentions propositions the machine does not declare")
@@ -179,7 +180,7 @@ def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
             yield letter, MonitorNode(step(node.formula, letter & relevant),
                                       ts_i.delta(node.machine_state, inp))
 
-    nodes, rows = _explore(MonitorNode(phi, ts_i.initial), successors, max_states)
+    nodes, rows = _explore(MonitorNode(phi, ts_i.initial), successors, max_states, deadline)
     return ObligationMonitor(phi, ts_i.ap, anchor, nodes, 0, [dict(row) for row in rows],
                              cut_against=ts_i)
 

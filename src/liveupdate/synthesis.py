@@ -13,31 +13,31 @@ entry; an accepting state that loops on every letter is simply unreachable.
 Unrealizability is established by the dual search: a Mealy environment reading
 the system's outputs and picking inputs so that every resulting trace violates
 the specification.  System and environment bounds are interleaved, and each
-environment attempt races the system attempts after it, the next taking the
-place of one that ends without a machine: the attempt behind continues its
-internal solve until it is ahead of the other, and the first to find a machine
-wins.  A specification cannot have both a machine and an environment strategy,
-so the race finds what running each side's attempts one after the other would
-find, without running one to the end of its budget while the other holds the
-answer.  Every winner is re-verified before being reported, against the
-automata of the top-level conjuncts that its search encoded -- a machine by
-``mc_ltl``, a certificate by its product with each environment automaton -- so
-checking a searched winner translates nothing.  Each attempt has a conflict
-budget of the internal solver, so the order of attempts and their outcomes do
-not depend on how fast the machine is; the only clock is the caller's
-deadline.  A verdict is therefore a function of the specification, the
-propositions, the bound schedule and the solver, and it survives renaming
-inputs among inputs and outputs among outputs: ``synth_ltl`` keeps each
-verified verdict for the life of the process, answers renamed copies from it
-with a relabelled, re-checked machine or certificate, and results are
-immutable.
+environment attempt races the system attempts after it: the attempt behind
+continues its internal solve until it is ahead of the other, and the first to
+find a machine wins.  When an attempt ends without one, the next system
+attempt follows a system attempt, and the next environment attempt starts
+once no attempt races.  A specification cannot have both a machine and an
+environment strategy, so the race finds what running each side's attempts one
+after the other would find, without running one to the end of its budget
+while the other holds the answer.  Every winner is re-verified before being
+reported, against the automata of the top-level conjuncts that its search
+encoded -- a machine by ``mc_ltl``, a certificate by its product with each
+environment automaton -- so checking a searched winner translates nothing.
+Each attempt has a conflict budget of the internal solver, so the order of
+attempts and their outcomes do not depend on how fast the machine is; the
+only clock is the caller's deadline.  A verdict is therefore a function of
+the specification, the propositions, the bound schedule and the solver, and
+it survives renaming inputs among inputs and outputs among outputs:
+``synth_ltl`` keeps each verified verdict for the life of the process,
+answers renamed copies from it with a relabelled, re-checked machine or
+certificate, and results are immutable.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 
 from .automata import (BudgetError, BuchiAutomaton, _accepting_sccs, _conjunct_automata,
                        _product_lasso, mc_ltl)
@@ -407,24 +407,25 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
 
     Realizable results carry a machine already re-verified by the model
     checker; unrealizable results carry a verified environment strategy;
-    unknown results carry a ``reason``.  The first system bound runs first;
-    then environment bounds 1,2,3,... alternate with the remaining system
-    bounds, each environment attempt e_i starting as a pair with the next
-    system attempt.  In a pair, the attempt behind continues its solve until
-    it is ahead: the environment attempt to one conflict more than the
-    system attempt, the system attempt to as many as the environment
-    attempt.  When the system attempt ends without a model, the next system
-    attempt takes its place, and e_i races on; when e_i ends without a
-    model, the system attempt runs on alone, and e_{i+1} starts with the
-    group after it (an e_i that ends early is mostly beside a system attempt
-    that goes on to win, so starting e_{i+1} at once would mostly encode a
-    CNF for nothing).  An attempt alone runs to its budget in one solve;
-    once one finds a model the other stops.  An external solver has no
-    conflict count, so each of its attempts is one call, and a pair runs e_i
-    and then the system attempt.  While the environment automata (for the
-    whole specification) are large, every system bound runs before them,
-    alone, so that realizable instances are not taxed by them; when they
-    exceed their state budget, only the system bounds run.  The translation
+    unknown results carry a ``reason``.  The first system bound s1 runs
+    alone; once it ends without a model, the environment automata (for the
+    whole specification) are translated.  Whenever an attempt ends without
+    a model, one refill rule starts what follows: the next system attempt
+    after a system attempt, and the next environment attempt e_i once no
+    attempt races, so e_i starts beside the next system attempt, and an e_i
+    that ends first leaves that one to run on alone (an e_i that ends early
+    is mostly beside a system attempt that goes on to win, so starting
+    e_{i+1} at once would mostly encode a CNF for nothing).  While the
+    environment automata are large, e_i also waits until no system bound is
+    left, so that realizable instances are not taxed by them; when they
+    exceed their state budget, only the system bounds run.  Started
+    attempts go first, the environment attempt ahead, so the attempt behind
+    runs first, and it continues its solve until it is ahead: the
+    environment attempt to one conflict more than the system attempt, the
+    system attempt to as many as the environment attempt.  An attempt alone
+    runs to its budget in one solve; once one finds a model the other stops.
+    An external solver has no conflict count, so each of its attempts is one
+    call, and a pair runs e_i and then the system attempt.  The translation
     of either side's automata reads the deadline too, and one that runs past
     it ends the search ``unknown`` with a reason that names it.
     The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
@@ -435,12 +436,12 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
 
     Memoized for the life of the process: a realizable or unrealizable
     result is kept once its machine or certificate has passed the check, and
-    a later call on the same problem, whatever its deadline, gets the same
-    result, ``stats`` included.  A copy of a kept problem under a
-    role-preserving renaming of the propositions gets its verdict and
-    ``stats`` too, with the machine or certificate relabelled and checked
-    again: which machine comes back depends on which copy the process solved
-    first.  An ``unknown`` result is never kept.
+    a later call on the same problem gets the same result, ``stats``
+    included, unless its deadline has passed, which is read first.  A copy
+    of a kept problem under a role-preserving renaming of the propositions
+    gets its verdict and ``stats`` too, with the machine or certificate
+    relabelled and checked again: which machine comes back depends on which
+    copy the process solved first.  An ``unknown`` result is never kept.
     """
     spec, deadline = problem.spec, problem.deadline
     sys_bounds = [b for b in problem.bounds if b <= problem.cap]
@@ -464,75 +465,45 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         return SynthesisResult("unknown", reason="the deadline passed during the translation "
                                                  "of the system automata")
     internal = problem.solver == "internal"
-
-    systems = (_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None,
-                        sys_automata) for i, k in enumerate(sys_bounds))
-
-    def schedule():
-        """The attempts, in the groups that start together: each environment
-        attempt with the next system attempt, every other attempt alone; an
-        empty group once the deadline passed during the environment
-        translation."""
-        yield [next(systems)]
-        try:
-            env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES,
-                                              deadline=deadline)
-        except BudgetError:
-            yield from ([a] for a in systems)
-            return
-        except TimeoutError:
-            yield []
-            return
-        envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
-                         env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
-        if sum(len(a.labels) for a in env_automata) > _ENV_DEFER_STATES:
-            yield from ([a] for a in systems)
-            yield from ([a] for a in envs)
-        else:
-            yield from ([a for a in pair if a] for pair in zip_longest(envs, systems))
-
+    systems = [_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
+               for i, k in enumerate(sys_bounds)]
+    envs = iter(())  # the environment attempts, once translated, started one by one
+    defer = False  # whether they wait until no system bound is left
     stats: list[dict] = []
+    live = [systems.pop(0)]
 
     def end(outcome: str, reason: str | None = None, **found) -> SynthesisResult:
         # an attempt that the end cuts short is recorded as stopped
         stats.extend(a.entry(None, False) for a in live if a.enc is not None)
         return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
 
-    for live in schedule():
-        if not live:
-            return end("unknown", "the deadline passed during the translation of the "
-                                  "environment automata")
-        while live:
-            a, t0 = live[0], time.monotonic()
-            if a.enc is None and deadline is not None and t0 > deadline:
-                return end("unknown", f"the deadline passed before the {a.side} attempt "
-                                      f"at bound {a.k}")
-            target = a.budget  # alone, an attempt runs to its budget in one solve
-            if target is not None and len(live) == 2:  # in a pair, until it is ahead
-                target = min(target, live[1].analysed + (a.side == "environment"))
-            try:
-                found = a.run(problem, target)
-            except (TimeoutError, SolverError) as exc:
-                a.time += time.monotonic() - t0
-                late = isinstance(exc, TimeoutError)
-                live.remove(a)
-                stats.append(a.entry(None, late))
-                why = "the deadline passed during" if late else f"{exc} in"
-                return end("unknown", f"{why} the {a.side} attempt at bound {a.k}")
+    while live:
+        a, t0 = live[0], time.monotonic()
+        if a.enc is None and deadline is not None and t0 > deadline:
+            return end("unknown", f"the deadline passed before the {a.side} attempt "
+                                  f"at bound {a.k}")
+        target = a.budget  # alone, an attempt runs to its budget in one solve
+        if target is not None and len(live) == 2:  # in a pair, until it is ahead
+            target = min(target, live[1].analysed + (a.side == "environment"))
+        try:
+            found = a.run(problem, target)
+        except (TimeoutError, SolverError) as exc:
             a.time += time.monotonic() - t0
-            if found is None and a.analysed < a.budget:
-                live.reverse()  # ahead of the other attempt of its pair, which runs next
-                continue
-            # An exhausted budget just abandons the attempt (recorded as
-            # inconclusive): skipping a bound is sound, as a machine of size k
-            # becomes one of size k+1 by adding a state never reached, or by splitting one.
+            late = isinstance(exc, TimeoutError)
             live.remove(a)
-            stats.append(a.entry(found, found is None))
-            if not found:
-                # the environment attempt races on, beside the next system attempt
-                if a.side == "system" and live and (after := next(systems, None)):
-                    live.insert(0, after)  # behind it, so it runs first
-                continue
+            stats.append(a.entry(None, late))
+            why = "the deadline passed during" if late else f"{exc} in"
+            return end("unknown", f"{why} the {a.side} attempt at bound {a.k}")
+        a.time += time.monotonic() - t0
+        if found is None and a.analysed < a.budget:
+            live.reverse()  # ahead of the other attempt of its pair, which runs next
+            continue
+        # An exhausted budget just abandons the attempt (recorded as
+        # inconclusive): skipping a bound is sound, as a machine of size k
+        # becomes one of size k+1 by adding a state never reached, or by splitting one.
+        live.remove(a)
+        stats.append(a.entry(found, found is None))
+        if found:
             if a.side == "system":
                 result = end("realizable", machine=a.enc.extract_moore(a.model))
             else:
@@ -540,6 +511,24 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             _SYNTH[key] = _verified(result, spec)
             _CLASSES.setdefault(ckey, (spec, order, result))
             return result
+        if len(stats) == 1:  # s1 ended without a machine: the dual search begins
+            try:
+                env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES,
+                                                  deadline=deadline)
+            except BudgetError:
+                pass  # only the system bounds run
+            except TimeoutError:
+                return end("unknown", "the deadline passed during the translation of the "
+                                      "environment automata")
+            else:
+                envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
+                                 env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
+                defer = sum(len(q.labels) for q in env_automata) > _ENV_DEFER_STATES
+        # the refill rule; started attempts go first, the environment attempt ahead
+        started = [next(envs, None)] if not live and not (defer and systems) else []
+        if a.side == "system" and systems:
+            started.append(systems.pop(0))
+        live[:0] = filter(None, started)
     reached = {a["side"]: a["bound"] for a in stats}  # the last bound of each side
     k = reached["system"]
     if reached.get("environment") == k:
@@ -581,11 +570,16 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     the conjunction is ``unknown`` and some ``o && psi`` is unrealizable, the
     result is unrealizable with that obligation's certificate, which refutes
     the conjunction too.  The ``kwargs`` go to every ``SynthesisProblem``,
-    so a ``deadline`` is one deadline for the whole call: once it has
-    passed, the remaining obligations are ``unknown``.
+    so a ``deadline`` is one deadline for the whole call, the monitor cut
+    included: once it has passed, the remaining obligations are ``unknown``,
+    and a cut that runs past it gives ``unknown`` without obligations.
     """
     LiveProblem(phi, psi, ap, ts_i=ts_i)  # rejects undeclared propositions before any work
-    obligations = reachable_obligations(cut_from_phi(phi, ts_i, max_states=monitor_budget))
+    try:
+        mon = cut_from_phi(phi, ts_i, max_states=monitor_budget, deadline=kwargs.get("deadline"))
+    except TimeoutError:
+        return SynthesisResult("unknown", reason="the deadline passed during the monitor cut")
+    obligations = reachable_obligations(mon)
     universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
     if universal.realizable:
         outcomes = ["realizable"] * len(obligations)

@@ -236,6 +236,27 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
     assert [e["outcome"] for e in result.per_obligation] == ["unknown"] * 7
 
 
+def test_universal_deadline_reaches_the_monitor_cut(monkeypatch, fig1_machine, relay2):
+    # a fake clock that advances 1 s per reading, and a deadline 10 s away:
+    # the 27-state cut of relay(2) stops at its 11th node, and no synthesis starts
+    now = [100.0]
+
+    def monotonic():
+        now[0] += 1.0
+        return now[0]
+
+    clock = SimpleNamespace(monotonic=monotonic)
+    monkeypatch.setattr(automata, "time", clock)
+    monkeypatch.setattr(synthesis, "time", clock)
+    relay1 = family("relay", 1)
+    result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
+                                  relay2.ap.union(relay1.ap), deadline=110.0)
+    assert result.outcome == "unknown"
+    assert result.reason == "the deadline passed during the monitor cut"
+    assert result.stats == () and result.per_obligation == ()
+    assert now[0] == 111.0
+
+
 @pytest.mark.parametrize("defer_states,order", [
     (120, [("system", 1, 4096), ("environment", 1, 512), ("system", 2, 8192),
            ("environment", 2, 1024), ("system", 3, 16384), ("environment", 3, 2048)]),
@@ -250,6 +271,54 @@ def test_attempt_order(monkeypatch, defer_states, order):
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3))
     assert result.outcome == "unknown"
     assert [(a["side"], a["bound"], a["budget"]) for a in result.stats] == order
+
+
+def scripted_runs(monkeypatch, needs):
+    """Replace each attempt's solve by a script: the attempt of side and
+    bound ``key`` ends without a model once it has analysed ``needs[key]``
+    conflicts, and one that reaches its budget first runs out of it.  Returns
+    the log of runs, as (side, bound, target)."""
+    runs = []
+
+    def run(self, problem, target):
+        runs.append((self.side, self.k, target))
+        self.enc = self.enc or SimpleNamespace(nv=0)
+        if self.budget is None:  # an external solver answers in one run
+            return False
+        self.sat = self.sat or SimpleNamespace(conflicts=0)
+        need = needs[(self.side, self.k)]
+        self.sat.conflicts = min(target, need, self.budget)
+        return False if self.sat.conflicts == need else None
+
+    monkeypatch.setattr(synthesis._Attempt, "run", run)
+    return runs
+
+
+def test_environment_attempt_outlives_the_last_system_bound(monkeypatch):
+    # e1 races s2, the last system bound, which ends first: e1 runs on alone
+    # to its budget in one solve, and e2 then starts, alone
+    runs = scripted_runs(monkeypatch, {("system", 1): 0, ("system", 2): 2,
+                                       ("environment", 1): 5, ("environment", 2): 0})
+    result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG,
+                                        bounds=(1, 2), cap=2))
+    assert result.outcome == "unknown"
+    assert [(a["side"], a["bound"]) for a in result.stats] == [
+        ("system", 1), ("system", 2), ("environment", 1), ("environment", 2)]
+    assert runs == [("system", 1, 4096), ("environment", 1, 1), ("system", 2, 1),
+                    ("environment", 1, 2), ("system", 2, 2), ("environment", 1, 512),
+                    ("environment", 2, 1024)]
+
+
+def test_external_solver_runs_each_pair_in_turn(monkeypatch):
+    # without a conflict count, e_i runs to its answer, then s_{i+1}
+    runs = scripted_runs(monkeypatch, {})
+    result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3,
+                                        solver="an-external-solver"))
+    assert result.outcome == "unknown"
+    order = [("system", 1), ("environment", 1), ("system", 2), ("environment", 2),
+             ("system", 3), ("environment", 3)]
+    assert [(a["side"], a["bound"]) for a in result.stats] == order
+    assert runs == [(side, k, None) for side, k in order]
 
 
 def test_search_path_does_not_depend_on_the_clock(monkeypatch):
