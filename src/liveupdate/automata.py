@@ -394,7 +394,8 @@ def _product_lasso(starts: Iterable[Hashable],
 # -- model checking -----------------------------------------------------------
 
 
-def mc_ltl(machine: MooreMachine, f: Formula, searched: dict | None = None) -> Verdict:
+def mc_ltl(machine: MooreMachine, f: Formula, searched: dict | None = None, *,
+           deadline: float | None = None) -> Verdict:
     """Check that every trace of the machine satisfies ``f``.
 
     The machine is checked against the automaton of each negated top-level
@@ -402,17 +403,13 @@ def mc_ltl(machine: MooreMachine, f: Formula, searched: dict | None = None) -> V
     against.  A failure carries the shortest lasso (shortest prefix, then a
     loop as in ``accepting_lasso``) of the first conjunct that it violates.
     Calls on one machine that share a ``searched`` dict search its product
-    with each automaton once.
+    with each automaton once.  The translations read ``deadline`` as
+    ``ltl_to_nba`` does.
     """
-    letters = machine.input_letters()
     searched = {} if searched is None else searched
-
-    def steps(ms: int) -> list[tuple[Letter, Letter, int]]:
-        return [(inp, machine.letter(ms, inp), machine.delta(ms, inp)) for inp in letters]
-
-    for nba in _conjunct_automata(f):
+    for nba in _conjunct_automata(f, deadline=deadline):
         if id(nba) not in searched:  # kept with its lasso, so no other automaton takes its id
-            searched[id(nba)] = nba, _product_lasso([machine.initial], steps, nba)
+            searched[id(nba)] = nba, _product_lasso([machine.initial], machine.moves, nba)
         found = searched[id(nba)][1]
         if found is not None:
             in_pre, in_loop = map(tuple, found)

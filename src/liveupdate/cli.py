@@ -106,7 +106,7 @@ def _synth_kwargs(args) -> dict:
     return {"cap": args.bound_max, "deadline": deadline, "solver": args.solver}
 
 
-def _report_synth(result, args, out_prefix: str) -> int:
+def _report_synth(result, args) -> int:
     data = {"outcome": result.outcome, "stats": result.stats}
     if result.reason is not None:
         data["reason"] = result.reason
@@ -122,7 +122,7 @@ def _report_synth(result, args, out_prefix: str) -> int:
         else:
             data["machine"] = text
         if args.dot:
-            Path(args.dot).write_text(machine_dot(result.machine, out_prefix))
+            Path(args.dot).write_text(machine_dot(result.machine, "update_system"))
     if args.json:
         print(json.dumps(data, indent=2))
     else:
@@ -146,7 +146,7 @@ def cmd_synth(args) -> int:
     else:
         prob.require("trace")
         result = synth_finite_live(prob.initial, prob.update, prob.trace, prob.ap, **kwargs)
-    return _report_synth(result, args, "update_system")
+    return _report_synth(result, args)
 
 
 def _unknown_row(row, reason: str, t0: float) -> dict:

@@ -4,7 +4,8 @@ States carry output letters, edges are guarded by cubes over the input
 propositions, and the transition function must be deterministic and total:
 every input letter matches exactly one outgoing cube per state.  A trace
 letter combines the current state's output with the current input; the
-machine then moves along the matching edge.
+machine then moves along the matching edge.  ``moves`` lists these steps,
+and every walk of a machine reads them there.
 
 Text format::
 
@@ -18,7 +19,7 @@ Text format::
 
 A cube is an ``&``-separated list of literals over the inputs, or ``*`` for
 true.  DOT export renders states with their output labels and edges with
-their cubes.
+their cubes; ``dot_graph`` writes it, and the monitor's DOT export too.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class MooreMachine:
     def letter(self, state: int, inp: Letter) -> Letter:
         return self.outputs[state] | inp
 
+    def moves(self, state: int) -> list[tuple[Letter, Letter, int]]:
+        """The ``(input, trace letter, successor)`` steps from ``state``, one
+        per input letter in ``input_letters()`` order."""
+        return [(inp, self.letter(state, inp), self.delta(state, inp)) for inp in self.input_letters()]
+
     def run(self, inputs: FiniteTrace) -> FiniteTrace:
         """Trace for a finite input word: letter k is output(state k) union
         input k."""
@@ -92,17 +98,12 @@ class MooreMachine:
 
     def fin_traces(self, depth: int) -> set[FiniteTrace]:
         """All traces of length at most ``depth`` (exponential; oracle use)."""
-        letters = self.input_letters()
         result: set[FiniteTrace] = {()}
         frontier: list[tuple[int, FiniteTrace]] = [(self.initial, ())]
         for _ in range(depth):
-            nxt = []
-            for state, trace in frontier:
-                for inp in letters:
-                    t2 = trace + (self.letter(state, inp),)
-                    result.add(t2)
-                    nxt.append((self.delta(state, inp), t2))
-            frontier = nxt
+            frontier = [(dst, trace + (letter,)) for state, trace in frontier
+                        for _inp, letter, dst in self.moves(state)]
+            result.update(trace for _, trace in frontier)
         return result
 
     def all_lassos(self, input_period: int) -> Iterator[LassoTrace]:
@@ -206,13 +207,24 @@ def serialize_machine(m: MooreMachine) -> str:
 
 
 def to_dot(m: MooreMachine, title: str = "machine") -> str:
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;", '  __init [shape=point, label=""];']
-    for i, name in enumerate(m.names):
-        label = ", ".join(sorted(m.outputs[i]))
-        lines.append(f'  {i} [shape=box, style=rounded, label="{name}\\n{{{label}}}"];')
-    lines.append(f"  __init -> {m.initial};")
-    for i in range(len(m.names)):
-        for cube, dst in m.edges[i]:
-            lines.append(f'  {i} -> {dst} [label="{cube}"];')
+    return dot_graph(title, m.initial,
+                     [f"{name}\n{{{', '.join(sorted(out))}}}" for name, out in zip(m.names, m.outputs)],
+                     [(i, dst, str(cube)) for i, row in enumerate(m.edges) for cube, dst in row])
+
+
+def dot_graph(title: str, initial: int, labels: list[str],
+              edges: list[tuple[int, int, str]]) -> str:
+    """A left-to-right DOT digraph of rounded boxes numbered from 0 with the
+    given labels, the ``(src, dst, label)`` edges, and a point that enters
+    ``initial``.  The title and every label are DOT strings: ``\\`` and ``"``
+    are escaped, and a line break becomes ``\\n``."""
+    def q(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+    lines = [f"digraph {q(title)} {{", "  rankdir=LR;", '  __init [shape=point, label=""];']
+    lines += [f"  {i} [shape=box, style=rounded, label={q(label)}];"
+              for i, label in enumerate(labels)]
+    lines.append(f"  __init -> {initial};")
+    lines += [f"  {src} -> {dst} [label={q(label)}];" for src, dst, label in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from typing import Literal
 
 from .automata import BudgetError, explore
 from .formula import Formula
-from .machine import MooreMachine
+from .machine import MooreMachine, dot_graph
 from .rewrite import af, edge_step, strip
 from .traces import APTable, Letter, all_letters
 
@@ -92,20 +92,15 @@ class ObligationMonitor:
         return len(self.nodes)
 
     def to_dot(self, title: str = "monitor") -> str:
-        lines = [f'digraph "{title}" {{', "  rankdir=LR;", '  __init [shape=point, label=""];']
-        for i, node in enumerate(self.nodes):
-            extra = f" | {self.cut_against.names[node.machine_state]}" if node.machine_state is not None else ""
-            lines.append(f'  {i} [shape=box, style=rounded, label="{self.label(i)}{extra}"];')
-        lines.append(f"  __init -> {self.initial};")
+        labels = [f"{self.label(i)} | {self.cut_against.names[node.machine_state]}"
+                  if node.machine_state is not None else str(self.label(i))
+                  for i, node in enumerate(self.nodes)]
+        grouped: dict[tuple[int, int], list[str]] = {}  # the letters of each edge
         for i, row in enumerate(self.edges):
-            grouped: dict[int, list[Letter]] = {}
             for letter, dst in sorted(row.items(), key=lambda kv: sorted(kv[0])):
-                grouped.setdefault(dst, []).append(letter)
-            for dst, letters in grouped.items():
-                text = " | ".join("{" + " ".join(sorted(l)) + "}" if l else "{}" for l in letters)
-                lines.append(f'  {i} -> {dst} [label="{text}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                grouped.setdefault((i, dst), []).append("{" + " ".join(sorted(letter)) + "}")
+        return dot_graph(title, self.initial, labels,
+                         [(i, dst, " | ".join(texts)) for (i, dst), texts in grouped.items()])
 
     def to_json(self) -> dict:
         return {
@@ -130,10 +125,6 @@ class ObligationMonitor:
         }
 
 
-def _step_fn(anchor: Anchor):
-    return edge_step if anchor == "edge" else af
-
-
 def _explore(initial, successors, max_states: int, deadline: float | None = None):
     try:
         return explore([initial], successors, max_states, deadline)
@@ -150,7 +141,7 @@ def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
     which the derivative alone can observe).
     """
     ap.check_formula(phi)
-    step = _step_fn(anchor)
+    step = edge_step if anchor == "edge" else af
     letters = all_letters(sorted(phi.atoms))
     formulas, rows = _explore(phi, lambda f: [(letter, step(f, letter)) for letter in letters],
                               max_states)
@@ -170,15 +161,12 @@ def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
     """
     if not phi.atoms <= ts_i.ap.all:
         raise ValueError("monitored formula mentions propositions the machine does not declare")
-    step = _step_fn(anchor)
+    step = edge_step if anchor == "edge" else af
     relevant = phi.atoms
-    input_letters = ts_i.input_letters()
 
     def successors(node: MonitorNode):
-        for inp in input_letters:
-            letter = ts_i.letter(node.machine_state, inp)
-            yield letter, MonitorNode(step(node.formula, letter & relevant),
-                                      ts_i.delta(node.machine_state, inp))
+        return [(letter, MonitorNode(step(node.formula, letter & relevant), dst))
+                for _inp, letter, dst in ts_i.moves(node.machine_state)]
 
     nodes, rows = _explore(MonitorNode(phi, ts_i.initial), successors, max_states, deadline)
     return ObligationMonitor(phi, ts_i.ap, anchor, nodes, 0, [dict(row) for row in rows],

@@ -77,19 +77,22 @@ class SynthesisProblem:
             raise ValueError("bound schedule must start at >= 1 and stay within the cap")
 
 
+@dataclass(eq=False)
 class EnvMachine:
     """Mealy environment strategy: reads the system's output letter, picks an
     input letter.  Serves as an unrealizability certificate."""
 
-    def __init__(self, ap: APTable, k: int, initial: int,
-                 table: dict[tuple[int, Letter], tuple[Letter, int]]):
-        self.ap = ap
-        self.k = k
-        self.initial = initial
-        self.table = table
+    ap: APTable
+    k: int
+    initial: int
+    table: dict[tuple[int, Letter], tuple[Letter, int]]  # (state, read) -> (emitted, next)
 
-    def move(self, state: int, out_letter: Letter) -> tuple[Letter, int]:
-        return self.table[(state, frozenset(out_letter))]
+    def moves(self, state: int) -> list[tuple[Letter, Letter, int]]:
+        """The ``(letter, letter, successor)`` steps from ``state``, one per
+        output letter in ``all_letters(ap.outputs)`` order: the letter joins
+        the output letter read with the input letter emitted."""
+        return [(a | emit, a | emit, dst) for a in all_letters(self.ap.outputs)
+                for emit, dst in [self.table[(state, a)]]]
 
     def __len__(self) -> int:
         return self.k
@@ -276,18 +279,8 @@ class _Encoder:
 def env_counterexample(env: EnvMachine, nba: BuchiAutomaton) -> LassoTrace | None:
     """An accepting trace of the product of an environment strategy with an
     automaton, quantifying over all output letters; None if there is none."""
-    read = all_letters(env.ap.outputs)
-
-    def steps(e: int):
-        for a in read:
-            emit, e2 = env.move(e, a)
-            yield a | emit, a | emit, e2
-
-    found = _product_lasso([env.initial], steps, nba)
-    if found is None:
-        return None
-    prefix, loop = found
-    return LassoTrace(tuple(prefix), tuple(loop))
+    found = _product_lasso([env.initial], env.moves, nba)
+    return None if found is None else LassoTrace(*map(tuple, found))
 
 
 class _Attempt:
@@ -375,14 +368,17 @@ def _naming(spec: Formula, ap: APTable) -> tuple[int, list[str]]:
                     *met[1], *(a for a in ap.outputs if a not in met[1])]
 
 
-def _verified(result: SynthesisResult, spec: Formula) -> SynthesisResult:
+def _verified(result: SynthesisResult, spec: Formula, *,
+              deadline: float | None = None) -> SynthesisResult:
     """``result``, once its machine passes the model check of ``spec`` or no
-    trace that its certificate allows satisfies ``spec``."""
+    trace that its certificate allows satisfies ``spec``.  The translations
+    read ``deadline`` as ``ltl_to_nba`` does."""
     if result.machine is not None:
-        if not mc_ltl(result.machine, spec).passed:
+        if not mc_ltl(result.machine, spec, deadline=deadline).passed:
             raise AssertionError("internal error: synthesized machine failed verification")
     elif any(env_counterexample(result.certificate, nba) is not None
-             for nba in _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES)):
+             for nba in _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES,
+                                           deadline=deadline)):
         raise AssertionError("internal error: environment certificate failed verification")
     return result
 
@@ -441,7 +437,9 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     of a kept problem under a role-preserving renaming of the propositions
     gets its verdict and ``stats`` too, with the machine or certificate
     relabelled and checked again: which machine comes back depends on which
-    copy the process solved first.  An ``unknown`` result is never kept.
+    copy the process solved first.  That check translates the copy's
+    automata under the deadline, and one that runs past it gives ``unknown``
+    with a reason that names it.  An ``unknown`` result is never kept.
     """
     spec, deadline = problem.spec, problem.deadline
     sys_bounds = [b for b in problem.bounds if b <= problem.cap]
@@ -457,7 +455,11 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     if (rep := _CLASSES.get(ckey)) is not None:
         to = dict(zip(rep[1], order))  # the representative's propositions -> the caller's
         if rename(rep[0], to) is spec:
-            _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec)
+            try:
+                _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec, deadline=deadline)
+            except TimeoutError:
+                return SynthesisResult("unknown", reason="the deadline passed during the check "
+                                                         "of a renamed copy")
             return _SYNTH[key]
     try:
         sys_automata = _conjunct_automata(spec, deadline=deadline)

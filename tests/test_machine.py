@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from liveupdate.cli import main
 from liveupdate.machine import MachineFormatError, MooreMachine, parse_machine, serialize_machine, to_dot
+from liveupdate.monitor import cut_from_phi
 from liveupdate.traces import APTable, Cube
 
 from gen import random_machine
@@ -172,3 +175,45 @@ def test_dot_export(fig1_machine):
     assert dot.startswith("digraph")
     assert "m0 & m1" in dot
     assert "i0, i1, r" in dot
+
+
+def test_dot_of_ordinary_ids_is_unchanged(fig1_machine, relay2):
+    # the sha256 of the DOT text of the machine and of its relay(2) cut as
+    # the two writers of DOT wrote it before they were merged into one
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(to_dot(fig1_machine)) == \
+        "9658942ab31a9bbd4868637ea558569b2401e9ab343eb5e45e8ad00593e9bf19"
+    assert digest(cut_from_phi(relay2.spec, fig1_machine).to_dot()) == \
+        "b1a41dd48b8f2415b3b9e4889c2e059530028719f125c4ee267ec617d5ec5466"
+
+
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def dot_strings(dot: str) -> list[str]:
+    """The title and every label of a DOT text, unescaped; an assertion
+    fails on a line whose title or label is not one well-formed DOT string."""
+    title, *lines = dot.splitlines()
+    found = [re.fullmatch(rf"digraph ({DOT_STRING}) {{", title)]
+    found += [re.fullmatch(rf".*?[ \[]label=({DOT_STRING})\];", line) for line in lines
+              if "label=" in line]
+    assert all(found), dot
+    return [re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], m[1][1:-1]) for m in found]
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path):
+    text = ('inputs: r\noutputs: g\nstate c"1 initial { g }\nstate c\\2 { }\n'
+            'c"1 --r--> c\\2\nc"1 --!r--> c"1\nc\\2 --*--> c"1\n')
+    m = parse_machine(text)
+    assert dot_strings(to_dot(m, 'say "hi" \\o/')) == [
+        'say "hi" \\o/', "", 'c"1\n{g}', "c\\2\n{}", "r", "!r", "*"]
+    (tmp_path / "m.machine").write_text(text)
+    problem = tmp_path / "m.problem"
+    problem.write_text("INPUTS: r\nOUTPUTS: g\nINITIAL: G (r -> X g)\nTRACE: -\n"
+                       "INITIAL_MACHINE: @m.machine\n")
+    out = tmp_path / "cut.dot"
+    assert main(["monitor", str(problem), "--cut", "--dot", str(out)]) == 0
+    labels = dot_strings(out.read_text())
+    assert labels[0] == "monitor" and {'c"1', "c\\2"} <= {l.rsplit(" | ", 1)[-1] for l in labels}

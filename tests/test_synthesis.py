@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liveupdate.automata import _NBA, BudgetError, _conjunct_automata, ltl_to_nba, mc_ltl
+from liveupdate.automata import _NBA, BudgetError, _conjunct_automata, _product_lasso, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
 from liveupdate.formula import f_and, neg, t_true
 from liveupdate.machine import parse_machine, serialize_machine
@@ -19,6 +19,7 @@ from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligation
 from liveupdate.parser import parse_formula
 from liveupdate import automata, monitor, sat, synthesis
 from liveupdate.synthesis import (
+    EnvMachine,
     SynthesisProblem,
     SynthesisResult,
     _Encoder,
@@ -27,9 +28,10 @@ from liveupdate.synthesis import (
     synth_ltl,
     synth_universal_live,
 )
-from liveupdate.traces import APTable, Cube, parse_trace
+from liveupdate.traces import APTable, Cube, LassoTrace, all_letters, parse_trace
 
 from gen import random_formula
+from nba import accepts_lasso
 
 
 def L(*names):
@@ -673,6 +675,43 @@ def test_corrupted_certificate_fails_verification(monkeypatch):
         synth_ltl(SynthesisProblem(parse_formula("F r"), AP_RG))
 
 
+def test_env_counterexample_agrees_with_the_product_of_its_table():
+    # the twin of the Moore-side product test: seeded random certificates
+    # against the automata of random formulas, each product searched by
+    # env_counterexample and by a step generator that reads the table
+    def table_steps(env):
+        def steps(e):
+            for a in all_letters(env.ap.outputs):
+                emit, e2 = env.table[(e, a)]
+                yield a | emit, a | emit, e2
+        return steps
+
+    rng = random.Random(53)
+    ap = APTable(("x",), ("y",))
+    found = 0
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        env = EnvMachine(ap, k, rng.randrange(k), {
+            (t, a): (rng.choice(all_letters(ap.inputs)), rng.randrange(k))
+            for t in range(k) for a in all_letters(ap.outputs)})
+        f = random_formula(rng, ["x", "y"], 2)
+        nba = ltl_to_nba(f)
+        lasso = env_counterexample(env, nba)
+        reference = _product_lasso([env.initial], table_steps(env), nba)
+        assert lasso == (reference and LassoTrace(*map(tuple, reference))), str(f)
+        if lasso is None:
+            continue
+        found += 1
+        assert accepts_lasso(nba, lasso), str(f)
+        e = env.initial
+        for i, letter in enumerate(lasso.prefix + lasso.loop):
+            if i == len(lasso.prefix):
+                loop_start = e
+            emit, e = env.table[(e, letter & frozenset(ap.outputs))]
+            assert letter == (letter & frozenset(ap.outputs)) | emit, str(f)
+        assert e == loop_start, str(f)
+    assert 0 < found < 120
+
 @pytest.mark.parametrize("side", ["system", "environment"])
 def test_translation_past_the_deadline_is_unknown(monkeypatch, side):
     # a fake clock that jumps past the deadline once the translation of one
@@ -701,6 +740,35 @@ def test_translation_past_the_deadline_is_unknown(monkeypatch, side):
     assert [a["side"] for a in result.stats] == ([] if side == "system" else ["system"])
     assert synthesis._SYNTH == {} and late and late[0] not in {f for f, _ in automata._NBA}
 
+
+@pytest.mark.parametrize("first, copy", [("G (r -> F g)", "G (q -> F h)"),
+                                         ("F r && G (r -> X g)", "F q && G (q -> X h)")],
+                         ids=["machine", "certificate"])
+def test_check_of_a_renamed_copy_past_the_deadline_is_unknown(monkeypatch, first, copy):
+    # a fake clock that jumps past the deadline once a translation starts:
+    # the check of a renamed copy translates the copy's automata, so it ends
+    # unknown with a reason that names it, and the copy is not kept
+    monkeypatch.setattr(automata, "_NBA", {})
+    kept = synth_ltl(SynthesisProblem(parse_formula(first), AP_RG))
+    now = [100.0]
+    translate = automata._translate
+
+    def slow(f, max_states, deadline=None):
+        now[0] = 200.0
+        return translate(f, max_states, deadline)
+
+    clock = SimpleNamespace(monotonic=lambda: now[0])
+    for module in (automata, synthesis, sat):
+        monkeypatch.setattr(module, "time", clock)
+    monkeypatch.setattr(automata, "_translate", slow)
+    runs = counted_runs(monkeypatch)
+    qh = APTable(("q",), ("h",))
+    result = synth_ltl(SynthesisProblem(parse_formula(copy), qh, deadline=110.0))
+    assert runs == [] and now[0] == 200.0
+    assert result.outcome == "unknown"
+    assert result.reason == "the deadline passed during the check of a renamed copy"
+    assert list(synthesis._SYNTH.values()) == [kept]
+    assert synth_ltl(SynthesisProblem(parse_formula(copy), qh)).outcome == kept.outcome
 
 def test_env_automaton_budget_gives_unknown(monkeypatch):
     def budgeted(f, max_states=20000, deadline=None):
