@@ -87,13 +87,13 @@ class MooreMachine:
         """Trace for a finite input word: letter k is output(state k) union
         input k."""
         state = self.initial
+        declared = frozenset(self.ap.inputs)
         out = []
-        for inp in inputs:
-            extra = set(inp) - set(self.ap.inputs)
-            if extra:
-                raise ValueError(f"undeclared input propositions: {sorted(extra)}")
-            out.append(self.letter(state, frozenset(inp)))
-            state = self.delta(state, frozenset(inp))
+        for inp in map(frozenset, inputs):
+            if not inp <= declared:
+                raise ValueError(f"undeclared input propositions: {sorted(inp - declared)}")
+            out.append(self.letter(state, inp))
+            state = self.delta(state, inp)
         return tuple(out)
 
     def fin_traces(self, depth: int) -> set[FiniteTrace]:

@@ -45,8 +45,8 @@ class LiveProblem:
             raise ValueError("exactly one of eta (finite-trace) or ts_i (universal) must be given")
         self.ap.check_formula(self.phi)
         self.ap.check_formula(self.psi)
-        if self.eta is not None:
-            for letter in self.eta:
+        if self.eta is not None and not all(map(self.ap.all.issuperset, self.eta)):
+            for letter in self.eta:  # raises on the first undeclared letter
                 self.ap.check_letter(letter)
         if self.ts_i is not None:
             self.check_machine(self.ts_i, "initial")

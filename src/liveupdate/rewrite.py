@@ -9,9 +9,11 @@ packages the same information as a single plain-LTL formula.
 Every rewrite is a ``formula.fold``: a node is rewritten once all of its
 operands are, even when the first one already decides it.  Three tables live
 for the whole process, like the formula intern table: ``af``'s canonical
-result per (formula, letter); per letter, the raw derivative of every node a
-derivative has read, so a subterm shared by many formulas is derived once per
-letter; and ``strip``'s result per formula.
+results, one row per formula mapping each letter read so far to the
+derivative, which is the obligation monitor's transition table and which
+``af_word`` walks a dictionary step per letter; per letter, the raw
+derivative of every node a derivative has read, so a subterm shared by many
+formulas is derived once per letter; and ``strip``'s result per formula.
 
 ``edge_step``, the obligation monitor's display step, is ``af`` with one
 different rule: a release raises the derivatives of its operands under a
@@ -53,9 +55,9 @@ __all__ = [
 ]
 
 
-# (formula, letter) -> canonical derivative; formulas are hash-consed, so the
-# key is exact and the table grows only with the pairs actually derived.
-_AF: dict[tuple[Formula, Letter], Formula] = {}
+# formula -> {letter: canonical derivative}; formulas are hash-consed, so a
+# row is exact and the table grows only with the pairs actually derived.
+_AF: dict[Formula, dict[Letter, Formula]] = {}
 # letter -> {node: its derivative before ``canonical``}, for every node a
 # derivative has read.  The letter is not projected onto the node's atoms:
 # that would save entries but cost an intersection per call.
@@ -69,11 +71,12 @@ def af(f: Formula, letter: Letter) -> Formula:
 
     Results are kept in canonical two-level form so that iterated
     derivatives stay shallow and their closure is finite.  For the life of
-    the process, the result is memoized per (formula, letter) and the
-    derivative of every subterm per (subterm, letter)."""
-    got = _AF.get((f, letter))
+    the process, the result is kept in ``f``'s row of derivatives, one per
+    letter read, and the derivative of every subterm per (subterm, letter)."""
+    row = _AF.setdefault(f, {})
+    got = row.get(letter)
     if got is None:
-        got = _AF[(f, letter)] = canonical(_af(f, letter))
+        got = row[letter] = canonical(_af(f, letter))
     return got
 
 
@@ -112,9 +115,15 @@ def _unroll(f: Formula, left: Formula, right: Formula, rest: Formula) -> Formula
 
 
 def af_word(f: Formula, word: FiniteTrace) -> Formula:
-    """Left fold of ``af`` over a finite trace; the empty trace is identity."""
+    """Left fold of ``af`` over a finite trace; the empty trace is identity.
+    Each letter is one step along the rows of ``af``'s memo, which calls
+    ``af`` only where a row or its letter is missing."""
+    rows = _AF
     for letter in word:
-        f = af(f, letter)
+        try:
+            f = rows[f][letter]
+        except KeyError:
+            f = af(f, letter)
     return f
 
 

@@ -442,14 +442,14 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     with a reason that names it.  An ``unknown`` result is never kept.
     """
     spec, deadline = problem.spec, problem.deadline
-    sys_bounds = [b for b in problem.bounds if b <= problem.cap]
     if deadline is not None and time.monotonic() > deadline:
         return SynthesisResult("unknown", reason=f"the deadline passed before the system "
-                                                 f"attempt at bound {sys_bounds[0]}")
+                                                 f"attempt at bound {problem.bounds[0]}")
     key = (spec, problem.ap, tuple(problem.bounds), problem.cap, problem.solver)
     known = _SYNTH.get(key)
     if known is not None:
         return known
+    sys_bounds = [b for b in problem.bounds if b <= problem.cap]
     digest, order = _naming(spec, problem.ap)
     ckey = (digest, len(problem.ap.inputs), len(problem.ap.outputs), *key[2:])
     if (rep := _CLASSES.get(ckey)) is not None:

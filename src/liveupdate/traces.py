@@ -73,9 +73,9 @@ class APTable:
             raise ValueError(f"formula mentions undeclared propositions: {sorted(extra)}")
 
     def check_letter(self, letter: Letter) -> None:
-        extra = set(letter) - self.all
-        if extra:
-            raise ValueError(f"letter mentions undeclared propositions: {sorted(extra)}")
+        if not self.all.issuperset(letter):
+            extra = sorted(set(letter) - self.all)
+            raise ValueError(f"letter mentions undeclared propositions: {extra}")
 
     def union(self, other: "APTable") -> "APTable":
         ins = list(self.inputs) + [a for a in other.inputs if a not in self.inputs]

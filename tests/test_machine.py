@@ -42,8 +42,14 @@ def test_run_fig1(fig1_machine):
 
 def test_run_rejects_undeclared_input():
     m = parse_machine(ONE_STATE)
-    with pytest.raises(ValueError):
-        m.run((L("zzz"),))
+    # any iterable is a letter
+    assert m.run((["r"], (), L("r"))) == (L("g", "r"), L("g"), L("g", "r"))
+    # alone, or in the middle of a word; an output is no input
+    for word, names in (((L("zzz"),), ["zzz"]),
+                        ((L("r"), L(), L("g"), L("r")), ["g"]),
+                        ((L("r"), L(), L("r", "zzz"), L("r")), ["zzz"])):
+        with pytest.raises(ValueError, match=re.escape(f"undeclared input propositions: {names}")):
+            m.run(word)
 
 
 def test_fin_traces_depths():

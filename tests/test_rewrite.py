@@ -161,3 +161,28 @@ def test_af_subterm_memo_is_invisible(monkeypatch):
         for letter, table in rewrite._AF_RAW.items():
             for g, got in table.items():
                 assert got is af_reference(g, letter), (g, sorted(letter))
+
+
+def test_af_word_walks_the_rows_of_the_memo(monkeypatch):
+    # af_word steps along af's rows and derives only where a row or its
+    # letter is missing: with a cold memo, after the same word, and after
+    # another word, whose rows lack some of this word's letters.  The words
+    # also range over an atom the formula does not mention.
+    rng = random.Random(3671)
+    partial = 0
+    for _ in range(80):
+        f = random_formula(rng, ["a", "b", "c"], 3)
+        props = [*sorted(f.atoms), "foreign"]
+        word, other = (tuple(frozenset(p for p in props if rng.random() < 0.5)
+                             for _ in range(rng.randrange(1, 7))) for _ in range(2))
+        want = f
+        for letter in word:
+            want = canonical(rewrite._af(want, letter))
+        monkeypatch.setattr(rewrite, "_AF", {})
+        assert af_word(f, word) is want, (f, word)
+        assert af_word(f, word) is want, (f, word)
+        monkeypatch.setattr(rewrite, "_AF", {})
+        af_word(f, other)
+        partial += word[0] not in rewrite._AF[f]
+        assert af_word(f, word) is want, (f, word, other)
+    assert partial

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -625,6 +626,30 @@ def test_finite_live_checks_inputs_before_synthesis(monkeypatch):
     monkeypatch.setattr(synthesis, "synth_ltl", record)
     with pytest.raises(ValueError, match="undeclared"):
         synth_finite_live(t_true(), parse_formula("G F g"), (L("x"),), AP_RG)
+    assert problems == []
+
+
+def _with_undeclared(names: dict[int, str]) -> tuple:
+    """A five-letter trace over AP_RG with ``names[i]`` added to letter i."""
+    return tuple(letter | {names[i]} if i in names else letter
+                 for i, letter in enumerate((L("r"), L("g"), L(), L("r", "g"), L("r"))))
+
+
+# an undeclared name in the first, a middle or the last letter; with two bad
+# letters, the first one's name, though the other's sorts first
+@pytest.mark.parametrize("eta, names", [(_with_undeclared({0: "x"}), ["x"]),
+                                        (_with_undeclared({2: "x"}), ["x"]),
+                                        (_with_undeclared({4: "x"}), ["x"]),
+                                        (_with_undeclared({1: "y", 3: "x"}), ["y"])])
+def test_finite_live_rejects_the_first_undeclared_letter(monkeypatch, eta, names):
+    problems = []
+    monkeypatch.setattr(synthesis, "synth_ltl", problems.append)
+    phi, psi = parse_formula("G (r -> F g)"), parse_formula("G F g")
+    message = re.escape(f"letter mentions undeclared propositions: {names}")
+    with pytest.raises(ValueError, match=message):
+        LiveProblem(phi, psi, AP_RG, eta=eta)
+    with pytest.raises(ValueError, match=message):
+        synth_finite_live(phi, psi, eta, AP_RG)
     assert problems == []
 
 
