@@ -175,6 +175,9 @@ def cmd_bench(args) -> int:
                 raise RuntimeError(f"initial specification not synthesizable: {r0.outcome}")
             result = synth_universal_live(r0.machine, bi.spec, bu.spec, ap,
                                           monitor_budget=args.monitor_budget, **kwargs)
+            if result.outcome == "unknown" and not result.per_obligation:  # the cut ran out
+                report.append(_unknown_row(row, result.reason, t0))
+                continue
             verdict = {"realizable": "real", "unrealizable": "unreal"}.get(result.outcome, "unknown")
             outcomes = [e["outcome"] for e in result.per_obligation]
             report.append({
@@ -188,8 +191,6 @@ def cmd_bench(args) -> int:
             })
             if result.reason is not None:
                 report[-1]["reason"] = result.reason
-        except BudgetError as exc:
-            report.append(_unknown_row(row, str(exc), t0))
         except Exception as exc:  # noqa: BLE001 - rows report their own failures
             report.append({"row": row.key, "universal": "error", "expected": row.expected,
                            "error": str(exc), "time": round(time.monotonic() - t0, 2)})
@@ -305,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except BudgetError as exc:
+    except BudgetError as exc:  # mc and monitor; synthesis ends unknown by itself
         print(f"unknown: {exc}", file=sys.stderr)
         if getattr(args, "json", False):
             print(json.dumps({"outcome": "unknown", "reason": str(exc)}, indent=2))

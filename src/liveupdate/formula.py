@@ -18,8 +18,8 @@ logically equivalent formulas may still be distinct terms.
 Every walk over a formula is a ``fold``: one post-order pass over its
 distinct nodes that keeps its own stack, so a shared subterm is visited once
 and no nesting depth exhausts Python's recursion limit.  The atoms, the
-temporal depth, the negation, the DNF and the canonical form of a formula
-are memoized for the life of the process, like the intern table.
+negation, the DNF and the canonical form of a formula are memoized for the
+life of the process, like the intern table.
 """
 
 from __future__ import annotations
@@ -89,15 +89,6 @@ class Formula:
         return fold(self, lambda g, below: frozenset((g.name,)) if g.name else frozenset().union(*below),
                     memo=_ATOMS)
 
-    @property
-    def temporal_depth(self) -> int:
-        """Maximum nesting of temporal operators (X/U/R)."""
-        return fold(self, lambda g, below: max(below, default=0) + (g.kind in ("X", "U", "R")),
-                    memo=_TDEPTH)
-
-    def is_release_free(self) -> bool:
-        return all(g.kind != "R" for g in subformulas(self))
-
 
 def operands(f: Formula) -> tuple[Formula, ...]:
     """The operands of ``f``: and/or children, or left (and right)."""
@@ -140,10 +131,9 @@ def fold(f: Formula, step: Callable[[Formula, list], T],
     return memo[f]
 
 
-# formula -> its atoms, its temporal depth and its negation, for the life of
-# the process, like the intern table
+# formula -> its atoms and its negation, for the life of the process, like
+# the intern table
 _ATOMS: dict[Formula, frozenset[str]] = {}
-_TDEPTH: dict[Formula, int] = {}
 _NEG: dict[Formula, Formula] = {}
 
 

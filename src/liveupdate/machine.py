@@ -24,9 +24,6 @@ their cubes; ``dot_graph`` writes it, and the monitor's DOT export too.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator
-
 from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
 
 __all__ = ["Cube", "MooreMachine", "MachineFormatError", "parse_machine", "serialize_machine", "to_dot"]
@@ -95,25 +92,6 @@ class MooreMachine:
             out.append(self.letter(state, inp))
             state = self.delta(state, inp)
         return tuple(out)
-
-    def fin_traces(self, depth: int) -> set[FiniteTrace]:
-        """All traces of length at most ``depth`` (exponential; oracle use)."""
-        result: set[FiniteTrace] = {()}
-        frontier: list[tuple[int, FiniteTrace]] = [(self.initial, ())]
-        for _ in range(depth):
-            frontier = [(dst, trace + (letter,)) for state, trace in frontier
-                        for _inp, letter, dst in self.moves(state)]
-            result.update(trace for _, trace in frontier)
-        return result
-
-    def all_lassos(self, input_period: int) -> Iterator[LassoTrace]:
-        """Lassos induced by ultimately periodic input words with prefix plus
-        period at most ``input_period``."""
-        letters = self.input_letters()
-        for total in range(1, input_period + 1):
-            for plen in range(0, total):
-                for combo in itertools.product(letters, repeat=total):
-                    yield self.lasso_for(combo[:plen], combo[plen:])
 
     def lasso_for(self, input_prefix: FiniteTrace, input_loop: FiniteTrace) -> LassoTrace:
         """Exact trace lasso for the input word prefix . loop^omega."""
@@ -185,7 +163,7 @@ def parse_machine(text: str) -> MooreMachine:
         if src not in index or dst not in index:
             raise MachineFormatError(f"edge references unknown state: {src} --...--> {dst}")
         try:
-            cube = Cube.parse(cube_text, frozenset(inputs), "input")
+            cube = Cube.parse(cube_text, frozenset(inputs))
         except ValueError as e:
             raise MachineFormatError(str(e)) from None
         edges[index[src]].append((cube, index[dst]))

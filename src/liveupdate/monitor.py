@@ -51,7 +51,6 @@ class MonitorNode:
 @dataclass
 class ObligationMonitor:
     phi: Formula
-    ap: APTable
     anchor: Anchor
     nodes: list[MonitorNode]
     initial: int
@@ -125,11 +124,27 @@ class ObligationMonitor:
         }
 
 
-def _explore(initial, successors, max_states: int, deadline: float | None = None):
+def _monitor(phi: Formula, anchor: Anchor, max_states: int, deadline: float | None = None,
+             machine: MooreMachine | None = None) -> ObligationMonitor:
+    """The closure of the derivative step from ``phi`` and the initial state
+    of ``machine``, over the letters of its ``moves``."""
+    step = edge_step if anchor == "edge" else af
+    relevant = phi.atoms
+    if machine is None:  # one state, None, that moves on every letter over the atoms
+        uncut = [(letter, letter, None) for letter in all_letters(sorted(relevant))]
+        moves, initial = (lambda _state: uncut), None
+    else:
+        moves, initial = machine.moves, machine.initial
+
+    def successors(node: MonitorNode):
+        return [(letter, MonitorNode(step(node.formula, letter & relevant), dst))
+                for _inp, letter, dst in moves(node.machine_state)]
+
     try:
-        return explore([initial], successors, max_states, deadline)
+        nodes, rows = explore([MonitorNode(phi, initial)], successors, max_states, deadline)
     except BudgetError as exc:
         raise BudgetError(f"monitor {exc}") from None
+    return ObligationMonitor(phi, anchor, nodes, 0, [dict(row) for row in rows], machine)
 
 
 def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
@@ -141,12 +156,7 @@ def build_monitor(phi: Formula, ap: APTable, max_states: int = 10000,
     which the derivative alone can observe).
     """
     ap.check_formula(phi)
-    step = edge_step if anchor == "edge" else af
-    letters = all_letters(sorted(phi.atoms))
-    formulas, rows = _explore(phi, lambda f: [(letter, step(f, letter)) for letter in letters],
-                              max_states)
-    return ObligationMonitor(phi, ap, anchor, [MonitorNode(f) for f in formulas], 0,
-                             [dict(row) for row in rows])
+    return _monitor(phi, anchor, max_states)
 
 
 def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
@@ -161,16 +171,7 @@ def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
     """
     if not phi.atoms <= ts_i.ap.all:
         raise ValueError("monitored formula mentions propositions the machine does not declare")
-    step = edge_step if anchor == "edge" else af
-    relevant = phi.atoms
-
-    def successors(node: MonitorNode):
-        return [(letter, MonitorNode(step(node.formula, letter & relevant), dst))
-                for _inp, letter, dst in ts_i.moves(node.machine_state)]
-
-    nodes, rows = _explore(MonitorNode(phi, ts_i.initial), successors, max_states, deadline)
-    return ObligationMonitor(phi, ts_i.ap, anchor, nodes, 0, [dict(row) for row in rows],
-                             cut_against=ts_i)
+    return _monitor(phi, anchor, max_states, deadline, ts_i)
 
 
 def cut_monitor(mon: ObligationMonitor, ts_i: MooreMachine,

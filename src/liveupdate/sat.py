@@ -171,11 +171,7 @@ class Solver:
             seen[abs(lit)] = False
             if counter == 0:
                 break
-            confl = self.reason[abs(lit)]
-            clause = clauses[confl]
-            if clause[0] != lit:
-                k = clause.index(lit)
-                clause[0], clause[k] = clause[k], clause[0]
+            confl = self.reason[abs(lit)]  # a reason clause has its implied literal first
         learnt[0] = -lit
         for q in learnt[1:]:  # the only variables still seen
             seen[abs(q)] = False

@@ -398,6 +398,12 @@ def _relabel(result: SynthesisResult, to: dict[str, str], ap: APTable) -> Synthe
         (t, moved(o)): (moved(i), t2) for (t, o), (i, t2) in env.table.items()}))
 
 
+def _ran_out(exc: Exception, stage: str) -> str:
+    """Why ``exc``, the deadline or a budget running out, ended ``stage``."""
+    return (f"the deadline passed during {stage}" if isinstance(exc, TimeoutError)
+            else f"{exc} in {stage}")
+
+
 def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     """Bounded synthesis with system/environment alternation.
 
@@ -422,8 +428,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     runs to its budget in one solve; once one finds a model the other stops.
     An external solver has no conflict count, so each of its attempts is one
     call, and a pair runs e_i and then the system attempt.  The translation
-    of either side's automata reads the deadline too, and one that runs past
-    it ends the search ``unknown`` with a reason that names it.
+    of either side's automata reads the deadline too.
     The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
     ``_ENV_CONFLICTS * 2**i`` conflicts of the internal solver; without a
     deadline the search path is the same on any machine.  ``stats`` has one
@@ -438,8 +443,14 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     gets its verdict and ``stats`` too, with the machine or certificate
     relabelled and checked again: which machine comes back depends on which
     copy the process solved first.  That check translates the copy's
-    automata under the deadline, and one that runs past it gives ``unknown``
-    with a reason that names it.  An ``unknown`` result is never kept.
+    automata under the deadline.  An ``unknown`` result is never kept.
+
+    Running out raises nothing: the deadline, a system automaton's state
+    budget or an external solver's unusable answer ends the search
+    ``unknown`` with ``stats`` and a reason that names it and the stage that
+    was running -- the check of a renamed copy, the translation of either
+    side's automata, or an attempt, whose entry has ``timeout`` True for the
+    deadline alone.
     """
     spec, deadline = problem.spec, problem.deadline
     if deadline is not None and time.monotonic() > deadline:
@@ -449,88 +460,81 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     known = _SYNTH.get(key)
     if known is not None:
         return known
-    sys_bounds = [b for b in problem.bounds if b <= problem.cap]
-    digest, order = _naming(spec, problem.ap)
-    ckey = (digest, len(problem.ap.inputs), len(problem.ap.outputs), *key[2:])
-    if (rep := _CLASSES.get(ckey)) is not None:
-        to = dict(zip(rep[1], order))  # the representative's propositions -> the caller's
-        if rename(rep[0], to) is spec:
-            try:
-                _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec, deadline=deadline)
-            except TimeoutError:
-                return SynthesisResult("unknown", reason="the deadline passed during the check "
-                                                         "of a renamed copy")
-            return _SYNTH[key]
-    try:
-        sys_automata = _conjunct_automata(spec, deadline=deadline)
-    except TimeoutError:
-        return SynthesisResult("unknown", reason="the deadline passed during the translation "
-                                                 "of the system automata")
-    internal = problem.solver == "internal"
-    systems = [_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
-               for i, k in enumerate(sys_bounds)]
-    envs = iter(())  # the environment attempts, once translated, started one by one
-    defer = False  # whether they wait until no system bound is left
     stats: list[dict] = []
-    live = [systems.pop(0)]
+    live: list[_Attempt] = []  # the started attempts, the one to run first
 
     def end(outcome: str, reason: str | None = None, **found) -> SynthesisResult:
         # an attempt that the end cuts short is recorded as stopped
         stats.extend(a.entry(None, False) for a in live if a.enc is not None)
         return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
 
-    while live:
-        a, t0 = live[0], time.monotonic()
-        if a.enc is None and deadline is not None and t0 > deadline:
-            return end("unknown", f"the deadline passed before the {a.side} attempt "
-                                  f"at bound {a.k}")
-        target = a.budget  # alone, an attempt runs to its budget in one solve
-        if target is not None and len(live) == 2:  # in a pair, until it is ahead
-            target = min(target, live[1].analysed + (a.side == "environment"))
-        try:
+    stage: str | _Attempt = "the check of a renamed copy"  # what runs, for a reason
+    try:
+        digest, order = _naming(spec, problem.ap)
+        ckey = (digest, len(problem.ap.inputs), len(problem.ap.outputs), *key[2:])
+        if (rep := _CLASSES.get(ckey)) is not None:
+            to = dict(zip(rep[1], order))  # the representative's propositions -> the caller's
+            if rename(rep[0], to) is spec:
+                _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec, deadline=deadline)
+                return _SYNTH[key]
+        stage = "the translation of the system automata"
+        sys_automata = _conjunct_automata(spec, deadline=deadline)
+        internal = problem.solver == "internal"
+        systems = [_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
+                   for i, k in enumerate(b for b in problem.bounds if b <= problem.cap)]
+        envs = iter(())  # the environment attempts, once translated, started one by one
+        defer = False  # whether they wait until no system bound is left
+        live.append(systems.pop(0))
+        while live:
+            a, t0 = live[0], time.monotonic()
+            if a.enc is None and deadline is not None and t0 > deadline:
+                return end("unknown", f"the deadline passed before the {a.side} attempt "
+                                      f"at bound {a.k}")
+            target = a.budget  # alone, an attempt runs to its budget in one solve
+            if target is not None and len(live) == 2:  # in a pair, until it is ahead
+                target = min(target, live[1].analysed + (a.side == "environment"))
+            stage = a
             found = a.run(problem, target)
-        except (TimeoutError, SolverError) as exc:
             a.time += time.monotonic() - t0
-            late = isinstance(exc, TimeoutError)
+            if found is None and a.analysed < a.budget:
+                live.reverse()  # ahead of the other attempt of its pair, which runs next
+                continue
+            # An exhausted budget just abandons the attempt (recorded as
+            # inconclusive): skipping a bound is sound, as a machine of size k
+            # becomes one of size k+1 by adding a state never reached, or by splitting one.
             live.remove(a)
-            stats.append(a.entry(None, late))
-            why = "the deadline passed during" if late else f"{exc} in"
-            return end("unknown", f"{why} the {a.side} attempt at bound {a.k}")
-        a.time += time.monotonic() - t0
-        if found is None and a.analysed < a.budget:
-            live.reverse()  # ahead of the other attempt of its pair, which runs next
-            continue
-        # An exhausted budget just abandons the attempt (recorded as
-        # inconclusive): skipping a bound is sound, as a machine of size k
-        # becomes one of size k+1 by adding a state never reached, or by splitting one.
-        live.remove(a)
-        stats.append(a.entry(found, found is None))
-        if found:
-            if a.side == "system":
-                result = end("realizable", machine=a.enc.extract_moore(a.model))
-            else:
-                result = end("unrealizable", certificate=a.enc.extract_env(a.model))
-            _SYNTH[key] = _verified(result, spec)
-            _CLASSES.setdefault(ckey, (spec, order, result))
-            return result
-        if len(stats) == 1:  # s1 ended without a machine: the dual search begins
-            try:
-                env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES,
-                                                  deadline=deadline)
-            except BudgetError:
-                pass  # only the system bounds run
-            except TimeoutError:
-                return end("unknown", "the deadline passed during the translation of the "
-                                      "environment automata")
-            else:
-                envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
-                                 env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
-                defer = sum(len(q.labels) for q in env_automata) > _ENV_DEFER_STATES
-        # the refill rule; started attempts go first, the environment attempt ahead
-        started = [next(envs, None)] if not live and not (defer and systems) else []
-        if a.side == "system" and systems:
-            started.append(systems.pop(0))
-        live[:0] = filter(None, started)
+            stats.append(a.entry(found, found is None))
+            if found:
+                if a.side == "system":
+                    result = end("realizable", machine=a.enc.extract_moore(a.model))
+                else:
+                    result = end("unrealizable", certificate=a.enc.extract_env(a.model))
+                _SYNTH[key] = _verified(result, spec)
+                _CLASSES.setdefault(ckey, (spec, order, result))
+                return result
+            if len(stats) == 1:  # s1 ended without a machine: the dual search begins
+                stage = "the translation of the environment automata"
+                try:
+                    env_automata = _conjunct_automata(neg(spec), max_states=_ENV_MAX_STATES,
+                                                      deadline=deadline)
+                except BudgetError:
+                    pass  # only the system bounds run
+                else:
+                    envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
+                                     env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
+                    defer = sum(len(q.labels) for q in env_automata) > _ENV_DEFER_STATES
+            # the refill rule; started attempts go first, the environment attempt ahead
+            started = [next(envs, None)] if not live and not (defer and systems) else []
+            if a.side == "system" and systems:
+                started.append(systems.pop(0))
+            live[:0] = filter(None, started)
+    except (TimeoutError, BudgetError, SolverError) as exc:
+        if isinstance(stage, _Attempt):  # its run raised: it is recorded first
+            a, stage = stage, f"the {stage.side} attempt at bound {stage.k}"
+            a.time += time.monotonic() - t0
+            live.remove(a)
+            stats.append(a.entry(None, isinstance(exc, TimeoutError)))
+        return end("unknown", _ran_out(exc, stage))
     reached = {a["side"]: a["bound"] for a in stats}  # the last bound of each side
     k = reached["system"]
     if reached.get("environment") == k:
@@ -573,14 +577,17 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     result is unrealizable with that obligation's certificate, which refutes
     the conjunction too.  The ``kwargs`` go to every ``SynthesisProblem``,
     so a ``deadline`` is one deadline for the whole call, the monitor cut
-    included: once it has passed, the remaining obligations are ``unknown``,
-    and a cut that runs past it gives ``unknown`` without obligations.
+    included: once it has passed, the remaining obligations are ``unknown``.
+    A cut that runs past the deadline or beyond ``monitor_budget`` states
+    gives ``unknown`` without obligations; every ``synth_ltl`` call returns,
+    so a conjunction that runs out still gets the table and its verdict from
+    a refuted obligation.
     """
     LiveProblem(phi, psi, ap, ts_i=ts_i)  # rejects undeclared propositions before any work
     try:
         mon = cut_from_phi(phi, ts_i, max_states=monitor_budget, deadline=kwargs.get("deadline"))
-    except TimeoutError:
-        return SynthesisResult("unknown", reason="the deadline passed during the monitor cut")
+    except (TimeoutError, BudgetError) as exc:
+        return SynthesisResult("unknown", reason=_ran_out(exc, "the monitor cut"))
     obligations = reachable_obligations(mon)
     universal = synth_ltl(SynthesisProblem(f_and(list(obligations) + [psi]), ap, **kwargs))
     if universal.realizable:

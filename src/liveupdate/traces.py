@@ -34,7 +34,8 @@ class Cube:
         return " & ".join(lits) if lits else "*"
 
     @staticmethod
-    def parse(text: str, allowed: frozenset[str], what: str = "proposition") -> "Cube":
+    def parse(text: str, allowed: frozenset[str]) -> "Cube":
+        """A cube over the inputs ``allowed``: ``&``-separated literals, or ``*``."""
         text = text.strip()
         if text == "*":
             return Cube(frozenset(), frozenset())
@@ -43,7 +44,7 @@ class Cube:
             lit = lit.strip()
             name = lit[1:].strip() if lit.startswith("!") else lit
             if name not in allowed:
-                raise ValueError(f"cube literal {lit!r} is not a declared {what}")
+                raise ValueError(f"cube literal {lit!r} is not a declared input")
             (neg if lit.startswith("!") else pos).add(name)
         if pos & neg:
             raise ValueError(f"contradictory cube {text!r}")
@@ -115,13 +116,6 @@ class LassoTrace:
     def succ(self, i: int) -> int:
         """Successor inside the distinct-position range."""
         return i + 1 if i + 1 < self.positions else len(self.prefix)
-
-    def drop(self, n: int) -> "LassoTrace":
-        """The suffix word from position ``n`` on, renormalized as a lasso."""
-        if n <= len(self.prefix):
-            return LassoTrace(self.prefix[n:], self.loop)
-        k = (n - len(self.prefix)) % len(self.loop)
-        return LassoTrace((), self.loop[k:] + self.loop[:k])
 
     def prepend(self, eta: FiniteTrace) -> "LassoTrace":
         return LassoTrace(tuple(eta) + self.prefix, self.loop)

@@ -1,4 +1,6 @@
-"""Seeded random generators shared by the property suites."""
+"""Seeded random generators shared by the property suites, and the oracles
+they check against: trace and lasso enumeration, a lasso's suffixes, and
+fold-based formula measures that the library does not need."""
 
 from __future__ import annotations
 
@@ -15,12 +17,13 @@ from liveupdate.formula import (
     f_or,
     f_release,
     f_until,
+    fold,
     natom,
     t_false,
     t_true,
 )
 from liveupdate.machine import MooreMachine
-from liveupdate.traces import APTable, Cube, LassoTrace
+from liveupdate.traces import APTable, Cube, FiniteTrace, LassoTrace
 
 
 def random_formula(rng: random.Random, aps: list[str], depth: int,
@@ -76,3 +79,41 @@ def random_machine(rng: random.Random, ap: APTable, max_states: int = 3) -> Moor
         row = [(Cube(inp, frozenset(ap.inputs) - inp), rng.randrange(k)) for inp in letters]
         edges.append(row)
     return MooreMachine(ap, names, 0, outputs, edges)
+
+
+def temporal_depth(f: Formula) -> int:
+    """Maximum nesting of temporal operators (X/U/R)."""
+    return fold(f, lambda g, below: max(below, default=0) + (g.kind in ("X", "U", "R")))
+
+
+def is_release_free(f: Formula) -> bool:
+    return fold(f, lambda g, below: g.kind != "R" and all(below))
+
+
+def fin_traces(m: MooreMachine, depth: int) -> set[FiniteTrace]:
+    """All traces of ``m`` of length at most ``depth`` (exponential)."""
+    result: set[FiniteTrace] = {()}
+    frontier: list[tuple[int, FiniteTrace]] = [(m.initial, ())]
+    for _ in range(depth):
+        frontier = [(dst, trace + (letter,)) for state, trace in frontier
+                    for _inp, letter, dst in m.moves(state)]
+        result.update(trace for _, trace in frontier)
+    return result
+
+
+def all_lassos(m: MooreMachine, input_period: int):
+    """The lassos of ``m`` induced by ultimately periodic input words with
+    prefix plus period at most ``input_period``."""
+    letters = m.input_letters()
+    for total in range(1, input_period + 1):
+        for plen in range(0, total):
+            for combo in itertools.product(letters, repeat=total):
+                yield m.lasso_for(combo[:plen], combo[plen:])
+
+
+def drop(sig: LassoTrace, n: int) -> LassoTrace:
+    """The suffix word of ``sig`` from position ``n`` on, renormalized as a lasso."""
+    if n <= len(sig.prefix):
+        return LassoTrace(sig.prefix[n:], sig.loop)
+    k = (n - len(sig.prefix)) % len(sig.loop)
+    return LassoTrace((), sig.loop[k:] + sig.loop[:k])

@@ -19,7 +19,8 @@ from liveupdate.semantics import eval_initial, eval_ltl, words_membership
 from liveupdate.synthesis import SynthesisProblem, synth_ltl, synth_universal_live
 from liveupdate.traces import APTable, parse_trace
 
-from gen import random_formula, random_lasso, random_machine, random_trace
+from gen import (drop, is_release_free, random_formula, random_lasso, random_machine, random_trace,
+                 temporal_depth)
 from nba import accepts_lasso
 from propeq import prop_equivalent
 
@@ -167,7 +168,7 @@ def test_criterion_6a_af_soundness():
         n = rng.randrange(0, 7)
         word = tuple(sig.letter(i) for i in range(n))
         lhs = eval_ltl(sig, 0, f)
-        rhs = eval_ltl(sig.drop(n), 0, af_word(f, word))
+        rhs = eval_ltl(drop(sig, n), 0, af_word(f, word))
         if lhs != rhs:
             ok = False
             break
@@ -198,7 +199,7 @@ def test_criterion_6c_strip_weakening_and_good_prefix():
         f = random_formula(rng, APS2, 3)
         g = strip(f)
         sig = random_lasso(rng, APS2)
-        if not g.is_release_free():
+        if not is_release_free(g):
             ok = False
             break
         if eval_ltl(sig, 0, f) and not eval_ltl(sig, 0, g):
@@ -208,7 +209,7 @@ def test_criterion_6c_strip_weakening_and_good_prefix():
         if g.kind in ("true", "false") or not eval_ltl(sig, 0, g):
             continue
         # a good prefix exists and the derivative detects it within the bound
-        bound = len(sig.prefix) + max(1, g.temporal_depth) * len(sig.loop)
+        bound = len(sig.prefix) + max(1, temporal_depth(g)) * len(sig.loop)
         cur = g
         hit = False
         for m in range(bound + 1):

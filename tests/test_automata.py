@@ -16,7 +16,7 @@ from liveupdate.semantics import eval_ltl
 from liveupdate.traces import APTable, LassoTrace
 
 import recursive
-from gen import random_formula, random_lasso, random_machine
+from gen import all_lassos, random_formula, random_lasso, random_machine
 from nba import accepts_lasso, to_hoa
 
 
@@ -166,7 +166,7 @@ def test_mc_ltl_agrees_with_lasso_enumeration():
         m = random_machine(rng, ap, 3)
         f = random_formula(rng, ["x", "y"], 2)
         verdict = mc_ltl(m, f)
-        brute = all(eval_ltl(sig, 0, f) for sig in m.all_lassos(3))
+        brute = all(eval_ltl(sig, 0, f) for sig in all_lassos(m, 3))
         assert verdict.passed == brute, str(f)
 
 

@@ -25,7 +25,7 @@ from liveupdate.formula import (
 )
 from liveupdate.parser import parse_formula
 
-from gen import random_formula
+from gen import is_release_free, random_formula, temporal_depth
 from propeq import prop_equivalent
 
 a, b, c = atom("a"), atom("b"), atom("c")
@@ -109,9 +109,9 @@ def test_prop_equivalent_opaque_blocks():
 def test_atoms_and_depth():
     f = parse_formula("G (m1 -> X F i1)")
     assert f.atoms == {"m1", "i1"}
-    assert f.temporal_depth == 3  # R over X over U
-    assert not f.is_release_free()
-    assert parse_formula("F i1").is_release_free()
+    assert temporal_depth(f) == 3  # R over X over U
+    assert not is_release_free(f)
+    assert is_release_free(parse_formula("F i1"))
 
 
 def test_rename_gives_the_formula_of_the_renamed_text():

@@ -10,7 +10,7 @@ from liveupdate.machine import MachineFormatError, MooreMachine, parse_machine, 
 from liveupdate.monitor import cut_from_phi
 from liveupdate.traces import APTable, Cube
 
-from gen import random_machine
+from gen import all_lassos, fin_traces, random_machine
 
 
 def L(*names):
@@ -54,15 +54,15 @@ def test_run_rejects_undeclared_input():
 
 def test_fin_traces_depths():
     m = parse_machine(ONE_STATE)
-    assert m.fin_traces(0) == {()}
-    assert m.fin_traces(1) == {(), (L("g", "r"),), (L("g"),)}
+    assert fin_traces(m, 0) == {()}
+    assert fin_traces(m, 1) == {(), (L("g", "r"),), (L("g"),)}
 
 
 def test_fin_traces_prefix_closed():
     rng = random.Random(3)
     for _ in range(20):
         m = random_machine(rng, APTable(("x",), ("y",)), 3)
-        traces = m.fin_traces(3)
+        traces = fin_traces(m, 3)
         for t in traces:
             for i in range(len(t)):
                 assert t[:i] in traces
@@ -76,13 +76,13 @@ def test_fin_traces_equal_runs():
     for n in range(1, 4):
         for combo in itertools.product(letters, repeat=n):
             expected.add(m.run(combo))
-    assert m.fin_traces(3) == expected
+    assert fin_traces(m, 3) == expected
 
 
 def test_all_lassos_match_runs():
     rng = random.Random(5)
     m = random_machine(rng, APTable(("x",), ()), 2)
-    lassos = list(m.all_lassos(2))
+    lassos = list(all_lassos(m, 2))
     assert lassos
     for sig in lassos:
         # every lasso is an actual trace of the machine: replay its letters

@@ -13,7 +13,7 @@ from liveupdate.parser import parse_formula
 from liveupdate.semantics import words_membership
 from liveupdate.traces import APTable, parse_trace
 
-from gen import random_formula, random_machine
+from gen import fin_traces, random_formula, random_machine
 
 
 def L(*names):
@@ -100,7 +100,7 @@ def test_universal_equals_bruteforce_small():
         got = mc_universal_live(ts_u, p).passed
         brute = all(
             mc_finite_live(ts_u, LiveProblem(phi, psi, ap, eta=eta)).passed
-            for eta in ts_i.fin_traces(4)
+            for eta in fin_traces(ts_i, 4)
         )
         assert got == brute, f"{phi} | {psi}"
 

@@ -12,7 +12,7 @@ from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af_word, evolve
 from liveupdate.traces import APTable
 
-from gen import random_formula, random_machine, random_trace
+from gen import fin_traces, is_release_free, random_formula, random_machine, random_trace
 
 
 def L(*names):
@@ -61,7 +61,7 @@ def test_release_free_labels_equal_states():
     ap = APTable(("a",), ("b",))
     for _ in range(100):
         f = random_formula(rng, ["a", "b"], 2)
-        if not f.is_release_free():
+        if not is_release_free(f):
             continue
         mon = build_monitor(f, ap, anchor="edge")
         for i in range(len(mon)):
@@ -106,7 +106,7 @@ def test_cut_states_equal_af_word_closure():
         cut = cut_from_phi(f, m, max_states=3000)
         got = {node.formula.key for node in cut.nodes}
         want = set()
-        for eta in m.fin_traces(6):  # deep enough to close the small product
+        for eta in fin_traces(m, 6):  # deep enough to close the small product
             want.add(af_word(f, eta).key)
         assert got == want, str(f)
         for anchor in ("state", "edge"):
@@ -118,7 +118,7 @@ def test_cut_states_equal_af_word_closure():
 def test_cut_label_matches_evolve_along_traces(fig1_machine, relay2):
     mon = build_monitor(relay2.spec, relay2.ap, anchor="state", max_states=5000)
     cut = cut_monitor(mon, fig1_machine, max_states=5000)
-    for eta in sorted(fig1_machine.fin_traces(3)):
+    for eta in sorted(fin_traces(fig1_machine, 3)):
         assert cut.label(cut.run(eta)) is evolve(eta, relay2.spec)
 
 

@@ -11,7 +11,7 @@ from liveupdate.semantics import eval_initial, words_membership
 from liveupdate.synthesis import SynthesisProblem, synth_ltl, synth_universal_live
 from liveupdate.traces import APTable, LassoTrace
 
-from gen import random_formula, random_machine, random_trace
+from gen import fin_traces, random_formula, random_machine, random_trace
 
 
 def test_initial_semantics_degenerates_at_zero():
@@ -48,7 +48,7 @@ def test_universal_realizable_implies_finite_samples(fig1_machine, relay2):
     assert result.realizable
     assert mc_universal_live(result.machine, LiveProblem(relay2.spec, relay1.spec, ap,
                                                          ts_i=fig1_machine)).passed
-    for eta in sorted(fig1_machine.fin_traces(2)):
+    for eta in sorted(fin_traces(fig1_machine, 2)):
         p = LiveProblem(relay2.spec, relay1.spec, ap, eta=eta)
         assert mc_finite_live(result.machine, p).passed
 

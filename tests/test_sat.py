@@ -213,17 +213,39 @@ def test_deadline_raises_and_the_solve_goes_on():
 SEARCH_SHA256 = "14dbb1938ebc2f18dec8f93b8bfe998e85a9006fc3adedb81d26cb1905dcb144"
 
 
-def test_search_is_pinned():
+def pinned_cnfs():
+    """The CNFs of ``SEARCH_SHA256``, made afresh."""
     rng = random.Random(31)
     cnfs = [(nv, random_3sat(rng, nv)) for nv in [rng.randrange(40, 120) for _ in range(12)]]
-    cnfs += [(175, random_3sat(random.Random(11), 175)), environment_cnf()]
+    return cnfs + [(175, random_3sat(random.Random(11), 175)), environment_cnf()]
+
+
+def test_search_is_pinned():
     digest = hashlib.sha256()
-    for nv, clauses in cnfs:
+    for nv, clauses in pinned_cnfs():
         s = Solver(nv, clauses)
         found = s.solve()
         learned = s.clauses[s.learned_from:] if s.learned_from else []
         digest.update(repr((found, s.conflicts, learned, s.trail, sorted(s.model()))).encode())
     assert digest.hexdigest() == SEARCH_SHA256
+
+
+def test_reasons_keep_their_implied_literal_first():
+    # ``_analyze`` reads a reason's other literals from position 1 on, so at
+    # every conflict each implied literal of the trail sits first in its reason
+    for nv, clauses in pinned_cnfs():
+        s = Solver(nv, clauses)
+        analyze, analysed = s._analyze, []
+
+        def checked(confl):
+            reason, kept = s.reason, s.clauses  # a reduction replaces the clause list
+            assert all(kept[reason[abs(lit)]][0] == lit for lit in s.trail if reason[abs(lit)] != -1)
+            analysed.append(confl)
+            return analyze(confl)
+
+        s._analyze = checked
+        found = s.solve()
+        assert len(analysed) == s.conflicts - (found is False)  # a refutation ends at level 0
 
 
 def _decide_by_scan(s):

@@ -810,6 +810,103 @@ def test_env_automaton_budget_gives_unknown(monkeypatch):
                              "their budget: 0 of 2 attempts ran out of their conflict budget")
 
 
+def test_monitor_budget_gives_unknown(fig1_machine, relay2):
+    # the cut of relay(2) has 27 states: a budget of 26 ends the call as the
+    # deadline does, unknown without obligations, and raises nothing
+    relay1 = family("relay", 1)
+    result = synth_universal_live(fig1_machine, relay2.spec, relay1.spec,
+                                  relay2.ap.union(relay1.ap), monitor_budget=26)
+    assert result.outcome == "unknown"
+    assert result.reason == "monitor exceeds 26 states (frontier 4) in the monitor cut"
+    assert result.stats == () and result.per_obligation == ()
+
+
+@pytest.mark.parametrize("entry", ["synth_ltl", "synth_finite_live", "synth_universal_live"])
+def test_system_automaton_budget_gives_unknown(monkeypatch, top_cycle_machine, entry):
+    # the automaton of one conjunct of the update specification runs out of
+    # its budget, so every search of every entry point ends before its first
+    # attempt, and the reason names the translation
+    psi = parse_formula("G (m1 -> X F i1) && G (i1 -> X !i1)")
+    over = neg(psi.children[0])
+
+    def budgeted(f, max_states=20000, deadline=None):
+        if f is over:
+            raise BudgetError("automaton exceeds 20000 states (frontier 7)")
+        return ltl_to_nba(f, max_states, deadline=deadline)
+
+    monkeypatch.setattr(automata, "_NBA", {})
+    monkeypatch.setattr(automata, "ltl_to_nba", budgeted)
+    ap = top_cycle_machine.ap
+    if entry == "synth_ltl":
+        result = synth_ltl(SynthesisProblem(psi, ap))
+    elif entry == "synth_finite_live":
+        result = synth_finite_live(parse_formula("G (m1 -> X F i1)"), psi,
+                                   parse_trace("m1 ; i1 m1"), ap)
+    else:
+        result = synth_universal_live(top_cycle_machine, parse_formula("G (m1 -> X F i1)"),
+                                      psi, ap)
+        assert [e["outcome"] for e in result.per_obligation] == ["unknown"] * 2
+    assert result.outcome == "unknown" and result.stats == ()
+    assert result.reason == ("automaton exceeds 20000 states (frontier 7) in the translation "
+                             "of the system automata")
+    assert synthesis._SYNTH == {}
+
+
+def test_universal_verdict_survives_a_conjunction_out_of_budget(monkeypatch):
+    # the translation of the conjunction runs out of its state budget: the
+    # obligations are still solved one by one, and an unrealizable one
+    # certifies the conjunction
+    bi, bu, ap = update_pair(("arbiter-simple", 2), ("arbiter-full", 2))
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    obligations = reachable_obligations(cut_from_phi(bi.spec, ts_i))
+    separately = [synth_ltl(SynthesisProblem(f_and((o, bu.spec)), ap)) for o in obligations]
+    conjunction = f_and(list(obligations) + [bu.spec])
+    translate = synthesis._conjunct_automata
+
+    def budgeted(f, *args, **kwargs):
+        if f is conjunction:
+            raise BudgetError("automaton exceeds 20000 states (frontier 7)")
+        return translate(f, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "_conjunct_automata", budgeted)
+    result = synth_universal_live(ts_i, bi.spec, bu.spec, ap)
+    assert result.outcome == "unrealizable" and result.reason is None
+    assert [e["outcome"] for e in result.per_obligation] == [r.outcome for r in separately]
+    refuted = next(r for r in separately if r.outcome == "unrealizable")
+    assert result.certificate is refuted.certificate
+
+
+@pytest.mark.parametrize("exc, reason", [
+    (TimeoutError("the deadline passed during the solve"),
+     "the deadline passed during the environment attempt at bound 1"),
+    (sat.SolverError("external solver gave no verdict"),
+     "external solver gave no verdict in the environment attempt at bound 1"),
+], ids=["deadline", "solver"])
+def test_running_out_in_a_pair_names_the_attempt(monkeypatch, exc, reason):
+    # s1 ends without a machine; e1 and s2 race, each a conflict ahead in
+    # turn, and e1's second run raises: its entry comes first, with timeout
+    # set for the deadline alone, then s2's, stopped
+    calls = []
+
+    def solve(self, conflict_budget=None, deadline=None):
+        calls.append(conflict_budget)
+        if len(calls) == 1:
+            return False
+        if len(calls) == 4:
+            raise exc
+        self.conflicts = conflict_budget
+        return None
+
+    monkeypatch.setattr(sat.Solver, "solve", solve)
+    result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG))
+    assert calls == [4096, 1, 1, 2]
+    assert result.outcome == "unknown" and result.reason == reason
+    assert [(a["side"], a["bound"], a["sat"], a["timeout"]) for a in result.stats] == [
+        ("system", 1, False, False),
+        ("environment", 1, None, isinstance(exc, TimeoutError)),
+        ("system", 2, None, False)]
+
+
 @pytest.mark.parametrize("key", ["visit->seq-visit", "relay:2->1", "arbiter:2s->2f",
                                  "abp-receiver:1->2"])
 def test_encoding_has_no_tautologies(key):

@@ -5,8 +5,8 @@ from liveupdate.traces import APTable, Cube, LassoTrace
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: Cube.parse("r & q", frozenset({"r"}), "input"), "cube literal 'q' is not a declared input"),
-    (lambda: Cube.parse("!r & r", frozenset({"r"}), "input"), "contradictory cube '!r & r'"),
+    (lambda: Cube.parse("r & q", frozenset({"r"})), "cube literal 'q' is not a declared input"),
+    (lambda: Cube.parse("!r & r", frozenset({"r"})), "contradictory cube '!r & r'"),
     (lambda: APTable(("r", "g"), ("g",)), "duplicate proposition names in AP table"),
     (lambda: LassoTrace((frozenset(),), ()), "lasso loop must be nonempty"),
 ], ids=["cube-undeclared-literal", "cube-contradictory", "duplicate-ap-name", "empty-lasso-loop"])
