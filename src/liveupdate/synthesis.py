@@ -31,7 +31,8 @@ the specification, the propositions, the bound schedule and the solver, and
 it survives renaming inputs among inputs and outputs among outputs:
 ``synth_ltl`` keeps each verified verdict for the life of the process,
 answers renamed copies from it with a relabelled, re-checked machine or
-certificate, and results are immutable.
+certificate, tries its machines of k states before the system attempt at
+bound k of another specification, and results are immutable.
 """
 
 from __future__ import annotations
@@ -338,7 +339,8 @@ _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are t
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
 # (automaton id, read letters, emitted propositions) -> (automaton, encoding shape)
 _SHAPES: dict[tuple, tuple[BuchiAutomaton, tuple]] = {}
-# verified verdicts per (spec, ap, bounds, cap, solver); an unknown is never kept
+# verified verdicts per (spec, ap, bounds, cap, solver); an unknown is never kept.
+# Their machines are also the kept machines that synth_ltl tries on other specs
 _SYNTH: dict[tuple, SynthesisResult] = {}
 # the first (spec, _naming order, verified verdict) per class of specifications
 # that a role-preserving renaming of the propositions maps onto each other
@@ -444,13 +446,23 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     relabelled and checked again: which machine comes back depends on which
     copy the process solved first.  That check translates the copy's
     automata under the deadline.  An ``unknown`` result is never kept.
+    Before the system attempt at bound k would start (before s1, and after
+    each system attempt that ends without a model, so before the
+    environment automata are translated), the machines of exactly k states
+    over the same ``APTable`` that kept results carry are checked by
+    ``mc_ltl`` in the order they were kept; the first that passes answers,
+    and is kept, so the outcome and the machine's size are the search's,
+    and which machine comes back depends on what the process solved before.
+    Its ``stats`` end with an entry with ``kept`` True for bound k and no
+    CNF, then the environment attempt it stopped, if one ran.  The check
+    before s1 translates the specification's automata under the deadline.
 
     Running out raises nothing: the deadline, a system automaton's state
     budget or an external solver's unusable answer ends the search
     ``unknown`` with ``stats`` and a reason that names it and the stage that
-    was running -- the check of a renamed copy, the translation of either
-    side's automata, or an attempt, whose entry has ``timeout`` True for the
-    deadline alone.
+    was running -- the check of a renamed copy or of a kept machine, the
+    translation of either side's automata, or an attempt, whose entry has
+    ``timeout`` True for the deadline alone.
     """
     spec, deadline = problem.spec, problem.deadline
     if deadline is not None and time.monotonic() > deadline:
@@ -468,6 +480,27 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         stats.extend(a.entry(None, False) for a in live if a.enc is not None)
         return SynthesisResult(outcome, stats=tuple(stats), reason=reason, **found)
 
+    def keep(result: SynthesisResult) -> SynthesisResult:
+        _SYNTH[key] = result
+        _CLASSES.setdefault(ckey, (spec, order, result))
+        return result
+
+    def from_kept(k: int) -> SynthesisResult | None:
+        # the machines of k states over the caller's propositions that kept
+        # results carry, each once, in the order they were kept: the first
+        # that passes the check answers bound k
+        nonlocal stage
+        stage, t0 = "the check of a kept machine", time.monotonic()
+        machines = {id(r.machine): r.machine for r in _SYNTH.values()
+                    if r.machine is not None and len(r.machine) == k and r.machine.ap == problem.ap}
+        for m in machines.values():
+            if mc_ltl(m, spec, deadline=deadline).passed:
+                stats.append({"side": "system", "bound": k, "kept": True, "vars": 0, "clauses": 0,
+                              "budget": None, "conflicts": 0, "time": time.monotonic() - t0,
+                              "sat": True, "timeout": False})
+                return keep(end("realizable", machine=m))
+        return None
+
     stage: str | _Attempt = "the check of a renamed copy"  # what runs, for a reason
     try:
         digest, order = _naming(spec, problem.ap)
@@ -477,6 +510,8 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
             if rename(rep[0], to) is spec:
                 _SYNTH[key] = _verified(_relabel(rep[2], to, problem.ap), spec, deadline=deadline)
                 return _SYNTH[key]
+        if result := from_kept(problem.bounds[0]):
+            return result
         stage = "the translation of the system automata"
         sys_automata = _conjunct_automata(spec, deadline=deadline)
         internal = problem.solver == "internal"
@@ -509,8 +544,8 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                     result = end("realizable", machine=a.enc.extract_moore(a.model))
                 else:
                     result = end("unrealizable", certificate=a.enc.extract_env(a.model))
-                _SYNTH[key] = _verified(result, spec)
-                _CLASSES.setdefault(ckey, (spec, order, result))
+                return keep(_verified(result, spec))
+            if a.side == "system" and systems and (result := from_kept(systems[0].k)):
                 return result
             if len(stats) == 1:  # s1 ended without a machine: the dual search begins
                 stage = "the translation of the environment automata"
@@ -581,7 +616,10 @@ def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APT
     A cut that runs past the deadline or beyond ``monitor_budget`` states
     gives ``unknown`` without obligations; every ``synth_ltl`` call returns,
     so a conjunction that runs out still gets the table and its verdict from
-    a refuted obligation.
+    a refuted obligation.  A per-obligation call can be a kept answer: a
+    machine that the process found before over the same propositions, for
+    an earlier obligation or another problem, answers it at the bound of its
+    size once it passes the check of ``o && psi``.
     """
     LiveProblem(phi, psi, ap, ts_i=ts_i)  # rejects undeclared propositions before any work
     try:

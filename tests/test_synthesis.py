@@ -18,6 +18,7 @@ from liveupdate.machine import parse_machine, serialize_machine
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
+from liveupdate.rewrite import evolve
 from liveupdate import automata, monitor, sat, synthesis
 from liveupdate.synthesis import (
     EnvMachine,
@@ -597,7 +598,9 @@ def test_unknown_is_not_remembered():
 
 
 def test_memo_keys_on_bounds_cap_and_solver():
-    spec = parse_formula("G (r -> X g)")
+    # no machine of one state: the external solver's first attempt runs
+    # before any kept machine of two states could answer
+    spec = parse_formula("G (r -> X g) && G (!r -> X !g)")
     for kwargs in ({}, {"bounds": (2, 3)}, {"cap": 8}):
         synth_ltl(SynthesisProblem(spec, AP_RG, **kwargs))
     assert len(synthesis._SYNTH) == 3
@@ -614,6 +617,152 @@ def test_universal_leaves_the_remembered_conjunction_alone():
     assert again == first and first.per_obligation
     (remembered,) = synthesis._SYNTH.values()
     assert remembered.machine is first.machine and remembered.per_obligation == ()
+
+
+RELAY2_MACHINE = Path(__file__).parents[1] / "bench" / "inputs" / "machines" / "relay-2.machine"
+
+
+def relay_executions(count, seed=38):
+    """``count`` seeded executions of the committed relay(2) machine, of up
+    to 8 letters each."""
+    ts_i = parse_machine(RELAY2_MACHINE.read_text())
+    rng = random.Random(seed)
+    return [ts_i.run([frozenset(a for a in ts_i.ap.inputs if rng.random() < 0.5)
+                      for _ in range(rng.randrange(9))]) for _ in range(count)]
+
+
+def checked_machines(monkeypatch):
+    """The (machine, spec) of every ``mc_ltl`` call of ``synth_ltl`` from now on."""
+    calls = []
+
+    def spy(machine, spec, *args, **kwargs):
+        calls.append((machine, spec))
+        return mc_ltl(machine, spec, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "mc_ltl", spy)
+    return calls
+
+
+def without_time(stats):
+    return [{k: v for k, v in a.items() if k != "time"} for a in stats]
+
+
+def test_a_kept_machine_answers_at_the_bound_a_fresh_search_wins(monkeypatch):
+    # two executions of the attempt ledger: the 2-state machine found for the
+    # first passes the check of the second's obligation before s2, where a
+    # fresh search of it wins too; s1 still runs, and the environment
+    # automaton of the second's specification is never translated
+    bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
+    first, second = (parse_trace(text) for text in list(RELAY_LEDGER)[1:3])
+    spec = f_and((evolve(second, bi.spec), bu.spec))
+    fresh = synth_finite_live(bi.spec, bu.spec, second, ap)
+    synthesis._SYNTH.clear()
+    synthesis._CLASSES.clear()
+    monkeypatch.setattr(automata, "_NBA", {})
+    earlier = synth_finite_live(bi.spec, bu.spec, first, ap)
+    runs = counted_runs(monkeypatch)
+    result = synth_finite_live(bi.spec, bu.spec, second, ap)
+    assert (result.outcome, len(result.machine)) == (fresh.outcome, len(fresh.machine)) \
+        == ("realizable", 2)
+    assert result.machine is earlier.machine and mc_ltl(result.machine, spec).passed
+    assert runs == [("system", 1)]
+    *searched, entry = result.stats
+    assert without_time(searched) == without_time(fresh.stats[:1])
+    assert entry["kept"] and (entry["side"], entry["bound"], entry["sat"]) == ("system", 2, True)
+    assert spec not in {f for f, _ in automata._NBA}
+    assert synth_ltl(SynthesisProblem(spec, ap)) is result  # kept like a searched answer
+
+
+def test_a_kept_machine_that_fails_the_check_is_not_returned(monkeypatch):
+    spec = parse_formula("G (r -> X g) && G (!r -> X !g)")  # no machine of one state
+    fresh = synth_ltl(SynthesisProblem(spec, AP_RG))
+    synthesis._SYNTH.clear()
+    synthesis._CLASSES.clear()
+    kept = synth_ltl(SynthesisProblem(parse_formula("G g"), AP_RG)).machine
+    calls = checked_machines(monkeypatch)
+    result = synth_ltl(SynthesisProblem(spec, AP_RG))
+    assert calls[0] == (kept, spec) and not mc_ltl(kept, spec).passed
+    assert result.machine is not kept and calls[1:] == [(result.machine, spec)]
+    assert (result.outcome, len(result.machine)) == (fresh.outcome, len(fresh.machine))
+    assert without_time(result.stats) == without_time(fresh.stats)
+
+
+@pytest.mark.parametrize("bounds, ap", [((3,), AP_RG), ((1, 2), APTable(("r",), ("g", "x")))],
+                         ids=["another-size", "another-table"])
+def test_only_a_kept_machine_of_the_bound_and_the_table_is_tried(monkeypatch, bounds, ap):
+    # kept machines of 1 and 2 states over r/g, each of which passes the
+    # check of the spec: neither is tried at bound 3, nor over another table
+    spec = parse_formula("G (r -> X g)")
+    kept = [synth_ltl(SynthesisProblem(parse_formula(text), AP_RG)).machine
+            for text in ("G g", "G (r -> X g) && G (!r -> X !g)")]
+    assert [len(m) for m in kept] == [1, 2] and all(mc_ltl(m, spec).passed for m in kept)
+    calls = checked_machines(monkeypatch)
+    result = synth_ltl(SynthesisProblem(spec, ap, bounds=bounds, cap=max(bounds)))
+    assert result.realizable and len(result.machine) == bounds[0]
+    assert calls == [(result.machine, spec)]
+    assert not any(a.get("kept") for a in result.stats)
+
+
+def test_a_kept_answer_stops_the_environment_attempt_beside_it():
+    # arbiter-full(2): e1 still races when s3 ends without a machine, so
+    # the 4-state machine kept from the search with cap 4 answers s4 of the
+    # search with cap 6, and e1 is recorded as stopped after it
+    inst = family("arbiter-full", 2)
+    first = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
+    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=6))
+    assert result.machine is first.machine and len(result.machine) == 4
+    *searched, entry, stopped = result.stats
+    assert without_time(searched) == without_time(first.stats[:3])
+    assert entry["kept"] and (entry["side"], entry["bound"]) == ("system", 4)
+    assert (stopped["side"], stopped["bound"], stopped["sat"], stopped["timeout"]) == (
+        "environment", 1, None, False)
+    assert stopped["conflicts"] <= first.stats[3]["conflicts"]
+
+
+def test_check_of_a_kept_machine_past_the_deadline_is_unknown(monkeypatch):
+    # a fake clock that jumps past the deadline once a translation starts:
+    # the check of a kept machine before s1 translates the spec's automata,
+    # so it ends unknown with a reason that names it, and nothing is kept
+    monkeypatch.setattr(automata, "_NBA", {})
+    kept = synth_ltl(SynthesisProblem(parse_formula("G g"), AP_RG))
+    now = [100.0]
+    translate = automata._translate
+
+    def slow(f, max_states, deadline=None):
+        now[0] = 200.0
+        return translate(f, max_states, deadline)
+
+    clock = SimpleNamespace(monotonic=lambda: now[0])
+    for module in (automata, synthesis, sat):
+        monkeypatch.setattr(module, "time", clock)
+    monkeypatch.setattr(automata, "_translate", slow)
+    runs = counted_runs(monkeypatch)
+    spec = parse_formula("G (r -> X g)")
+    result = synth_ltl(SynthesisProblem(spec, AP_RG, deadline=110.0))
+    assert runs == [] and now[0] == 200.0
+    assert result.outcome == "unknown" and result.stats == ()
+    assert result.reason == "the deadline passed during the check of a kept machine"
+    assert list(synthesis._SYNTH.values()) == [kept]
+    assert synth_ltl(SynthesisProblem(spec, AP_RG)).machine is kept.machine
+
+
+def test_kept_answers_keep_the_outcome_and_size_of_a_fresh_search():
+    # seeded executions of the relay(2) machine, solved in turn, where a
+    # machine kept from one answers another, and each solved afresh
+    bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
+    executions = relay_executions(12)
+    in_turn = [synth_finite_live(bi.spec, bu.spec, eta, ap) for eta in executions]
+    fresh = []
+    for eta in executions:
+        synthesis._SYNTH.clear()
+        synthesis._CLASSES.clear()
+        fresh.append(synth_finite_live(bi.spec, bu.spec, eta, ap))
+
+    def found(r):
+        return r.outcome, r.machine and len(r.machine)
+
+    assert list(map(found, in_turn)) == list(map(found, fresh))
+    assert any(a.get("kept") for r in in_turn for a in r.stats)
 
 
 def test_finite_live_checks_inputs_before_synthesis(monkeypatch):
@@ -1022,10 +1171,11 @@ def relay_ledger_runs(monkeypatch, built):
         built(enc)
 
     monkeypatch.setattr(_Encoder, "_build", build)
-    relay2_machine = Path(__file__).parents[1] / "bench" / "inputs" / "machines" / "relay-2.machine"
-    ts_i = parse_machine(relay2_machine.read_text())
+    ts_i = parse_machine(RELAY2_MACHINE.read_text())
     bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
     for text in RELAY_LEDGER:
+        synthesis._SYNTH.clear()  # searched afresh, not answered by a machine kept before
+        synthesis._CLASSES.clear()
         yield text, (synth_universal_live(ts_i, bi.spec, bu.spec, ap) if text == "universal"
                      else synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap))
 
