@@ -16,7 +16,10 @@ Two anchoring calculi are supported:
   after-derivative, so the label after consuming a trace equals
   ``evolve(trace, phi)`` exactly.  Model checking and synthesis of universal
   updates use this form, which makes their obligation sets agree with the
-  bounded-release semantics.
+  bounded-release semantics.  It is a walk from ``phi`` in the sense of
+  ``rewrite.start_walk``: a state of a conjunction ``phi`` is derived
+  conjunct by conjunct, giving the same formula as the derivative of the
+  whole.  The edge step derives each state whole.
 
 Cutting against a concrete machine restricts the monitor to letters the
 machine can produce, combining each state's output with the consumed input
@@ -34,7 +37,7 @@ from typing import Literal
 from .automata import BudgetError, explore
 from .formula import Formula
 from .machine import MooreMachine, dot_graph
-from .rewrite import af, edge_step, strip
+from .rewrite import af, edge_step, start_walk, strip
 from .traces import APTable, Letter, all_letters
 
 __all__ = ["ObligationMonitor", "build_monitor", "cut_from_phi", "cut_monitor", "reachable_obligations"]
@@ -128,7 +131,11 @@ def _monitor(phi: Formula, anchor: Anchor, max_states: int, deadline: float | No
              machine: MooreMachine | None = None) -> ObligationMonitor:
     """The closure of the derivative step from ``phi`` and the initial state
     of ``machine``, over the letters of its ``moves``."""
-    step = edge_step if anchor == "edge" else af
+    if anchor == "edge":
+        step = edge_step
+    else:
+        start_walk(phi)
+        step = af
     relevant = phi.atoms
     if machine is None:  # one state, None, that moves on every letter over the atoms
         uncut = [(letter, letter, None) for letter in all_letters(sorted(relevant))]

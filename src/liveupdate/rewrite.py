@@ -7,13 +7,24 @@ satisfy; folding it over a finite trace and stripping the release nodes yields
 packages the same information as a single plain-LTL formula.
 
 Every rewrite is a ``formula.fold``: a node is rewritten once all of its
-operands are, even when the first one already decides it.  Three tables live
+operands are, even when the first one already decides it.  Four tables live
 for the whole process, like the formula intern table: ``af``'s canonical
 results, one row per formula mapping each letter read so far to the
 derivative, which is the obligation monitor's transition table and which
 ``af_word`` walks a dictionary step per letter; per letter, the raw
 derivative of every node a derivative has read, so a subterm shared by many
-formulas is derived once per letter; and ``strip``'s result per formula.
+formulas is derived once per letter; per state of a walk that starts at a
+conjunction, the tuple of conjunct states it joins; and ``strip``'s result
+per formula.
+
+A walk from a conjunction phi (``af_word``, so ``evolve``, and the
+state-anchored monitor) derives each conjunct on its own, on the letter
+projected onto the conjunct's atoms, and canonicalizes the conjunction once
+per new tuple of conjunct states; the rows hold the joined states, and the
+walk steps along them.  The join is the same interned formula as the
+derivative of the whole unless phi has a next over a literal, directly or
+through and/or nodes (``_conjunctwise``); such a phi, checked once, is
+walked whole.
 
 ``edge_step``, the obligation monitor's display step, is ``af`` with one
 different rule: a release raises the derivatives of its operands under a
@@ -36,6 +47,7 @@ from .formula import (
     natom,
     operands,
     rebuild,
+    subformulas,
     t_false,
     t_true,
 )
@@ -50,6 +62,7 @@ __all__ = [
     "strip",
     "evolve",
     "liveltl_to_ltl",
+    "start_walk",
     "trace_formula",
     "x_power",
 ]
@@ -59,9 +72,15 @@ __all__ = [
 # row is exact and the table grows only with the pairs actually derived.
 _AF: dict[Formula, dict[Letter, Formula]] = {}
 # letter -> {node: its derivative before ``canonical``}, for every node a
-# derivative has read.  The letter is not projected onto the node's atoms:
-# that would save entries but cost an intersection per call.
+# derivative has read.  A conjunct state reads the letter projected onto its
+# atoms, one intersection per miss of its row; any other derivative reads
+# the letter as given, since projecting there would save entries but cost
+# an intersection per call.
 _AF_RAW: dict[Letter, dict[Formula, Formula]] = {}
+# state of a walk from a conjunction -> the tuple of conjunct states it
+# joins, or None for a conjunction whose conjuncts are not derived on their
+# own (see ``_conjunctwise``)
+_PARTS: dict[Formula, tuple[Formula, ...] | None] = {}
 # formula -> ``strip`` of it
 _STRIP: dict[Formula, Formula] = {}
 
@@ -72,12 +91,53 @@ def af(f: Formula, letter: Letter) -> Formula:
     Results are kept in canonical two-level form so that iterated
     derivatives stay shallow and their closure is finite.  For the life of
     the process, the result is kept in ``f``'s row of derivatives, one per
-    letter read, and the derivative of every subterm per (subterm, letter)."""
+    letter read, and the derivative of every subterm per (subterm, letter).
+    A state of a walk from a conjunction is derived conjunct by conjunct,
+    with the same result (see the module docstring)."""
+    row = _AF.setdefault(f, {})
+    got = row.get(letter)
+    if got is None:
+        parts = _PARTS.get(f)
+        if parts is None:
+            return _derivative(f, letter)
+        after = tuple(_derivative(p, letter & p.atoms) for p in parts)
+        got = row[letter] = canonical(f_and(after))
+        _PARTS.setdefault(got, after)
+    return got
+
+
+def _derivative(f: Formula, letter: Letter) -> Formula:
+    """``af`` of the whole formula, through ``f``'s row of derivatives."""
     row = _AF.setdefault(f, {})
     got = row.get(letter)
     if got is None:
         got = row[letter] = canonical(_af(f, letter))
     return got
+
+
+def start_walk(phi: Formula) -> None:
+    """Let the walks from ``phi`` derive its conjuncts on their own, if it is
+    a conjunction for which that gives the derivative of the whole.  The
+    answer is kept for the life of the process."""
+    if phi.kind == "and" and phi not in _PARTS:
+        _PARTS[phi] = phi.children if _conjunctwise(phi) else None
+
+
+def _conjunctwise(phi: Formula) -> bool:
+    """Whether no next of ``phi`` is over a literal, directly or through
+    and/or nodes (as in ``X !a`` or ``X (a || F b)``).
+
+    A derivative holds a literal only where such a next was consumed.
+    Without one, the canonical form of the conjunction of the conjuncts'
+    canonical derivatives is the canonical derivative of the conjunction:
+    both are the minimal disjuncts of one positive combination of the same
+    units.  With one, a conjunct's derivative may
+    collapse ``a || !a`` to ``true`` (``formula.f_or``), which the combined
+    form, holding ``a`` and ``!a`` in different disjuncts, never does."""
+    def top_literal(g: Formula) -> bool:
+        return fold(g, lambda h, below: h.kind == "atom" or h.kind == "natom" or any(below),
+                    lambda h: h.children)
+    return not any(g.kind == "X" and top_literal(g.left) for g in subformulas(phi))
 
 
 def _af(f: Formula, letter: Letter) -> Formula:
@@ -117,7 +177,9 @@ def _unroll(f: Formula, left: Formula, right: Formula, rest: Formula) -> Formula
 def af_word(f: Formula, word: FiniteTrace) -> Formula:
     """Left fold of ``af`` over a finite trace; the empty trace is identity.
     Each letter is one step along the rows of ``af``'s memo, which calls
-    ``af`` only where a row or its letter is missing."""
+    ``af`` only where a row or its letter is missing, so a walk from a
+    conjunction derives its conjuncts on their own there."""
+    start_walk(f)
     rows = _AF
     for letter in word:
         try:

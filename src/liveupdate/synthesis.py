@@ -345,6 +345,9 @@ _SYNTH: dict[tuple, SynthesisResult] = {}
 # the first (spec, _naming order, verified verdict) per class of specifications
 # that a role-preserving renaming of the propositions maps onto each other
 _CLASSES: dict[tuple, tuple[Formula, list[str], SynthesisResult]] = {}
+# (phi, psi, ap) of a finite-trace problem whose formulas passed the check ->
+# {obligation: obligation && psi}
+_FINITE: dict[tuple[Formula, Formula, APTable], dict[Formula, Formula]] = {}
 
 
 def _naming(spec: Formula, ap: APTable) -> tuple[int, list[str]]:
@@ -589,9 +592,18 @@ def synth_finite_live(phi: Formula, psi: Formula, eta: FiniteTrace, ap: APTable,
     """Synthesize an update system correct after the recorded execution:
     plain synthesis of the residual obligation conjoined with the update
     specification.  ``synth_ltl`` model-checks the machine against exactly
-    that conjunction, which is the finite-trace check."""
-    LiveProblem(phi, psi, ap, eta=eta)  # rejects undeclared letters before any work
-    return synth_ltl(SynthesisProblem(f_and((evolve(eta, phi), psi)), ap, **kwargs))
+    that conjunction, which is the finite-trace check.  The passed check of
+    the formulas and each conjunction are kept per (phi, psi, ap) for the
+    life of the process, so a later call checks only the letters of ``eta``."""
+    specs = _FINITE.get((phi, psi, ap))
+    if specs is None or not all(map(ap.all.issuperset, eta)):
+        LiveProblem(phi, psi, ap, eta=eta)  # rejects undeclared letters before any work
+        specs = _FINITE.setdefault((phi, psi, ap), {})
+    obligation = evolve(eta, phi)
+    spec = specs.get(obligation)
+    if spec is None:
+        spec = specs[obligation] = f_and((obligation, psi))
+    return synth_ltl(SynthesisProblem(spec, ap, **kwargs))
 
 
 def synth_universal_live(ts_i: MooreMachine, phi: Formula, psi: Formula, ap: APTable,

@@ -3,13 +3,14 @@ import random
 import pytest
 
 import recursive
-from liveupdate import monitor
+from liveupdate import monitor, rewrite
 from liveupdate.automata import BudgetError
-from liveupdate.benchmarks import family
+from liveupdate.benchmarks import TABLE1_ROWS, family
 from liveupdate.formula import t_true
 from liveupdate.monitor import build_monitor, cut_from_phi, cut_monitor, reachable_obligations
 from liveupdate.parser import parse_formula
-from liveupdate.rewrite import af_word, evolve
+from liveupdate.rewrite import af_word, evolve, start_walk
+from liveupdate.synthesis import SynthesisProblem, synth_ltl
 from liveupdate.traces import APTable
 
 from gen import fin_traces, is_release_free, random_formula, random_machine, random_trace
@@ -181,3 +182,30 @@ def test_edge_monitor_matches_the_positional_reference(monkeypatch, name, n):
 
 def test_edge_cut_of_relay2_closes(fig1_machine, relay2):
     assert len(cut_from_phi(relay2.spec, fig1_machine, anchor="edge")) == 261
+
+
+def test_cut_derived_per_conjunct_equals_the_plain_cut(monkeypatch, fig1_machine, relay2,
+                                                        relay2_synthesized):
+    # the state-anchored cut derives its states conjunct by conjunct; on
+    # relay(2) and on every table row's initial specification and machine it
+    # must give the nodes, edges and labels of the derivation of the whole,
+    # and the edge-anchored cut keeps no conjunct states
+    cases = [(relay2.spec, fig1_machine), (relay2.spec, relay2_synthesized.machine)]
+    for name in sorted({row.initial for row in TABLE1_ROWS} - {("relay", 2)}):
+        inst = family(*name)
+        cases.append((inst.spec, synth_ltl(SynthesisProblem(inst.spec, inst.ap)).machine))
+    factored = 0
+    for phi, machine in cases:
+        monkeypatch.setattr(rewrite, "_AF", {})
+        monkeypatch.setattr(rewrite, "_PARTS", {})
+        monkeypatch.setattr(monitor, "start_walk", lambda _phi: None)
+        plain = cut_from_phi(phi, machine)
+        monkeypatch.setattr(monitor, "start_walk", start_walk)
+        cut_from_phi(phi, machine, "edge")
+        assert rewrite._PARTS == {}
+        monkeypatch.setattr(rewrite, "_AF", {})
+        conj = cut_from_phi(phi, machine)
+        factored += len(rewrite._PARTS) > 1
+        assert conj.nodes == plain.nodes and conj.edges == plain.edges, str(phi)
+        assert conj.to_json() == plain.to_json()
+    assert factored == len(cases) - 1  # all but arbiter-prioritized(2), which has X over a literal

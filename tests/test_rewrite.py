@@ -5,7 +5,7 @@ from liveupdate.formula import atom, canonical, f_and, f_next, f_or, f_until, na
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import af, af_word, edge_step, evolve, expand, expand_n, liveltl_to_ltl, strip
 from liveupdate.traces import all_letters
-from gen import is_release_free, random_formula
+from gen import is_release_free, random_formula, random_trace
 from recursive import af as af_reference
 
 a, b = atom("a"), atom("b")
@@ -186,3 +186,69 @@ def test_af_word_walks_the_rows_of_the_memo(monkeypatch):
         partial += word[0] not in rewrite._AF[f]
         assert af_word(f, word) is want, (f, word, other)
     assert partial
+
+
+def _cold(monkeypatch):
+    """Empty derivative rows and conjunct table, so that every derivative
+    below is derived by this test."""
+    monkeypatch.setattr(rewrite, "_AF", {})
+    monkeypatch.setattr(rewrite, "_PARTS", {})
+
+
+def test_conjunct_walk_gives_the_plain_state(monkeypatch):
+    # a walk from a conjunction derives each conjunct on its own, where that
+    # is exact; every prefix of every word must still reach the state of a
+    # fold of canonical(derivative) that never factors.  Several words share
+    # the rows, so later walks step from states that earlier ones derived
+    # per conjunct, and the letters carry an atom no formula mentions.  The
+    # conjunctions with a next over a literal take the plain path.
+    rng = random.Random(4013)
+    factored = 0
+    for _ in range(300):
+        phi = f_and([random_formula(rng, ["a", "b", "c"], 3) for _ in range(rng.randrange(2, 5))])
+        words = [random_trace(rng, ["a", "b", "c", "d"], 6) for _ in range(4)]
+        _cold(monkeypatch)
+        for word in words:
+            af_word(phi, word)
+        factored += bool(rewrite._PARTS.get(phi))
+        for word in words:
+            want = phi
+            for i, letter in enumerate(word):
+                assert af_word(phi, word[:i]) is want, (str(phi), word[:i])
+                assert evolve(word[:i], phi) is strip(want)
+                want = canonical(af_reference(want, letter))
+            assert af_word(phi, word) is want, (str(phi), word)
+    assert factored > 60
+
+
+def test_next_over_a_literal_keeps_the_plain_path(monkeypatch):
+    # per conjunct, X (X a || X !a) becomes a || !a, which f_or collapses to
+    # true; the derivative of the whole keeps a and !a in separate disjuncts
+    phi = parse_formula("X (X a || X !a) && X (F b || F c)")
+    word = (L(), L())
+    per_conjunct = canonical(f_and([af_word(c, word) for c in phi.children]))
+    assert per_conjunct is parse_formula("F b || F c")
+    _cold(monkeypatch)
+    assert af_word(phi, word) is parse_formula("a && F c || !a && F c || a && F b || !a && F b")
+    assert rewrite._PARTS == {phi: None}
+
+
+def test_a_join_equal_to_one_of_its_parts_derives(monkeypatch):
+    # after {a}, F a && F b joins (true, F b) into F b itself; F b's own
+    # derivatives then derive that part by the plain derivative
+    _cold(monkeypatch)
+    phi, fb = parse_formula("F a && F b"), parse_formula("F b")
+    assert af_word(phi, (L("a"),)) is fb
+    assert fb in rewrite._PARTS[fb]
+    assert af_word(phi, (L("a"), L(), L("b"))) is t_true()
+    assert af_word(phi, (L("a"), L())) is fb
+
+
+def test_only_a_walk_from_a_conjunction_is_factored(monkeypatch):
+    # af called on its own (as the automaton translation and the edge step
+    # call it) derives the whole formula and keeps no conjunct states
+    _cold(monkeypatch)
+    phi = parse_formula("G (a -> F b) && F c")
+    for letter in all_letters(("a", "b", "c")):
+        assert af(phi, letter) is canonical(af_reference(phi, letter))
+    assert rewrite._PARTS == {}

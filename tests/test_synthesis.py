@@ -800,6 +800,15 @@ def test_finite_live_rejects_the_first_undeclared_letter(monkeypatch, eta, names
     with pytest.raises(ValueError, match=message):
         synth_finite_live(phi, psi, eta, AP_RG)
     assert problems == []
+    # the same once a declared trace has had the formulas checked and kept,
+    # and a repeated trace gets the same conjunction
+    declared = (L("r"), L())
+    synth_finite_live(phi, psi, declared, AP_RG)
+    with pytest.raises(ValueError, match=message):
+        synth_finite_live(phi, psi, eta, AP_RG)
+    synth_finite_live(phi, psi, declared, AP_RG)
+    want = f_and((evolve(declared, phi), psi))
+    assert [p.spec for p in problems] == [want, want]
 
 
 def test_corrupted_machine_fails_verification(monkeypatch):
