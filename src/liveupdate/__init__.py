@@ -7,6 +7,7 @@ system inherits, model-checks candidate update systems, and synthesizes
 correct-by-construction ones.
 """
 
+from . import automata, formula, rewrite, synthesis, traces
 from .automata import BuchiAutomaton, CounterexampleLasso, Verdict, ltl_to_nba, mc_ltl, nba_emptiness
 from .formula import Formula
 from .machine import MooreMachine, parse_machine, serialize_machine
@@ -19,3 +20,16 @@ from .synthesis import SynthesisProblem, SynthesisResult, synth_finite_live, syn
 from .traces import APTable, LassoTrace, parse_trace
 
 __version__ = "0.1.0"
+
+_TABLES = (formula._ATOMS, formula._NEG, formula._DNF, formula._CANON, traces._LETTERS,
+           rewrite._AF, rewrite._AF_RAW, rewrite._PARTS, rewrite._STRIP,
+           automata._NBA, automata._CUBES, automata._STEPS,
+           synthesis._SHAPES, synthesis._SYNTH, synthesis._CLASSES, synthesis._FINITE)
+
+
+def forget() -> None:
+    """Clear every derived process-wide table, so that the process answers as
+    a fresh one would.  The formula intern table stays: a formula built
+    before is the one built after."""
+    for table in _TABLES:
+        table.clear()

@@ -17,9 +17,9 @@ every product -- is one breadth-first ``explore`` of an implicit graph.  State
 ids are breadth-first discovery order from the one initial state 0, which
 fixes the variable order of the synthesis CNF; a translation's state budget
 counts every state that it builds.  Automata are immutable, and
-``ltl_to_nba`` is memoized per (formula, state budget) for the life of the
-process, so every caller of one formula shares one automaton; equal edge
-labels are one ``Cube`` object across all of them.
+``ltl_to_nba`` is memoized per (formula, state budget) until
+``liveupdate.forget()``, so every caller of one formula shares one automaton;
+equal edge labels are one ``Cube`` object across all of them.
 
 A specification becomes automata one way: one automaton for the negation of
 each top-level conjunct (``_conjunct_automata``).  Bounded synthesis encodes
@@ -161,9 +161,9 @@ def ltl_to_nba(f: Formula, max_states: int = 20000, *,
     translation that runs past the ``time.monotonic()`` ``deadline`` raises
     ``TimeoutError``.
 
-    The result is memoized per (formula, ``max_states``) for the life of the
-    process, whatever the deadline; automata are immutable, so callers share
-    it.  A translation that raises keeps nothing."""
+    The result is memoized per (formula, ``max_states``) until ``forget()``,
+    whatever the deadline; automata are immutable, so callers share it.  A
+    translation that raises keeps nothing."""
     got = _NBA.get((f, max_states))
     if got is None:
         got = _NBA[(f, max_states)] = _translate(f, max_states, deadline)

@@ -18,8 +18,9 @@ logically equivalent formulas may still be distinct terms.
 Every walk over a formula is a ``fold``: one post-order pass over its
 distinct nodes that keeps its own stack, so a shared subterm is visited once
 and no nesting depth exhausts Python's recursion limit.  The atoms, the
-negation, the DNF and the canonical form of a formula are memoized for the
-life of the process, like the intern table.
+negation, the DNF and the canonical form of a formula are memoized in
+process-wide tables until ``liveupdate.forget()``; the intern table outlives
+it, so a formula built before is the one built after.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def fold(f: Formula, step: Callable[[Formula, list], T],
     return memo[f]
 
 
-# formula -> its atoms and its negation, for the life of the process, like
-# the intern table
+# formula -> its atoms and its negation, until ``forget()``
 _ATOMS: dict[Formula, frozenset[str]] = {}
 _NEG: dict[Formula, Formula] = {}
 
@@ -351,7 +351,7 @@ def dnf_units(f: Formula) -> tuple[frozenset[Formula], ...]:
     conjunct units; subsumed (strictly stronger) disjuncts are pruned.
 
     ``true`` yields one empty disjunct, ``false`` none.  The result is
-    memoized per formula, operands included, for the life of the process.
+    memoized per formula, operands included, until ``forget()``.
     """
     return fold(f, _dnf_step, lambda g: g.children, _DNF)
 
@@ -402,7 +402,7 @@ def from_dnf(disjuncts: Iterable[frozenset[Formula]]) -> Formula:
     return f_or(f_and(d) for d in disjuncts)
 
 
-# formula -> its canonical form, for the life of the process
+# formula -> its canonical form, until ``forget()``
 _CANON: dict[Formula, Formula] = {}
 
 

@@ -7,9 +7,9 @@ satisfy; folding it over a finite trace and stripping the release nodes yields
 packages the same information as a single plain-LTL formula.
 
 Every rewrite is a ``formula.fold``: a node is rewritten once all of its
-operands are, even when the first one already decides it.  Four tables live
-for the whole process, like the formula intern table: ``af``'s canonical
-results, one row per formula mapping each letter read so far to the
+operands are, even when the first one already decides it.  Four
+process-wide tables, which ``liveupdate.forget()`` clears, keep ``af``'s
+canonical results, one row per formula mapping each letter read so far to the
 derivative, which is the obligation monitor's transition table and which
 ``af_word`` walks a dictionary step per letter; per letter, the raw
 derivative of every node a derivative has read, so a subterm shared by many
@@ -89,8 +89,8 @@ def af(f: Formula, letter: Letter) -> Formula:
     """One-letter after-derivative, with propositional simplification.
 
     Results are kept in canonical two-level form so that iterated
-    derivatives stay shallow and their closure is finite.  For the life of
-    the process, the result is kept in ``f``'s row of derivatives, one per
+    derivatives stay shallow and their closure is finite.  Until
+    ``forget()``, the result is kept in ``f``'s row of derivatives, one per
     letter read, and the derivative of every subterm per (subterm, letter).
     A state of a walk from a conjunction is derived conjunct by conjunct,
     with the same result (see the module docstring)."""
@@ -118,7 +118,7 @@ def _derivative(f: Formula, letter: Letter) -> Formula:
 def start_walk(phi: Formula) -> None:
     """Let the walks from ``phi`` derive its conjuncts on their own, if it is
     a conjunction for which that gives the derivative of the whole.  The
-    answer is kept for the life of the process."""
+    answer is kept until ``forget()``."""
     if phi.kind == "and" and phi not in _PARTS:
         _PARTS[phi] = phi.children if _conjunctwise(phi) else None
 
@@ -222,7 +222,7 @@ def expand_n(f: Formula, n: int) -> Formula:
 
 def strip(f: Formula) -> Formula:
     """Replace every release node by true; the result is release-free.
-    Memoized per formula for the life of the process."""
+    Memoized per formula until ``forget()``."""
     return fold(f, lambda g, below: t_true() if g.kind == "R" else rebuild(g, below),
                 lambda g: () if g.kind == "R" else operands(g), _STRIP)
 

@@ -29,7 +29,7 @@ attempts and their outcomes do not depend on how fast the machine is; the
 only clock is the caller's deadline.  A verdict is therefore a function of
 the specification, the propositions, the bound schedule and the solver, and
 it survives renaming inputs among inputs and outputs among outputs:
-``synth_ltl`` keeps each verified verdict for the life of the process,
+``synth_ltl`` keeps each verified verdict until ``liveupdate.forget()``,
 answers renamed copies from it with a relabelled, re-checked machine or
 certificate, tries its machines of k states before the system attempt at
 bound k of another specification, and results are immutable.
@@ -158,7 +158,7 @@ class _Encoder:
 
     def _shape(self, nba: BuchiAutomaton) -> tuple:
         """What the encoding of ``nba`` takes from the automaton alone, at any
-        bound, kept for the life of the process: its doomed states, accepting
+        bound, kept until ``forget()``: its doomed states, accepting
         SCCs and counted states, and per state and read letter the moves
         ``(q2, same, emitted, inside, inc)`` of the edges that admit the letter."""
         key = (id(nba), self.read, self.emit)
@@ -440,7 +440,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     entry per attempt that started, in the order they ended; an attempt
     stopped because its partner won has ``sat`` None and ``timeout`` False.
 
-    Memoized for the life of the process: a realizable or unrealizable
+    Memoized until ``liveupdate.forget()``: a realizable or unrealizable
     result is kept once its machine or certificate has passed the check, and
     a later call on the same problem gets the same result, ``stats``
     included, unless its deadline has passed, which is read first.  A copy
@@ -455,7 +455,7 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     over the same ``APTable`` that kept results carry are checked by
     ``mc_ltl`` in the order they were kept; the first that passes answers,
     and is kept, so the outcome and the machine's size are the search's,
-    and which machine comes back depends on what the process solved before.
+    and which machine comes back depends on what was solved since ``forget()``.
     Its ``stats`` end with an entry with ``kept`` True for bound k and no
     CNF, then the environment attempt it stopped, if one ran.  The check
     before s1 translates the specification's automata under the deadline.
@@ -593,8 +593,8 @@ def synth_finite_live(phi: Formula, psi: Formula, eta: FiniteTrace, ap: APTable,
     plain synthesis of the residual obligation conjoined with the update
     specification.  ``synth_ltl`` model-checks the machine against exactly
     that conjunction, which is the finite-trace check.  The passed check of
-    the formulas and each conjunction are kept per (phi, psi, ap) for the
-    life of the process, so a later call checks only the letters of ``eta``."""
+    the formulas and each conjunction are kept per (phi, psi, ap) until
+    ``liveupdate.forget()``, so a later call checks only the letters of ``eta``."""
     specs = _FINITE.get((phi, psi, ap))
     if specs is None or not all(map(ap.all.issuperset, eta)):
         LiveProblem(phi, psi, ap, eta=eta)  # rejects undeclared letters before any work

@@ -127,8 +127,8 @@ _LETTERS: dict[tuple[str, ...], tuple[Letter, ...]] = {}
 
 def all_letters(props: Sequence[str]) -> tuple[Letter, ...]:
     """Every letter over ``props``; bit i of the position says whether the
-    i-th proposition holds.  One tuple per proposition sequence is kept for
-    the life of the process."""
+    i-th proposition holds.  One tuple per proposition sequence is kept until
+    ``liveupdate.forget()``."""
     props = tuple(props)
     got = _LETTERS.get(props)
     if got is None:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from liveupdate import synthesis
+from liveupdate import forget
 from liveupdate.benchmarks import family
 from liveupdate.machine import parse_machine
 from liveupdate.synthesis import SynthesisProblem, synth_ltl
@@ -56,12 +56,12 @@ c2 --!m1--> c2
 
 
 @pytest.fixture(autouse=True)
-def empty_synthesis_memo():
-    """Every test starts without remembered verdicts, so that one that
-    patches the search is not answered from an earlier test's entry, nor
-    from an entry of a specification that renames its own."""
-    synthesis._SYNTH.clear()
-    synthesis._CLASSES.clear()
+def fresh_process_tables():
+    """Every test starts with the process-wide tables of a fresh process, so
+    that one that patches the search is not answered from an earlier test's
+    verdict, nor from that of a specification that renames its own, and one
+    that counts translations counts its own."""
+    forget()
 
 
 @pytest.fixture(scope="session")

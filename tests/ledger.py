@@ -7,11 +7,15 @@ a lookup.  Per specification it gives each attempt's ``(side, bound, vars,
 clauses, conflicts, sat)``; one that a machine kept from an earlier
 specification answered also gives that bound under ``kept``, and is counted
 as a kept answer, apart from the specifications searched to a verdict and
-the lookups.  The script exits non-zero when the table does
-(a wrong, unknown or failed row) or when the ledger differs from the
-committed ``table_ledger.json`` next to it; ``--write`` rewrites that file
-instead of comparing.  A change meant to keep the search keeps the file; one
-meant to change it rewrites the file and says why.
+the lookups.  The table runs twice in one process, the second time after
+``forget()``, which must leave the process to answer as a fresh one: a result
+that leaks through a table that ``forget()`` misses changes the second
+ledger.  The script exits non-zero when the table does (a wrong, unknown or
+failed row) or when either ledger differs from the committed
+``table_ledger.json`` next to it; ``--write`` rewrites that file with the
+ledger of both runs, if they agree, instead of comparing.  A change meant to
+keep the search keeps the file; one meant to change it rewrites the file and
+says why.
 
     PYTHONPATH=src python tests/ledger.py [--write]
 """
@@ -22,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from liveupdate import synthesis
+from liveupdate import forget, synthesis
 from liveupdate.cli import main
 
 PINNED = Path(__file__).with_name("table_ledger.json")
@@ -47,29 +51,43 @@ def ledger() -> dict:
 
 
 def main_ledger(argv: list[str]) -> int:
-    code = main(["bench"])
-    got = ledger()
-    print(f"ledger: {got['specifications']} specifications searched, {got['kept']} answered "
-          f"by a kept machine, {got['lookups']} lookups, {got['attempts']} attempts, "
-          f"{got['conflicts']} conflicts")
-    if "--write" in argv:
-        head = json.dumps({k: v for k, v in got.items() if k != "searched"})[:-1]
-        rows = ",\n".join(json.dumps(e) for e in got["searched"])
+    code, ledgers, results = 0, [], []
+    for _ in range(2):
+        code = main(["bench"]) or code
+        ledgers.append(ledger())
+        # the results stay referenced, so no id of a first-run stats is reused
+        results.append({id(r.stats): r for r in synthesis._SYNTH.values() if r.stats})
+        forget()
+    reused = len(results[0].keys() & results[1].keys())
+    if reused:
+        print(f"run 2 answered {reused} specifications from results of run 1", file=sys.stderr)
+    pinned = ledgers[0] if "--write" in argv else json.loads(PINNED.read_text())
+    failed = bool(reused)
+    for run, got in enumerate(ledgers, 1):
+        print(f"ledger of run {run}: {got['specifications']} specifications searched, "
+              f"{got['kept']} answered by a kept machine, {got['lookups']} lookups, "
+              f"{got['attempts']} attempts, {got['conflicts']} conflicts")
+        if got != pinned:
+            failed = True
+            _report(run, pinned, got)
+    if "--write" in argv and not failed:
+        head = json.dumps({k: v for k, v in pinned.items() if k != "searched"})[:-1]
+        rows = ",\n".join(json.dumps(e) for e in pinned["searched"])
         PINNED.write_text(f'{head}, "searched": [\n{rows}\n]}}\n')  # a line per specification
-        return code
-    pinned = json.loads(PINNED.read_text())
-    if got == pinned:
-        return code
+    return code or int(failed)
+
+
+def _report(run: int, pinned: dict, got: dict) -> None:
+    """Where run ``run``'s ledger first differs from ``pinned``, on standard error."""
     for key in ("specifications", "kept", "lookups", "attempts", "conflicts"):
         if got[key] != pinned[key]:
-            print(f"{key}: {pinned[key]} pinned, {got[key]} now", file=sys.stderr)
+            print(f"run {run}, {key}: {pinned[key]} pinned, {got[key]} now", file=sys.stderr)
     for was, now in zip(pinned["searched"], got["searched"]):
         if was != now:
-            print(f"first differing specification: {now['spec']}\n"
+            print(f"run {run}, first differing specification: {now['spec']}\n"
                   f"  pinned {was['attempts']} kept {was.get('kept')}\n"
                   f"  now    {now['attempts']} kept {now.get('kept')}", file=sys.stderr)
             break
-    return code or 1
 
 
 if __name__ == "__main__":

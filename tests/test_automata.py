@@ -289,7 +289,6 @@ def test_automata_are_immutable():
 
 
 def test_memo_is_per_state_budget(monkeypatch):
-    monkeypatch.setattr(automata, "_NBA", {})
     f, g = parse_formula("G (a -> F b)"), parse_formula("G (b -> F a)")
     # a budget that runs out caches nothing
     with pytest.raises(BudgetError):
@@ -320,7 +319,6 @@ def test_explore_reads_the_deadline_before_each_node(monkeypatch):
 
 
 def test_translation_past_the_deadline_keeps_nothing(monkeypatch):
-    monkeypatch.setattr(automata, "_NBA", {})
     monkeypatch.setattr(automata, "time", SimpleNamespace(monotonic=lambda: 10.0))
     f = parse_formula("G (a -> F b)")
     with pytest.raises(TimeoutError):

@@ -129,9 +129,8 @@ def test_af_word_derives_each_pair_once(monkeypatch):
         return plain(f, letter)
 
     monkeypatch.setattr(rewrite, "_af", counted)
-    # atoms no other test uses, so the first fold cannot hit the memo
-    phi = parse_formula("G (memo_r -> X F memo_g) && (memo_a U memo_g)")
-    eta = (L("memo_a"), L("memo_r"), L(), L("memo_a", "memo_g"), L("memo_r"))
+    phi = parse_formula("G (r -> X F g) && (a U g)")
+    eta = (L("a"), L("r"), L(), L("a", "g"), L("r"))
     first = af_word(phi, eta)
     assert derived
     derived.clear()
@@ -233,10 +232,9 @@ def test_next_over_a_literal_keeps_the_plain_path(monkeypatch):
     assert rewrite._PARTS == {phi: None}
 
 
-def test_a_join_equal_to_one_of_its_parts_derives(monkeypatch):
+def test_a_join_equal_to_one_of_its_parts_derives():
     # after {a}, F a && F b joins (true, F b) into F b itself; F b's own
     # derivatives then derive that part by the plain derivative
-    _cold(monkeypatch)
     phi, fb = parse_formula("F a && F b"), parse_formula("F b")
     assert af_word(phi, (L("a"),)) is fb
     assert fb in rewrite._PARTS[fb]
@@ -244,10 +242,9 @@ def test_a_join_equal_to_one_of_its_parts_derives(monkeypatch):
     assert af_word(phi, (L("a"), L())) is fb
 
 
-def test_only_a_walk_from_a_conjunction_is_factored(monkeypatch):
+def test_only_a_walk_from_a_conjunction_is_factored():
     # af called on its own (as the automaton translation and the edge step
     # call it) derives the whole formula and keeps no conjunct states
-    _cold(monkeypatch)
     phi = parse_formula("G (a -> F b) && F c")
     for letter in all_letters(("a", "b", "c")):
         assert af(phi, letter) is canonical(af_reference(phi, letter))

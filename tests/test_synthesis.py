@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import random
 import re
@@ -19,7 +18,7 @@ from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
 from liveupdate.rewrite import evolve
-from liveupdate import automata, monitor, sat, synthesis
+from liveupdate import automata, forget, monitor, sat, synthesis
 from liveupdate.synthesis import (
     EnvMachine,
     SynthesisProblem,
@@ -340,8 +339,7 @@ def test_search_path_does_not_depend_on_the_clock(monkeypatch):
             return now[0]
 
         clock = SimpleNamespace(monotonic=monotonic)
-        synthesis._SYNTH.clear()  # search afresh, not from the first run's entry
-        synthesis._CLASSES.clear()
+        forget()  # search afresh, not from the first run's entry
         monkeypatch.setattr(synthesis, "time", clock)
         monkeypatch.setattr(sat, "time", clock)
         result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
@@ -387,9 +385,8 @@ def test_unknown_names_the_last_bound_of_each_side(monkeypatch):
 
 
 def test_certificate_is_checked_against_the_encoded_automata():
-    # fresh atoms, so no earlier test has translated this specification
-    spec = parse_formula("G !gnt12 && G F gnt12")
-    result = synth_ltl(SynthesisProblem(spec, APTable(("req12",), ("gnt12",))))
+    spec = parse_formula("G !g && G F g")
+    result = synth_ltl(SynthesisProblem(spec, AP_RG))
     assert result.outcome == "unrealizable"
     assert (spec, 20000) not in _NBA
 
@@ -572,17 +569,9 @@ def test_renamed_row_is_answered_from_the_memo(monkeypatch):
     row(("arbiter-simple", 2), ("arbiter-full", 2))
     runs, found = row(("abp-receiver", 1), ("abp-receiver", 2))
     assert runs == []
-    code = ("import json\n"
-            "from liveupdate.benchmarks import update_pair\n"
-            "from liveupdate.synthesis import SynthesisProblem, synth_ltl, synth_universal_live\n"
-            "bi, bu, ap = update_pair(('abp-receiver', 1), ('abp-receiver', 2))\n"
-            "ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine\n"
-            "r = synth_universal_live(ts_i, bi.spec, bu.spec, ap)\n"
-            "print(json.dumps([r.outcome, list(r.per_obligation)]))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(synthesis.__file__).parents[1])}
-    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                           check=True).stdout
-    assert found == json.loads(fresh)
+    forget()  # the same row searched as a fresh process searches it
+    runs, fresh = row(("abp-receiver", 1), ("abp-receiver", 2))
+    assert runs and found == fresh
     assert found[0] == "unrealizable" and {"realizable", "unrealizable"} == {
         e["outcome"] for e in found[1]}
 
@@ -656,9 +645,7 @@ def test_a_kept_machine_answers_at_the_bound_a_fresh_search_wins(monkeypatch):
     first, second = (parse_trace(text) for text in list(RELAY_LEDGER)[1:3])
     spec = f_and((evolve(second, bi.spec), bu.spec))
     fresh = synth_finite_live(bi.spec, bu.spec, second, ap)
-    synthesis._SYNTH.clear()
-    synthesis._CLASSES.clear()
-    monkeypatch.setattr(automata, "_NBA", {})
+    forget()
     earlier = synth_finite_live(bi.spec, bu.spec, first, ap)
     runs = counted_runs(monkeypatch)
     result = synth_finite_live(bi.spec, bu.spec, second, ap)
@@ -676,8 +663,7 @@ def test_a_kept_machine_answers_at_the_bound_a_fresh_search_wins(monkeypatch):
 def test_a_kept_machine_that_fails_the_check_is_not_returned(monkeypatch):
     spec = parse_formula("G (r -> X g) && G (!r -> X !g)")  # no machine of one state
     fresh = synth_ltl(SynthesisProblem(spec, AP_RG))
-    synthesis._SYNTH.clear()
-    synthesis._CLASSES.clear()
+    forget()
     kept = synth_ltl(SynthesisProblem(parse_formula("G g"), AP_RG)).machine
     calls = checked_machines(monkeypatch)
     result = synth_ltl(SynthesisProblem(spec, AP_RG))
@@ -723,7 +709,6 @@ def test_check_of_a_kept_machine_past_the_deadline_is_unknown(monkeypatch):
     # a fake clock that jumps past the deadline once a translation starts:
     # the check of a kept machine before s1 translates the spec's automata,
     # so it ends unknown with a reason that names it, and nothing is kept
-    monkeypatch.setattr(automata, "_NBA", {})
     kept = synth_ltl(SynthesisProblem(parse_formula("G g"), AP_RG))
     now = [100.0]
     translate = automata._translate
@@ -754,8 +739,7 @@ def test_kept_answers_keep_the_outcome_and_size_of_a_fresh_search():
     in_turn = [synth_finite_live(bi.spec, bu.spec, eta, ap) for eta in executions]
     fresh = []
     for eta in executions:
-        synthesis._SYNTH.clear()
-        synthesis._CLASSES.clear()
+        forget()
         fresh.append(synth_finite_live(bi.spec, bu.spec, eta, ap))
 
     def found(r):
@@ -831,7 +815,6 @@ def test_corrupted_machine_fails_verification(monkeypatch):
 def test_verification_translates_nothing(monkeypatch, spec, ap, outcome):
     # the machine or certificate is checked against the automata that the
     # search encoded: no translation happens after the search
-    monkeypatch.setattr(automata, "_NBA", {})
     searched = []
     verified = synthesis._verified
 
@@ -915,7 +898,6 @@ def test_translation_past_the_deadline_is_unknown(monkeypatch, side):
     clock = SimpleNamespace(monotonic=lambda: now[0])
     for module in (automata, synthesis, sat):
         monkeypatch.setattr(module, "time", clock)
-    monkeypatch.setattr(automata, "_NBA", {})
     monkeypatch.setattr(automata, "_translate", slow)
     result = synth_ltl(SynthesisProblem(spec, AP_RG, deadline=150.0))
     assert result.outcome == "unknown"
@@ -931,7 +913,6 @@ def test_check_of_a_renamed_copy_past_the_deadline_is_unknown(monkeypatch, first
     # a fake clock that jumps past the deadline once a translation starts:
     # the check of a renamed copy translates the copy's automata, so it ends
     # unknown with a reason that names it, and the copy is not kept
-    monkeypatch.setattr(automata, "_NBA", {})
     kept = synth_ltl(SynthesisProblem(parse_formula(first), AP_RG))
     now = [100.0]
     translate = automata._translate
@@ -992,7 +973,6 @@ def test_system_automaton_budget_gives_unknown(monkeypatch, top_cycle_machine, e
             raise BudgetError("automaton exceeds 20000 states (frontier 7)")
         return ltl_to_nba(f, max_states, deadline=deadline)
 
-    monkeypatch.setattr(automata, "_NBA", {})
     monkeypatch.setattr(automata, "ltl_to_nba", budgeted)
     ap = top_cycle_machine.ap
     if entry == "synth_ltl":
@@ -1183,8 +1163,7 @@ def relay_ledger_runs(monkeypatch, built):
     ts_i = parse_machine(RELAY2_MACHINE.read_text())
     bi, bu, ap = update_pair(("relay", 2), ("relay", 1))
     for text in RELAY_LEDGER:
-        synthesis._SYNTH.clear()  # searched afresh, not answered by a machine kept before
-        synthesis._CLASSES.clear()
+        forget()  # searched afresh, not answered by a machine kept before
         yield text, (synth_universal_live(ts_i, bi.spec, bu.spec, ap) if text == "universal"
                      else synth_finite_live(bi.spec, bu.spec, parse_trace(text), ap))
 
@@ -1318,8 +1297,7 @@ def test_pairs_find_what_the_attempts_find_alone(monkeypatch):
     problems += [SynthesisProblem(f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)]),
                                   AP_RG, cap=3) for _ in range(60)]
     paired = [_found(synth_ltl(p)) for p in problems]
-    synthesis._SYNTH.clear()
-    synthesis._CLASSES.clear()
+    forget()
     monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", 0)
     assert [_found(synth_ltl(p)) for p in problems] == paired
     assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in paired}
@@ -1360,8 +1338,7 @@ def test_race_keeps_each_sides_first_model():
                    for o in reachable_obligations(cut_from_phi(bi.spec, ts_i))])
     found = []
     for p in problems:  # searched afresh: abp-receiver(2) renames arbiter-full(2)
-        synthesis._SYNTH.clear()
-        synthesis._CLASSES.clear()
+        forget()
         found.append(_found(synth_ltl(p)))
     assert found == [_first_models(p) for p in problems]
     assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in found}
