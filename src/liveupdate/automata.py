@@ -62,9 +62,10 @@ class BudgetError(RuntimeError):
     """A state budget ran out; the answer is unknown."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuchiAutomaton:
-    """Cube-labeled nondeterministic Buchi automaton."""
+    """Cube-labeled nondeterministic Buchi automaton.  Like a ``Formula``, an
+    automaton is its own identity: tables key on the object."""
 
     ap: tuple[str, ...]
     labels: tuple[Hashable, ...]
@@ -408,9 +409,9 @@ def mc_ltl(machine: MooreMachine, f: Formula, searched: dict | None = None, *,
     """
     searched = {} if searched is None else searched
     for nba in _conjunct_automata(f, deadline=deadline):
-        if id(nba) not in searched:  # kept with its lasso, so no other automaton takes its id
-            searched[id(nba)] = nba, _product_lasso([machine.initial], machine.moves, nba)
-        found = searched[id(nba)][1]
+        if nba not in searched:
+            searched[nba] = _product_lasso([machine.initial], machine.moves, nba)
+        found = searched[nba]
         if found is not None:
             in_pre, in_loop = map(tuple, found)
             return Verdict("fail", witness=CounterexampleLasso(machine.lasso_for(in_pre, in_loop),

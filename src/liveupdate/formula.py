@@ -411,8 +411,8 @@ def canonical(f: Formula) -> Formula:
 
     Derivative-style rewriting (``af`` and friends) normalizes every result
     with this, which keeps iterated derivatives at bounded depth and makes
-    their closure finite.  The result is memoized per formula for the life of
-    the process.
+    their closure finite.  The result is memoized per formula until
+    ``forget()``.
     """
     if f.kind not in ("and", "or"):
         return f

@@ -4,8 +4,10 @@ States carry output letters, edges are guarded by cubes over the input
 propositions, and the transition function must be deterministic and total:
 every input letter matches exactly one outgoing cube per state.  A trace
 letter combines the current state's output with the current input; the
-machine then moves along the matching edge.  ``moves`` lists these steps,
-and every walk of a machine reads them there.
+machine then moves along the matching edge.  The constructor's audit matches
+the cubes once and keeps, per state, each input letter's trace letter and
+successor; ``delta``, ``moves``, ``run`` and ``lasso_for`` read that table,
+so a walk never follows a later edit of ``outputs`` or ``edges``.
 
 Text format::
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from .traces import APTable, Cube, FiniteTrace, LassoTrace, Letter, all_letters
 
-__all__ = ["Cube", "MooreMachine", "MachineFormatError", "parse_machine", "serialize_machine", "to_dot"]
+__all__ = ["MooreMachine", "MachineFormatError", "parse_machine", "serialize_machine", "to_dot"]
 
 
 class MachineFormatError(ValueError):
@@ -43,18 +45,22 @@ class MooreMachine:
         self.initial = initial
         self.outputs = [frozenset(o) for o in outputs]
         self.edges = [list(e) for e in edges]
-        self._audit()
+        self._table = self._audit()
 
-    def _audit(self) -> None:
+    def _audit(self) -> list[dict[Letter, tuple[Letter, int]]]:
+        """Per state, each input letter's trace letter and successor, in
+        ``input_letters()`` order, once the machine is proven deterministic
+        and total over its declared propositions."""
         if len(set(self.names)) != len(self.names):
             raise MachineFormatError("duplicate state ids")
         outs = frozenset(self.ap.outputs)
         for i, o in enumerate(self.outputs):
             if not o <= outs:
                 raise MachineFormatError(f"state {self.names[i]} outputs undeclared propositions {sorted(o - outs)}")
-        letters = self.input_letters()
+        table = []
         for i, state_edges in enumerate(self.edges):
-            for letter in letters:
+            row = {}
+            for letter in self.input_letters():
                 hits = [dst for cube, dst in state_edges if cube.matches(letter)]
                 if len(hits) == 0:
                     raise MachineFormatError(
@@ -62,35 +68,37 @@ class MooreMachine:
                 if len(hits) > 1 and len(set(hits)) > 1:
                     raise MachineFormatError(
                         f"overlapping edges with different targets in state {self.names[i]} on input {set(letter) or '{}'}")
+                row[letter] = (self.outputs[i] | letter, hits[0])
+            table.append(row)
+        return table
 
     def input_letters(self) -> tuple[Letter, ...]:
         return all_letters(self.ap.inputs)
 
-    def delta(self, state: int, inp: Letter) -> int:
-        for cube, dst in self.edges[state]:
-            if cube.matches(inp):
-                return dst
-        raise MachineFormatError(f"no edge from {self.names[state]} on {set(inp)}")
+    def _step(self, state: int, inp: Letter) -> tuple[Letter, int]:
+        """The trace letter and successor of ``state`` on input ``inp``."""
+        try:
+            return self._table[state][inp]
+        except KeyError:
+            raise ValueError(f"undeclared input propositions: "
+                             f"{sorted(inp - frozenset(self.ap.inputs))}") from None
 
-    def letter(self, state: int, inp: Letter) -> Letter:
-        return self.outputs[state] | inp
+    def delta(self, state: int, inp: Letter) -> int:
+        return self._step(state, inp)[1]
 
     def moves(self, state: int) -> list[tuple[Letter, Letter, int]]:
         """The ``(input, trace letter, successor)`` steps from ``state``, one
         per input letter in ``input_letters()`` order."""
-        return [(inp, self.letter(state, inp), self.delta(state, inp)) for inp in self.input_letters()]
+        return [(inp, letter, dst) for inp, (letter, dst) in self._table[state].items()]
 
     def run(self, inputs: FiniteTrace) -> FiniteTrace:
         """Trace for a finite input word: letter k is output(state k) union
         input k."""
         state = self.initial
-        declared = frozenset(self.ap.inputs)
         out = []
         for inp in map(frozenset, inputs):
-            if not inp <= declared:
-                raise ValueError(f"undeclared input propositions: {sorted(inp - declared)}")
-            out.append(self.letter(state, inp))
-            state = self.delta(state, inp)
+            letter, state = self._step(state, inp)
+            out.append(letter)
         return tuple(out)
 
     def lasso_for(self, input_prefix: FiniteTrace, input_loop: FiniteTrace) -> LassoTrace:
@@ -98,15 +106,14 @@ class MooreMachine:
         state = self.initial
         trace: list[Letter] = []
         for inp in input_prefix:
-            trace.append(self.letter(state, inp))
-            state = self.delta(state, inp)
+            letter, state = self._step(state, inp)
+            trace.append(letter)
         seen: dict[tuple[int, int], int] = {}
         pos = 0
         while (state, pos) not in seen:
             seen[(state, pos)] = len(trace)
-            inp = input_loop[pos]
-            trace.append(self.letter(state, inp))
-            state = self.delta(state, inp)
+            letter, state = self._step(state, input_loop[pos])
+            trace.append(letter)
             pos = (pos + 1) % len(input_loop)
         start = seen[(state, pos)]
         return LassoTrace(tuple(trace[:start]), tuple(trace[start:]))

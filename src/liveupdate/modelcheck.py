@@ -25,8 +25,7 @@ from .monitor import cut_from_phi, reachable_obligations
 from .rewrite import evolve, strip
 from .traces import APTable, Cube, FiniteTrace
 
-__all__ = ["LiveProblem", "Verdict", "mc_finite_live", "mc_universal_live", "mc_obligations",
-           "mc_universal_product"]
+__all__ = ["LiveProblem", "mc_finite_live", "mc_universal_live", "mc_obligations", "mc_universal_product"]
 
 
 @dataclass

@@ -61,10 +61,6 @@ class ObligationMonitor:
     edges: list[dict[Letter, int]]
     cut_against: MooreMachine | None = None
 
-    @property
-    def relevant(self) -> frozenset[str]:
-        return self.phi.atoms
-
     def label(self, node: int) -> Formula:
         return strip(self.nodes[node].formula)
 
@@ -77,7 +73,7 @@ class ObligationMonitor:
         """
         key = frozenset(letter)
         if self.cut_against is None:
-            key &= self.relevant
+            key &= self.phi.atoms
         row = self.edges[node]
         if key in row:
             return row[key]
@@ -176,8 +172,7 @@ def cut_from_phi(phi: Formula, ts_i: MooreMachine, anchor: Anchor = "state",
     formula with the machine state reached.  A cut that runs past the
     ``time.monotonic()`` ``deadline`` raises ``TimeoutError``.
     """
-    if not phi.atoms <= ts_i.ap.all:
-        raise ValueError("monitored formula mentions propositions the machine does not declare")
+    ts_i.ap.check_formula(phi)
     return _monitor(phi, anchor, max_states, deadline, ts_i)
 
 

@@ -95,9 +95,6 @@ class EnvMachine:
         return [(a | emit, a | emit, dst) for a in all_letters(self.ap.outputs)
                 for emit, dst in [self.table[(state, a)]]]
 
-    def __len__(self) -> int:
-        return self.k
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -116,21 +113,20 @@ class SynthesisResult:
 class _Encoder:
     """CNF encoding of one bounded-synthesis instance.
 
-    ``mode`` is "moore" (synthesize the system: outputs on states, inputs
-    read) or "mealy-env" (synthesize the environment: inputs on edges,
-    outputs read).
+    ``side`` is "system" (a Moore machine: outputs on states, inputs read)
+    or "environment" (a Mealy strategy: inputs on edges, outputs read).
     """
 
-    def __init__(self, automata: list[BuchiAutomaton], ap: APTable, k: int, mode: str):
+    def __init__(self, automata: list[BuchiAutomaton], ap: APTable, k: int, side: str):
         self.automata = automata
         self.ap = ap
         self.k = k
         self.kcount = max(3, k)  # bound on the rejecting visits counted within one accepting SCC
-        self.mode = mode
-        reads = ap.inputs if mode == "moore" else ap.outputs
+        self.moore = side == "system"
+        reads = ap.inputs if self.moore else ap.outputs
         self.read = all_letters(reads)
         self.readset = frozenset(reads)
-        self.emit = ap.outputs if mode == "moore" else ap.inputs
+        self.emit = ap.outputs if self.moore else ap.inputs
         self.nv = 0
         self.clauses: list[list[int]] = []
         self._build()
@@ -144,7 +140,7 @@ class _Encoder:
         self.trans = {
             (t, a): [self.newvar() for _ in range(k)] for t in range(k) for a in read
         }
-        if self.mode == "moore":
+        if self.moore:
             self.out = {(t, o): self.newvar() for t in range(k) for o in self.emit}
         else:
             self.out = {
@@ -161,9 +157,9 @@ class _Encoder:
         bound, kept until ``forget()``: its doomed states, accepting
         SCCs and counted states, and per state and read letter the moves
         ``(q2, same, emitted, inside, inc)`` of the edges that admit the letter."""
-        key = (id(nba), self.read, self.emit)
+        key = (nba, self.read, self.emit)
         if key in _SHAPES:
-            return _SHAPES[key][1]
+            return _SHAPES[key]
         # an accepting state that loops on every letter is a violation once
         # reached: it gets no edges, and its reach variables are false
         doomed = [q for q in sorted(nba.accepting)
@@ -197,8 +193,8 @@ class _Encoder:
                 for i in admitted:
                     per_letter[i].append(edge)
             moves.append(tuple(map(tuple, per_letter)))
-        _SHAPES[key] = nba, (doomed, scc, counted, moves)  # kept, so no other takes its id
-        return _SHAPES[key][1]
+        _SHAPES[key] = doomed, scc, counted, moves
+        return _SHAPES[key]
 
     def _encode_automaton(self, nba: BuchiAutomaton) -> None:
         k, K, read, clauses = self.k, self.kcount, self.read, self.clauses
@@ -215,7 +211,7 @@ class _Encoder:
         # a target state's reach and counter variables, by machine state
         reach_to = [[reach[(t2, q2)] for t2 in range(k)] for q2 in range(n)]
         cnt_to = [[cnt[(t2, q2)] for t2 in range(k)] if q2 in scc else None for q2 in range(n)]
-        moore, out = self.mode == "moore", self.out
+        moore, out = self.moore, self.out
         for t in range(k):
             guards: dict = {}  # per emitted outputs (and letter, on the Mealy side)
             rows = [[-v for v in self.trans[(t, a)]] for a in read]  # negated, like chain
@@ -309,8 +305,7 @@ class _Attempt:
         at ``target`` conflicts; ``TimeoutError`` means the deadline passed.
         An external solver answers in one run, under the deadline alone."""
         if self.enc is None:
-            enc = self.enc = _Encoder(self.automata, problem.ap, self.k,
-                                      "moore" if self.side == "system" else "mealy-env")
+            enc = self.enc = _Encoder(self.automata, problem.ap, self.k, self.side)
             self.clauses = len(enc.clauses)
             if self.budget is not None:
                 self.sat = Solver(enc.nv, enc.clauses)
@@ -337,8 +332,8 @@ _SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per 
 _ENV_CONFLICTS = 512  # the same for the environment bounds
 _ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
-# (automaton id, read letters, emitted propositions) -> (automaton, encoding shape)
-_SHAPES: dict[tuple, tuple[BuchiAutomaton, tuple]] = {}
+# (automaton, read letters, emitted propositions) -> encoding shape
+_SHAPES: dict[tuple, tuple] = {}
 # verified verdicts per (spec, ap, bounds, cap, solver); an unknown is never kept.
 # Their machines are also the kept machines that synth_ltl tries on other specs
 _SYNTH: dict[tuple, SynthesisResult] = {}
@@ -494,9 +489,9 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         # that passes the check answers bound k
         nonlocal stage
         stage, t0 = "the check of a kept machine", time.monotonic()
-        machines = {id(r.machine): r.machine for r in _SYNTH.values()
-                    if r.machine is not None and len(r.machine) == k and r.machine.ap == problem.ap}
-        for m in machines.values():
+        machines = dict.fromkeys(r.machine for r in _SYNTH.values() if r.machine is not None
+                                 and len(r.machine) == k and r.machine.ap == problem.ap)
+        for m in machines:
             if mc_ltl(m, spec, deadline=deadline).passed:
                 stats.append({"side": "system", "bound": k, "kept": True, "vars": 0, "clauses": 0,
                               "budget": None, "conflicts": 0, "time": time.monotonic() - t0,

@@ -388,6 +388,23 @@ def test_bench_unknown_initial_system_is_unknown(capsys):
                                 "attempt at bound 1")
 
 
+def test_bench_unknown_row_keeps_its_obligation_table(monkeypatch, capsys):
+    # a conjunction that ends unknown after the cut still has its table: the
+    # row counts its outcomes and gives the reason
+    from liveupdate import cli
+    from liveupdate.synthesis import SynthesisResult
+    reason = "no machine up to bound 16 and no environment strategy up to bound 16"
+    table = ({"obligation": "F g", "outcome": "realizable"}, {"obligation": "G F r", "outcome": "unknown"})
+    monkeypatch.setattr(cli, "synth_universal_live", lambda *args, **kwargs: SynthesisResult(
+        "unknown", per_obligation=table, reason=reason))
+    code = main(["bench", "--rows", "visit->seq-visit", "--json"])
+    [row] = json.loads(capsys.readouterr().out)
+    assert code == 2
+    del row["time"]
+    assert row == {"row": "visit->seq-visit", "om_labels": 2, "fin_trace_realizable": 1,
+                   "fin_trace_unknown": 1, "universal": "unknown", "expected": "real", "reason": reason}
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_bench_unrealizable_initial_system_is_an_error(monkeypatch, capsys, as_json):
     from liveupdate import cli

@@ -89,6 +89,11 @@ def test_print_parse_roundtrip():
         assert parse_formula(str(f)) is f
 
 
+def test_repr_shows_the_printed_formula():
+    f = parse_formula("G (r -> F g)")
+    assert repr(f) == f"<Formula {f}>" == "<Formula G (F g || !r)>"
+
+
 def test_canonical_two_level():
     deep = f_or((f_and((a, f_or((b, f_and((c, a)))))), c))
     g = canonical(deep)

@@ -50,6 +50,11 @@ def test_run_rejects_undeclared_input():
                         ((L("r"), L(), L("r", "zzz"), L("r")), ["zzz"])):
         with pytest.raises(ValueError, match=re.escape(f"undeclared input propositions: {names}")):
             m.run(word)
+    # a cube ignores a name it does not mention, but no state has a move on a
+    # letter outside the machine's inputs
+    for inp, names in ((L("zzz"), ["zzz"]), (L("r", "g"), ["g"])):
+        with pytest.raises(ValueError, match=re.escape(f"undeclared input propositions: {names}")):
+            m.delta(m.initial, inp)
 
 
 def test_fin_traces_depths():

@@ -174,6 +174,15 @@ def test_problem_validation():
         LiveProblem(parse_formula("undeclared"), t_true(), ap, eta=())
 
 
+def test_each_checker_needs_its_kind_of_problem(fig1_machine, relay2):
+    finite = LiveProblem(relay2.spec, t_true(), relay2.ap, eta=())
+    universal = LiveProblem(relay2.spec, t_true(), relay2.ap, ts_i=fig1_machine)
+    with pytest.raises(ValueError, match="finite-trace checking needs a recorded execution"):
+        mc_finite_live(fig1_machine, universal)
+    with pytest.raises(ValueError, match="universal checking needs the initial system"):
+        mc_universal_live(fig1_machine, finite)
+
+
 def test_both_checkers_reject_undeclared_update_propositions():
     ap = APTable(("m1",), ("i1",))
     ts_i = parse_machine("inputs: m1\noutputs: i1\nstate s0 initial { i1 }\ns0 --*--> s0\n")

@@ -143,6 +143,25 @@ def test_cut_keeps_edges_for_untracked_inputs():
     assert cut.nodes[node].machine_state == 1
 
 
+def test_a_cut_monitor_steps_only_on_the_machines_letters(top_cycle_machine):
+    # the initial state c1 outputs i1, so every letter of the machine there
+    # carries i1; the uncut monitor projects any letter onto the atoms
+    cut = cut_from_phi(parse_formula(PHI1), top_cycle_machine)
+    assert cut.nodes[cut.step(cut.initial, L("i1", "m1"))].machine_state == 0
+    with pytest.raises(KeyError, match="letter not available from this node"):
+        cut.step(cut.initial, L("m1"))
+    mon = build_monitor(parse_formula(PHI1), AP_M1, anchor="state")
+    assert mon.step(mon.initial, L("m1", "other")) == mon.step(mon.initial, L("m1"))
+
+
+def test_cut_rejects_what_build_monitor_rejects(top_cycle_machine):
+    phi = parse_formula("G (m0 -> X F i1)")
+    for build in (lambda: build_monitor(phi, top_cycle_machine.ap),
+                  lambda: cut_from_phi(phi, top_cycle_machine)):
+        with pytest.raises(ValueError, match=r"formula mentions undeclared propositions: \['m0'\]"):
+            build()
+
+
 def test_budget_error():
     phi = parse_formula("G (a -> X F b) && G (b -> X F a)")
     with pytest.raises(BudgetError, match="monitor exceeds 2 states"):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import pytest
 from liveupdate.automata import _NBA, BudgetError, _conjunct_automata, _product_lasso, ltl_to_nba, mc_ltl
 from liveupdate.benchmarks import TABLE1_ROWS, family, update_pair
 from liveupdate.formula import f_and, neg, t_true
-from liveupdate.machine import parse_machine, serialize_machine
+from liveupdate.machine import MooreMachine, parse_machine, serialize_machine
 from liveupdate.modelcheck import LiveProblem, mc_finite_live
 from liveupdate.monitor import build_monitor, cut_from_phi, reachable_obligations
 from liveupdate.parser import parse_formula
@@ -45,7 +46,7 @@ AP_RG = APTable(("r",), ("g",))
 def emit_dimacs(problem, k, side="system"):
     """The DIMACS CNF of one bound of one side of ``problem``."""
     automata = _conjunct_automata(problem.spec if side == "system" else neg(problem.spec))
-    enc = _Encoder(automata, problem.ap, k, "moore" if side == "system" else "mealy-env")
+    enc = _Encoder(automata, problem.ap, k, side)
     return sat.to_dimacs(enc.nv, enc.clauses)
 
 
@@ -60,11 +61,25 @@ def unsat(self, conflict_budget=None, deadline=None):
     return False
 
 
+def never_grant(machine):
+    """``machine`` with no output in any state.  A machine's walks read the
+    table that its constructor builds, so a corrupted copy is built anew."""
+    return MooreMachine(machine.ap, machine.names, machine.initial, [frozenset()] * len(machine),
+                        machine.edges)
+
+
 def test_constant_grant():
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> F g)"), AP_RG))
     assert result.realizable
     assert len(result.machine) == 1
     assert mc_ltl(result.machine, parse_formula("G (r -> F g)")).passed
+
+
+@pytest.mark.parametrize("bounds, cap", [((), 16), ((0, 1), 16), ((4, 8), 3)],
+                         ids=["empty", "zero", "above-cap"])
+def test_bound_schedule_is_checked(bounds, cap):
+    with pytest.raises(ValueError, match="bound schedule must start at >= 1 and stay within the cap"):
+        SynthesisProblem(parse_formula("G (r -> F g)"), AP_RG, bounds=bounds, cap=cap)
 
 
 def test_contradiction_unrealizable():
@@ -99,26 +114,26 @@ def test_monotone_in_bound():
     assert res.realizable
     k = len(res.machine)
     for k2 in (k + 1, k + 2):
-        enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, "moore")
+        enc = _Encoder(_conjunct_automata(spec), AP_RG, k2, "system")
         assert searched(enc) is not None
-    for side in ("moore", "mealy-env"):
+    for side in ("system", "environment"):
         for spec in random_specs():
-            automata = _conjunct_automata(spec if side == "moore" else neg(spec))
+            automata = _conjunct_automata(spec if side == "system" else neg(spec))
             found = [searched(_Encoder(automata, AP_RG, k, side)) is not None for k in (1, 2, 3)]
             assert found == sorted(found), (side, str(spec), found)
 
 
-@pytest.mark.parametrize("side", ["moore", "mealy-env"])
+@pytest.mark.parametrize("side", ["system", "environment"])
 def test_every_satisfiable_attempt_decodes_to_a_verified_winner(side):
     # each bound of each side on its own, not just the attempt that synth_ltl keeps
     for spec in random_specs():
-        automata = _conjunct_automata(spec if side == "moore" else neg(spec))
+        automata = _conjunct_automata(spec if side == "system" else neg(spec))
         for k in (1, 2, 3):
             enc = _Encoder(automata, AP_RG, k, side)
             model = searched(enc)
             if model is None:
                 continue
-            if side == "moore":
+            if side == "system":
                 assert mc_ltl(enc.extract_moore(model), spec).passed, (str(spec), k)
             else:
                 assert env_counterexample(enc.extract_env(model), ltl_to_nba(spec)) is None, \
@@ -132,7 +147,7 @@ def test_counters_only_in_accepting_sccs(k):
     # the sink is unreachable in every machine state
     [nba] = _conjunct_automata(parse_formula("G (r -> X g)"))
     [sink] = [q for q in nba.accepting if nba.edges[q] == ((Cube(L(), L()), q),)]
-    enc = _Encoder([nba], AP_RG, k, "moore")
+    enc = _Encoder([nba], AP_RG, k, "system")
     machine_vars = k * len(enc.trans) + len(enc.out)
     assert enc.nv == machine_vars + k * len(nba)  # transitions, outputs, reach
 
@@ -544,11 +559,10 @@ def test_corrupted_relabel_fails_verification(monkeypatch, goal, error):
 
     def corrupted(result, to, ap):
         result = relabel(result, to, ap)
-        if result.machine is not None:  # never grant
-            result.machine.outputs = [frozenset() for _ in result.machine.outputs]
-        else:  # always request
-            env = result.certificate
-            env.table = {key: (frozenset(ap.inputs), dst) for key, (_, dst) in env.table.items()}
+        if result.machine is not None:
+            return replace(result, machine=never_grant(result.machine))
+        env = result.certificate  # always request
+        env.table = {key: (frozenset(ap.inputs), dst) for key, (_, dst) in env.table.items()}
         return result
 
     monkeypatch.setattr(synthesis, "_relabel", corrupted)
@@ -798,12 +812,7 @@ def test_finite_live_rejects_the_first_undeclared_letter(monkeypatch, eta, names
 def test_corrupted_machine_fails_verification(monkeypatch):
     extract = _Encoder.extract_moore
 
-    def never_grant(self, model):
-        machine = extract(self, model)
-        machine.outputs = [frozenset() for _ in machine.outputs]
-        return machine
-
-    monkeypatch.setattr(_Encoder, "extract_moore", never_grant)
+    monkeypatch.setattr(_Encoder, "extract_moore", lambda self, model: never_grant(extract(self, model)))
     with pytest.raises(AssertionError, match="synthesized machine failed verification"):
         synth_finite_live(t_true(), parse_formula("G F g"), (), AP_RG)
 
@@ -1051,7 +1060,7 @@ def test_encoding_has_no_tautologies(key):
     row = next(r for r in TABLE1_ROWS if r.key == key)
     bi, bu, ap = update_pair(row.initial, row.update)
     for spec in (bu.spec, f_and((bi.spec, bu.spec))):
-        for side, f in (("moore", spec), ("mealy-env", neg(spec))):
+        for side, f in (("system", spec), ("environment", neg(spec))):
             automata = _conjunct_automata(f)
             for k in (1, 2):
                 enc = _Encoder(automata, ap, k, side)
@@ -1063,7 +1072,7 @@ def test_only_an_external_attempt_keeps_the_clauses(monkeypatch):
     # clause lists and counts them; an external solver is given them
     problem = SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG)
     automata = _conjunct_automata(problem.spec)
-    count = len(_Encoder(automata, AP_RG, 2, "moore").clauses)
+    count = len(_Encoder(automata, AP_RG, 2, "system").clauses)
     internal = synthesis._Attempt("system", 2, 100, automata)
     assert internal.run(problem, None)
     assert internal.enc.clauses == [] and internal.entry(True, False)["clauses"] == count
@@ -1086,7 +1095,7 @@ def test_kept_encoding_shape_gives_the_fresh_cnf():
     # the other side, give the CNF that an empty table gives
     spec = parse_formula("G (r1 -> F (g1 && !g2)) && G (r2 -> X (g2 || !g1))")
     aps = [APTable(("r1", "r2"), ("g1", "g2")), APTable(("r2", "r1"), ("g2", "g1"))]
-    cases = [(automata, ap, k, mode) for mode, f in (("moore", spec), ("mealy-env", neg(spec)))
+    cases = [(automata, ap, k, side) for side, f in (("system", spec), ("environment", neg(spec)))
              for automata in [_conjunct_automata(f)] for ap in aps for k in (1, 2)]
     kept = [_Encoder(*case).clauses for case in cases]
     fresh = []
@@ -1096,12 +1105,12 @@ def test_kept_encoding_shape_gives_the_fresh_cnf():
     assert kept == fresh
 
 
-@pytest.mark.parametrize("side", ["moore", "mealy-env"])
+@pytest.mark.parametrize("side", ["system", "environment"])
 def test_encoder_clauses_are_proper(side):
     # the solver keeps a clause as it is given, but for its repeated literals:
     # with none, and no tautology either, it searches the encoder's CNF itself
     for spec in random_specs():
-        automata = _conjunct_automata(spec if side == "moore" else neg(spec))
+        automata = _conjunct_automata(spec if side == "system" else neg(spec))
         for k in (1, 2, 3):
             for c in _Encoder(automata, AP_RG, k, side).clauses:
                 assert c and len(set(c)) == len(c) and not set(c) & {-lit for lit in c}, \
@@ -1169,16 +1178,15 @@ def relay_ledger_runs(monkeypatch, built):
 
 
 def test_attempt_ledger_is_pinned(monkeypatch):
-    cnfs = {}  # (side, bound) -> digest, per ledger entry
+    cnfs = {}  # (system side?, bound) -> digest, per ledger entry
 
     def digest(enc):
-        side = "system" if enc.mode == "moore" else "environment"
-        cnfs[(side, enc.k)] = hashlib.sha256(sat.to_dimacs(enc.nv, enc.clauses).encode()).hexdigest()
+        cnfs[(enc.moore, enc.k)] = hashlib.sha256(sat.to_dimacs(enc.nv, enc.clauses).encode()).hexdigest()
 
     results, digests = {}, {}
     for text, result in relay_ledger_runs(monkeypatch, digest):
         results[text] = result
-        digests[text] = [cnfs[(a["side"], a["bound"])] for a in result.stats]
+        digests[text] = [cnfs[(a["side"] == "system", a["bound"])] for a in result.stats]
         cnfs.clear()
     assert {key: [(a["side"], a["bound"], a["vars"], a["clauses"], a["conflicts"], a["sat"])
                   for a in result.stats] for key, result in results.items()} == RELAY_LEDGER
@@ -1223,7 +1231,7 @@ def test_emit_dimacs_independent_of_hash_seed():
             "    parse_formula(text)\n"
             "ap = APTable(('r1',), ('g1', 'g2'))\n"
             "spec = parse_formula('G (r1 -> X (g1 && g2))')\n"
-            "enc = _Encoder(_conjunct_automata(spec), ap, 1, 'moore')\n"
+            "enc = _Encoder(_conjunct_automata(spec), ap, 1, 'system')\n"
             "print(to_dimacs(enc.nv, enc.clauses))\n"
             "res = synth_ltl(SynthesisProblem(parse_formula(sys.argv[1]), ap))\n"
             "print([{k: v for k, v in a.items() if k != 'time'} for a in res.stats])\n"

@@ -1,7 +1,7 @@
 import pytest
 
 from liveupdate.cli import main
-from liveupdate.traces import APTable, Cube, LassoTrace
+from liveupdate.traces import APTable, Cube, LassoTrace, parse_trace
 
 
 @pytest.mark.parametrize("make, message", [
@@ -14,6 +14,13 @@ def test_value_errors(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["", "  ", "\n"])
+def test_a_blank_trace_has_no_letter(text):
+    # unlike "-", which is one empty letter
+    assert parse_trace(text) == ()
+    assert parse_trace("-") == (frozenset(),)
 
 
 def test_duplicate_ap_name_in_a_problem_exits_3(tmp_path, capsys):
