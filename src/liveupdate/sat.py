@@ -14,9 +14,9 @@ variable of the highest activity, the lowest-numbered on a tie: a list holds
 each unassigned variable's activity and -1 for an assigned one, so ``max``
 and ``index`` find it without a loop in Python.  A solve is resumable in the
 manner of MiniSat's budgeted search: it stops at a conflict before analysing
-it once its conflict budget is spent, keeps its search state, and a later
-call goes on from that conflict.  So a caller continues a solve to a
-conflict target, and interleaves solvers by raising their targets in turn.
+it once its conflict budget or its work target (watch entries scanned) is
+met, keeps its search state, and a later call goes on from that conflict, so
+a caller interleaves solvers by raising their work targets in turn.
 Good enough for the constraint sizes bounded synthesis produces at desk
 scale; anything harder can be shipped to an external solver through the
 DIMACS format.
@@ -64,7 +64,7 @@ class Solver:
         self.var_inc = 1.0
         self.learned_from = 0  # clauses[i] for i >= learned_from are learned
         self.ok = True
-        self.conflicts = 0
+        self.conflicts = self.work = 0  # work: the watch entries that propagation has scanned
         self._qhead = 0  # trail position of the next literal to propagate
         # the search state that ``solve`` leaves for its next call: a conflict
         # met but not analysed (-1 for none, None before the first call), the
@@ -97,14 +97,15 @@ class Solver:
         self.trail.append(lit)
 
     def _propagate(self) -> int:
-        """Returns a conflicting clause index or -1."""
+        """Returns a conflicting clause index or -1; adds the watches it scans to ``work``."""
         value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
         level, reason, free, depth = self.level, self.reason, self.free, len(self.trail_lim)
-        i = self._qhead
+        i, work = self._qhead, 0
         while i < len(trail):
             falsified = -trail[i]
             i += 1
             watch = watches[falsified]
+            work += len(watch)
             j = 0
             while j < len(watch):
                 ci = watch[j]
@@ -127,6 +128,7 @@ class Solver:
                 else:
                     if value[first] == -1:
                         self._qhead = i
+                        self.work += work
                         return ci
                     value[first], value[-first] = 1, -1  # enqueued, the clause its reason
                     v = abs(first)
@@ -136,6 +138,7 @@ class Solver:
                     trail.append(first)
                     j += 1
         self._qhead = i
+        self.work += work
         return -1
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
@@ -224,18 +227,17 @@ class Solver:
                 watches[clause[0]].append(ci)
                 watches[clause[1]].append(ci)
 
-    def solve(self, conflict_budget: int | None = None,
-              deadline: float | None = None) -> bool | None:
+    def solve(self, conflict_budget: int | None = None, deadline: float | None = None,
+              work_target: int | None = None) -> bool | None:
         """True/False, or None when the search meets a conflict with
-        ``conflict_budget`` conflicts already analysed; raises ``TimeoutError``
-        when the ``time.monotonic()`` deadline has passed, which is read at
-        every 256th conflict met.
+        ``conflict_budget`` conflicts analysed or ``work_target`` work done;
+        raises ``TimeoutError`` when the ``time.monotonic()`` deadline has
+        passed, which is read at every 256th conflict met.
 
-        The budget is a target for the conflicts of every call together: a
-        solve that stopped goes on from the conflict it stopped at when
-        called again with a higher target, and whether a target is reached
-        in one call or in many, the solve makes the same decisions,
-        conflicts, learned clauses and model.
+        Both targets count every call together: a solve that stopped goes on
+        from the conflict it stopped at when called again with higher
+        targets, and in one call or in many, the solve makes the same
+        decisions, conflicts, learned clauses, work and model.
         """
         if not self.ok:
             return False
@@ -252,7 +254,8 @@ class Solver:
                 if deadline is not None and self.conflicts % 256 == 0 \
                         and time.monotonic() > deadline:
                     raise TimeoutError("the deadline passed during the solve")
-                if conflict_budget is not None and self.conflicts >= conflict_budget:
+                if conflict_budget is not None and self.conflicts >= conflict_budget \
+                        or work_target is not None and self.work >= work_target:
                     return None
                 self._met = -1
                 self.conflicts += 1

@@ -14,25 +14,25 @@ Unrealizability is established by the dual search: a Mealy environment reading
 the system's outputs and picking inputs so that every resulting trace violates
 the specification.  System and environment bounds are interleaved, and each
 environment attempt races the system attempts after it: the attempt behind
-continues its internal solve until it is ahead of the other, and the first to
-find a machine wins.  When an attempt ends without one, the next system
-attempt follows a system attempt, and the next environment attempt starts
-once no attempt races.  A specification cannot have both a machine and an
+continues its internal solve until its propagation work is ahead, and the first
+to find a machine wins.  When an attempt ends without one, the next system
+attempt follows a system attempt, and the next environment attempt starts once
+no attempt races.  A specification cannot have both a machine and an
 environment strategy, so the race finds what running each side's attempts one
-after the other would find, without running one to the end of its budget
-while the other holds the answer.  Every winner is re-verified before being
-reported, against the automata of the top-level conjuncts that its search
-encoded -- a machine by ``mc_ltl``, a certificate by its product with each
-environment automaton -- so checking a searched winner translates nothing.
-Each attempt has a conflict budget of the internal solver, so the order of
-attempts and their outcomes do not depend on how fast the machine is; the
-only clock is the caller's deadline.  A verdict is therefore a function of
-the specification, the propositions, the bound schedule and the solver, and
-it survives renaming inputs among inputs and outputs among outputs:
-``synth_ltl`` keeps each verified verdict until ``liveupdate.forget()``,
-answers renamed copies from it with a relabelled, re-checked machine or
-certificate, tries its machines of k states before the system attempt at
-bound k of another specification, and results are immutable.
+after the other would find, without running one to the end of its budget while
+the other holds the answer.  Every winner is re-verified before being reported,
+against the automata of the top-level conjuncts that its search encoded -- a
+machine by ``mc_ltl``, a certificate by its product with each environment
+automaton -- so checking a searched winner translates nothing.  Attempts have
+conflict budgets and race on work, not time, so the order of attempts and their
+outcomes do not depend on how fast the machine is; the only clock is the
+caller's deadline.  A verdict is therefore a function of the specification, the
+propositions, the bound schedule and the solver, and it survives renaming
+inputs among inputs and outputs among outputs: ``synth_ltl`` keeps each
+verified verdict until ``liveupdate.forget()``, answers renamed copies from it
+with a relabelled, re-checked machine or certificate, tries its machines of k
+states before the system attempt at bound k of another specification, and
+results are immutable.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ class _Attempt:
     """One bounded attempt of one side.  Its first run encodes the CNF and,
     for the internal solver, counts its clauses and hands the encoder's clause
     lists to a ``Solver``, which owns them from then on, and drops the
-    encoder's reference; each later run continues that solve.  ``budget`` is
-    None for an external solver."""
+    encoder's reference; each later run continues that solve, to its budget
+    or to a work target.  ``budget`` is None for an external solver."""
 
     def __init__(self, side: str, k: int, budget: int | None, automata: list[BuchiAutomaton]):
         self.side, self.k, self.budget, self.automata = side, k, budget, automata
@@ -296,14 +296,15 @@ class _Attempt:
         self.time = 0.0  # spent in this attempt's own runs
 
     @property
-    def analysed(self) -> int:
-        """The conflicts that its internal solve has analysed."""
-        return self.sat.conflicts if self.sat else 0
+    def effort(self) -> int:
+        """The propagation work that its internal solve has done."""
+        return self.sat.work if self.sat else 0
 
     def run(self, problem: SynthesisProblem, target: int | None) -> bool | None:
         """Whether the CNF has a model, or None when the internal solve stops
-        at ``target`` conflicts; ``TimeoutError`` means the deadline passed.
-        An external solver answers in one run, under the deadline alone."""
+        at its budget or at ``target`` work; ``TimeoutError`` means the
+        deadline passed.  An external solver answers in one run, under the
+        deadline alone."""
         if self.enc is None:
             enc = self.enc = _Encoder(self.automata, problem.ap, self.k, self.side)
             self.clauses = len(enc.clauses)
@@ -316,7 +317,7 @@ class _Attempt:
             found, self.model = solve_external(problem.solver, self.enc.nv, self.enc.clauses,
                                                timeout=timeout)
             return found
-        found = self.sat.solve(target, problem.deadline)
+        found = self.sat.solve(self.budget, problem.deadline, target)
         if found:
             self.model = self.sat.model()
         return found
@@ -330,7 +331,6 @@ class _Attempt:
 
 _SYS_CONFLICTS = 4096  # conflict budget of the first system bound, doubled per bound
 _ENV_CONFLICTS = 512  # the same for the environment bounds
-_ENV_DEFER_STATES = 120  # run the dual attempts last while their automata are this big
 _ENV_MAX_STATES = 4000  # give up on the dual search beyond this automaton size
 # (automaton, read letters, emitted propositions) -> encoding shape
 _SHAPES: dict[tuple, tuple] = {}
@@ -417,23 +417,22 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
     attempt races, so e_i starts beside the next system attempt, and an e_i
     that ends first leaves that one to run on alone (an e_i that ends early
     is mostly beside a system attempt that goes on to win, so starting
-    e_{i+1} at once would mostly encode a CNF for nothing).  While the
-    environment automata are large, e_i also waits until no system bound is
-    left, so that realizable instances are not taxed by them; when they
-    exceed their state budget, only the system bounds run.  Started
-    attempts go first, the environment attempt ahead, so the attempt behind
-    runs first, and it continues its solve until it is ahead: the
-    environment attempt to one conflict more than the system attempt, the
-    system attempt to as many as the environment attempt.  An attempt alone
-    runs to its budget in one solve; once one finds a model the other stops.
-    An external solver has no conflict count, so each of its attempts is one
-    call, and a pair runs e_i and then the system attempt.  The translation
-    of either side's automata reads the deadline too.
-    The i-th bound of a side gets ``_SYS_CONFLICTS * 2**i`` or
-    ``_ENV_CONFLICTS * 2**i`` conflicts of the internal solver; without a
-    deadline the search path is the same on any machine.  ``stats`` has one
-    entry per attempt that started, in the order they ended; an attempt
-    stopped because its partner won has ``sat`` None and ``timeout`` False.
+    e_{i+1} at once would mostly encode a CNF for nothing).  When the
+    environment automata exceed their state budget, only the system bounds
+    run.  Started attempts go first, the environment attempt ahead, so the
+    attempt behind runs first, and it continues its solve until it is ahead
+    in propagation work, which takes about as long per unit in any CNF: the
+    environment attempt to one unit more, the system attempt to as much,
+    each within its conflict budget.  An attempt alone runs to its budget
+    in one solve; once one finds a model the other stops.  An external
+    solver counts no work, so each of its attempts is one call, and a pair
+    runs e_i and then the system attempt.  The translation of either side's
+    automata reads the deadline too.  The i-th bound of a side gets
+    ``_SYS_CONFLICTS * 2**i`` or ``_ENV_CONFLICTS * 2**i`` conflicts of the
+    internal solver; without a deadline the search path is the same on any
+    machine.  ``stats`` has one entry per attempt that started, in the order
+    they ended; an attempt stopped because its partner won has ``sat`` None
+    and ``timeout`` False.
 
     Memoized until ``liveupdate.forget()``: a realizable or unrealizable
     result is kept once its machine or certificate has passed the check, and
@@ -516,20 +515,19 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
         systems = [_Attempt("system", k, _SYS_CONFLICTS * 2 ** i if internal else None, sys_automata)
                    for i, k in enumerate(b for b in problem.bounds if b <= problem.cap)]
         envs = iter(())  # the environment attempts, once translated, started one by one
-        defer = False  # whether they wait until no system bound is left
         live.append(systems.pop(0))
         while live:
             a, t0 = live[0], time.monotonic()
             if a.enc is None and deadline is not None and t0 > deadline:
                 return end("unknown", f"the deadline passed before the {a.side} attempt "
                                       f"at bound {a.k}")
-            target = a.budget  # alone, an attempt runs to its budget in one solve
-            if target is not None and len(live) == 2:  # in a pair, until it is ahead
-                target = min(target, live[1].analysed + (a.side == "environment"))
+            target = None  # alone, an attempt runs to its budget in one solve
+            if a.budget is not None and len(live) == 2:  # in a pair, until its work is ahead
+                target = live[1].effort + (a.side == "environment")
             stage = a
             found = a.run(problem, target)
             a.time += time.monotonic() - t0
-            if found is None and a.analysed < a.budget:
+            if found is None and a.sat.conflicts < a.budget:
                 live.reverse()  # ahead of the other attempt of its pair, which runs next
                 continue
             # An exhausted budget just abandons the attempt (recorded as
@@ -555,9 +553,8 @@ def synth_ltl(problem: SynthesisProblem) -> SynthesisResult:
                 else:
                     envs = (_Attempt("environment", k, _ENV_CONFLICTS * 2 ** i if internal else None,
                                      env_automata) for i, k in enumerate(range(1, problem.cap + 1)))
-                    defer = sum(len(q.labels) for q in env_automata) > _ENV_DEFER_STATES
             # the refill rule; started attempts go first, the environment attempt ahead
-            started = [next(envs, None)] if not live and not (defer and systems) else []
+            started = [next(envs, None)] if not live else []
             if a.side == "system" and systems:
                 started.append(systems.pop(0))
             live[:0] = filter(None, started)

@@ -53,6 +53,15 @@ def random_formula(rng: random.Random, aps: list[str], depth: int,
     return f_globally(random_formula(rng, aps, depth - 1, allow_false))
 
 
+def until_chain(n: int) -> str:
+    """``X (g U (r U (g U ... (r U r))))``: ``n`` untils, from the outside in
+    ``g U`` and ``r U`` in turn, around ``r``."""
+    text = "r"
+    for i in reversed(range(n)):
+        text = f"({'gr'[i % 2]} U {text})"
+    return f"X {text}"
+
+
 def random_letter(rng: random.Random, aps: list[str], density: float = 0.5) -> frozenset:
     return frozenset(a for a in aps if rng.random() < density)
 

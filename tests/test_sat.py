@@ -155,31 +155,36 @@ def test_parse_solver_output():
     assert sat is False
 
 
-def _continued(s, budget=None):
-    """``s`` solved on one conflict per call, until ``budget`` conflicts."""
-    while (got := s.solve(conflict_budget=s.conflicts + 1)) is None:
+def _continued(s, budget=None, work=None):
+    """``s`` solved on one conflict per call, or with its work target raised
+    by ``work`` per call, until ``budget`` conflicts."""
+    while (got := s.solve(conflict_budget=s.conflicts + 1) if work is None
+           else s.solve(conflict_budget=budget, work_target=s.work + work)) is None:
         if budget is not None and s.conflicts >= budget:
             return None
     return got
 
 
 def _search_state(s):
-    return s.conflicts, s.clauses, s.trail, s.model()
+    return s.conflicts, s.work, s.clauses, s.trail, s.model()
 
 
 def test_solve_continued_one_conflict_at_a_time():
     # random 3-SAT near the threshold: each solve, continued one conflict at
-    # a time, learns the clauses and ends with the trail of one solve.  Each
-    # solver owns its clauses, so each is loaded from its own copy
+    # a time or one work target at a time, learns the clauses, does the work
+    # and ends with the trail of one solve.  Each solver owns its clauses, so
+    # each is loaded from its own copy
     rng = random.Random(2003)
     verdicts = []
     for _ in range(40):
         nv = rng.randrange(20, 60)
         clauses = random_3sat(rng, nv)
-        whole, sliced = Solver(nv, clauses), Solver(nv, [c[:] for c in clauses])
+        slices = {work: Solver(nv, [c[:] for c in clauses]) for work in (None, 1, 100)}
+        whole = Solver(nv, clauses)
         verdicts.append(whole.solve())
-        assert _continued(sliced) == verdicts[-1]
-        assert _search_state(sliced) == _search_state(whole)
+        for work, sliced in slices.items():
+            assert _continued(sliced, work=work) == verdicts[-1]
+            assert _search_state(sliced) == _search_state(whole)
     assert True in verdicts and False in verdicts
 
 

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from liveupdate.synthesis import (
 )
 from liveupdate.traces import APTable, Cube, LassoTrace, all_letters, parse_trace
 
-from gen import random_formula
+from gen import random_formula, until_chain
 from nba import accepts_lasso
 
 
@@ -56,7 +57,7 @@ def searched(enc):
     return s.model() if s.solve() else None
 
 
-def unsat(self, conflict_budget=None, deadline=None):
+def unsat(self, conflict_budget=None, deadline=None, work_target=None):
     """A ``Solver.solve`` that ends every attempt at once, without a model."""
     return False
 
@@ -198,6 +199,17 @@ def test_finite_live_forced_grant_conflict():
     assert result.outcome == "unrealizable"
 
 
+def test_a_long_until_chain_is_refuted_beside_the_system_attempts():
+    # after the letter r, the obligation of 160 untils has a 3-state system
+    # automaton and a 161-state environment automaton: s1 ends without a
+    # machine, and e1 wins beside s2, well within the deadline
+    phi = parse_formula(until_chain(160))
+    result = synth_finite_live(phi, t_true(), (L("r"),), AP_RG, deadline=time.monotonic() + 30)
+    assert result.outcome == "unrealizable"
+    assert [(a["side"], a["bound"], a["sat"]) for a in result.stats] == [
+        ("system", 1, False), ("environment", 1, True)]
+
+
 def test_universal_trivial_initial(monkeypatch):
     from liveupdate.machine import parse_machine
     builds = []
@@ -236,7 +248,7 @@ def test_universal_deadline_is_one_deadline(monkeypatch, fig1_machine, relay2):
     now = [100.0]
     starts = []
 
-    def slow_solve(self, conflict_budget=None, deadline=None):
+    def slow_solve(self, conflict_budget=None, deadline=None, work_target=None):
         starts.append(now[0] - 100.0)
         now[0] += 3.0
         return False  # ends at its first run, without a conflict or a model
@@ -275,27 +287,23 @@ def test_universal_deadline_reaches_the_monitor_cut(monkeypatch, fig1_machine, r
     assert now[0] == 111.0
 
 
-@pytest.mark.parametrize("defer_states,order", [
-    (120, [("system", 1, 4096), ("environment", 1, 512), ("system", 2, 8192),
-           ("environment", 2, 1024), ("system", 3, 16384), ("environment", 3, 2048)]),
-    (0, [("system", 1, 4096), ("system", 2, 8192), ("system", 3, 16384),
-         ("environment", 1, 512), ("environment", 2, 1024), ("environment", 3, 2048)]),
-])
-def test_attempt_order(monkeypatch, defer_states, order):
+def test_attempt_order(monkeypatch):
     # (side, bound, conflict budget) of each attempt, on a frozen clock
     monkeypatch.setattr(synthesis, "time", SimpleNamespace(monotonic=lambda: 100.0))
-    monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", defer_states)
     monkeypatch.setattr(sat.Solver, "solve", unsat)
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG, cap=3))
     assert result.outcome == "unknown"
-    assert [(a["side"], a["bound"], a["budget"]) for a in result.stats] == order
+    assert [(a["side"], a["bound"], a["budget"]) for a in result.stats] == [
+        ("system", 1, 4096), ("environment", 1, 512), ("system", 2, 8192),
+        ("environment", 2, 1024), ("system", 3, 16384), ("environment", 3, 2048)]
 
 
 def scripted_runs(monkeypatch, needs):
-    """Replace each attempt's solve by a script: the attempt of side and
-    bound ``key`` ends without a model once it has analysed ``needs[key]``
-    conflicts, and one that reaches its budget first runs out of it.  Returns
-    the log of runs, as (side, bound, target)."""
+    """Replace each attempt's solve by a script where each conflict is one
+    unit of work: the attempt of side and bound ``key`` ends without a model
+    once it has analysed ``needs[key]`` conflicts, and one that reaches its
+    budget first runs out of it.  Returns the log of runs, as (side, bound,
+    work target)."""
     runs = []
 
     def run(self, problem, target):
@@ -303,9 +311,10 @@ def scripted_runs(monkeypatch, needs):
         self.enc = self.enc or SimpleNamespace(nv=0)
         if self.budget is None:  # an external solver answers in one run
             return False
-        self.sat = self.sat or SimpleNamespace(conflicts=0)
+        self.sat = self.sat or SimpleNamespace(conflicts=0, work=0)
         need = needs[(self.side, self.k)]
-        self.sat.conflicts = min(target, need, self.budget)
+        reached = self.budget if target is None else min(target, self.budget)
+        self.sat.conflicts = self.sat.work = min(reached, need)
         return False if self.sat.conflicts == need else None
 
     monkeypatch.setattr(synthesis._Attempt, "run", run)
@@ -322,9 +331,9 @@ def test_environment_attempt_outlives_the_last_system_bound(monkeypatch):
     assert result.outcome == "unknown"
     assert [(a["side"], a["bound"]) for a in result.stats] == [
         ("system", 1), ("system", 2), ("environment", 1), ("environment", 2)]
-    assert runs == [("system", 1, 4096), ("environment", 1, 1), ("system", 2, 1),
-                    ("environment", 1, 2), ("system", 2, 2), ("environment", 1, 512),
-                    ("environment", 2, 1024)]
+    assert runs == [("system", 1, None), ("environment", 1, 1), ("system", 2, 1),
+                    ("environment", 1, 2), ("system", 2, 2), ("environment", 1, None),
+                    ("environment", 2, None)]
 
 
 def test_external_solver_runs_each_pair_in_turn(monkeypatch):
@@ -372,7 +381,7 @@ def test_environment_schedule_is_lazy(monkeypatch):
     # must not decide how much memory the four attempts take
     now = [100.0]
 
-    def slow_unsat(self, conflict_budget=None, deadline=None):
+    def slow_unsat(self, conflict_budget=None, deadline=None, work_target=None):
         now[0] += 3.0
         return False
 
@@ -704,19 +713,19 @@ def test_only_a_kept_machine_of_the_bound_and_the_table_is_tried(monkeypatch, bo
 
 
 def test_a_kept_answer_stops_the_environment_attempt_beside_it():
-    # arbiter-full(2): e1 still races when s3 ends without a machine, so
-    # the 4-state machine kept from the search with cap 4 answers s4 of the
-    # search with cap 6, and e1 is recorded as stopped after it
-    inst = family("arbiter-full", 2)
-    first = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
-    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=6))
-    assert result.machine is first.machine and len(result.machine) == 4
+    # load-balancer(3): e1 still races when s2 ends without a machine, so
+    # the 3-state machine kept from the search with cap 3 answers s3 of the
+    # search with cap 5, and e1 is recorded as stopped after it
+    inst = family("load-balancer", 3)
+    first = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=3))
+    result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=5))
+    assert result.machine is first.machine and len(result.machine) == 3
     *searched, entry, stopped = result.stats
-    assert without_time(searched) == without_time(first.stats[:3])
-    assert entry["kept"] and (entry["side"], entry["bound"]) == ("system", 4)
+    assert without_time(searched) == without_time(first.stats[:2])
+    assert entry["kept"] and (entry["side"], entry["bound"]) == ("system", 3)
     assert (stopped["side"], stopped["bound"], stopped["sat"], stopped["timeout"]) == (
         "environment", 1, None, False)
-    assert stopped["conflicts"] <= first.stats[3]["conflicts"]
+    assert stopped["conflicts"] <= first.stats[2]["conflicts"]
 
 
 def test_check_of_a_kept_machine_past_the_deadline_is_unknown(monkeypatch):
@@ -1030,23 +1039,23 @@ def test_universal_verdict_survives_a_conjunction_out_of_budget(monkeypatch):
      "external solver gave no verdict in the environment attempt at bound 1"),
 ], ids=["deadline", "solver"])
 def test_running_out_in_a_pair_names_the_attempt(monkeypatch, exc, reason):
-    # s1 ends without a machine; e1 and s2 race, each a conflict ahead in
-    # turn, and e1's second run raises: its entry comes first, with timeout
+    # s1 ends without a machine; e1 and s2 race, each a unit of work ahead
+    # in turn, each under its conflict budget, and e1's second run raises: its entry comes first, with timeout
     # set for the deadline alone, then s2's, stopped
     calls = []
 
-    def solve(self, conflict_budget=None, deadline=None):
-        calls.append(conflict_budget)
+    def solve(self, conflict_budget=None, deadline=None, work_target=None):
+        calls.append((conflict_budget, work_target))
         if len(calls) == 1:
             return False
         if len(calls) == 4:
             raise exc
-        self.conflicts = conflict_budget
+        self.work = work_target
         return None
 
     monkeypatch.setattr(sat.Solver, "solve", solve)
     result = synth_ltl(SynthesisProblem(parse_formula("G (r -> X g)"), AP_RG))
-    assert calls == [4096, 1, 1, 2]
+    assert calls == [(4096, None), (512, 1), (8192, 1), (512, 2)]
     assert result.outcome == "unknown" and result.reason == reason
     assert [(a["side"], a["bound"], a["sat"], a["timeout"]) for a in result.stats] == [
         ("system", 1, False, False),
@@ -1294,23 +1303,6 @@ def _found(result):
     return result.outcome, machine, env and (env.k, env.initial, env.table)
 
 
-def test_pairs_find_what_the_attempts_find_alone(monkeypatch):
-    # with _ENV_DEFER_STATES at 0 every attempt runs alone, all system bounds
-    # first: the winner, and so the machine or certificate, is the same
-    bi, bu, ap = update_pair(("arbiter-simple", 2), ("arbiter-full", 2))
-    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
-    problems = [SynthesisProblem(f_and((o, bu.spec)), ap, cap=4)
-                for o in reachable_obligations(cut_from_phi(bi.spec, ts_i))]
-    rng = random.Random(1703)
-    problems += [SynthesisProblem(f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)]),
-                                  AP_RG, cap=3) for _ in range(60)]
-    paired = [_found(synth_ltl(p)) for p in problems]
-    forget()
-    monkeypatch.setattr(synthesis, "_ENV_DEFER_STATES", 0)
-    assert [_found(synth_ltl(p)) for p in problems] == paired
-    assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in paired}
-
-
 def _first_models(problem):
     """What each side's attempts find run alone, in bound order, each to its
     budget: the first machine, or else the first environment strategy."""
@@ -1336,8 +1328,8 @@ def test_race_keeps_each_sides_first_model():
     # both a machine and an environment strategy: racing the attempts finds
     # what running them one after the other finds
     inst = family("arbiter-full", 2)
-    # abp-receiver:1->2's obligations: in the realizable one, e1 races s2,
-    # s3 and s4, and s4 wins; in the other, e1 wins
+    # abp-receiver:1->2's obligations: in the realizable one, e1 races s2
+    # and s3, then e2 races s4, which wins; in the other, e1 wins
     bi, bu, ap = update_pair(("abp-receiver", 1), ("abp-receiver", 2))
     ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
     problems = ([SynthesisProblem(spec, AP_RG, cap=3) for spec in random_specs()]
@@ -1350,6 +1342,24 @@ def test_race_keeps_each_sides_first_model():
         found.append(_found(synth_ltl(p)))
     assert found == [_first_models(p) for p in problems]
     assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in found}
+
+
+def test_pairs_find_what_the_attempts_find_alone():
+    # every attempt run alone, all system bounds first, finds the winner the
+    # paired race finds, and so the same machine or certificate
+    bi, bu, ap = update_pair(("arbiter-simple", 2), ("arbiter-full", 2))
+    ts_i = synth_ltl(SynthesisProblem(bi.spec, bi.ap)).machine
+    problems = [SynthesisProblem(f_and((o, bu.spec)), ap, cap=4)
+                for o in reachable_obligations(cut_from_phi(bi.spec, ts_i))]
+    rng = random.Random(1703)
+    problems += [SynthesisProblem(f_and([random_formula(rng, ["r", "g"], 3) for _ in range(2)]),
+                                  AP_RG, cap=3) for _ in range(60)]
+    paired = []
+    for p in problems:
+        forget()
+        paired.append(_found(synth_ltl(p)))
+    assert paired == [_first_models(p) for p in problems]
+    assert {"realizable", "unrealizable"} <= {outcome for outcome, _, _ in paired}
 
 
 def test_stopped_attempt_is_recorded():
@@ -1370,34 +1380,38 @@ def test_stopped_attempt_is_recorded():
 
 
 def test_attempt_behind_runs_until_it_is_ahead(monkeypatch):
-    # arbiter-full(2): e1 races s2, then s3 as each ends without a machine,
-    # then s4, which wins after e1 ends; e1 never runs alone, and e2 never
-    # starts.  Each run of the attempt behind takes it just past the other.
-    runs = []  # (solver, conflicts before the run, conflicts after it)
+    # arbiter-full(2): e1 races s2, then s3 as s2 ends without a machine, and
+    # ends first; s3 runs on alone, then e2 races s4, which wins.  Each run of
+    # the attempt behind takes its work past the other's, by one for the
+    # environment attempt, and the other runs next.
+    runs = []  # (solver, work before the run, work after it, verdict)
     solve = sat.Solver.solve
 
     def logged(self, *args, **kwargs):
-        before = self.conflicts
-        try:
-            return solve(self, *args, **kwargs)
-        finally:
-            runs.append((self, before, self.conflicts))
+        before = self.work
+        found = solve(self, *args, **kwargs)
+        runs.append((self, before, self.work, found))
+        return found
 
     monkeypatch.setattr(sat.Solver, "solve", logged)
     inst = family("arbiter-full", 2)
     result = synth_ltl(SynthesisProblem(inst.spec, inst.ap, cap=4))
     assert result.outcome == "realizable"
     assert [(a["side"], a["bound"]) for a in result.stats] == [
-        ("system", 1), ("system", 2), ("system", 3), ("environment", 1), ("system", 4)]
+        ("system", 1), ("system", 2), ("environment", 1), ("system", 3), ("system", 4),
+        ("environment", 2)]
     assert not any(a["timeout"] for a in result.stats)
     # each attempt's CNF has its own number of variables
-    attempt = {s: (a["side"], a["bound"]) for a in result.stats for s, _, _ in runs
+    attempt = {s: (a["side"], a["bound"]) for a in result.stats for s, *_ in runs
                if s.nvars == a["vars"]}
     assert len(attempt) == len(set(attempt.values())) == len(result.stats)
-    e1 = [i for i, (s, _, _) in enumerate(runs) if attempt[s] == ("environment", 1)]
-    assert len(e1) > 1
-    for i in e1:  # the attempt that runs next is the one beside it
-        beside, before, _ = runs[i + 1]
-        assert attempt[beside][0] == "system"
-        assert runs[i][2] <= before + 1
-    assert [attempt[s] for s, _, _ in runs].count(("system", 1)) == 1
+    stopped = [i for i, (*_, found) in enumerate(runs) if found is None]
+    assert {attempt[runs[i][0]] for i in stopped} == {
+        ("system", 2), ("environment", 1), ("system", 3), ("system", 4), ("environment", 2)}
+    for i in stopped:  # the attempt that runs next is the one beside it, behind
+        s, before, after, _ = runs[i]
+        beside, other, _, _ = runs[i + 1]
+        ahead = other + (attempt[s][0] == "environment")
+        assert attempt[beside][0] != attempt[s][0]
+        assert before < ahead <= after
+    assert [attempt[s] for s, *_ in runs].count(("system", 1)) == 1
