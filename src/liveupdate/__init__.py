@@ -21,9 +21,9 @@ from .traces import APTable, LassoTrace, parse_trace
 
 __version__ = "0.1.0"
 
-_TABLES = (formula._ATOMS, formula._NEG, formula._DNF, formula._CANON, traces._LETTERS,
+_TABLES = (formula._NEG, formula._DNF, formula._CANON, traces._LETTERS,
            rewrite._AF, rewrite._AF_RAW, rewrite._PARTS, rewrite._STRIP,
-           automata._NBA, automata._CUBES, automata._STEPS,
+           automata._NBA, automata._STEPS,
            synthesis._SHAPES, synthesis._SYNTH, synthesis._CLASSES, synthesis._FINITE)
 
 

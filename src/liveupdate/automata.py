@@ -18,8 +18,7 @@ ids are breadth-first discovery order from the one initial state 0, which
 fixes the variable order of the synthesis CNF; a translation's state budget
 counts every state that it builds.  Automata are immutable, and
 ``ltl_to_nba`` is memoized per (formula, state budget) until
-``liveupdate.forget()``, so every caller of one formula shares one automaton;
-equal edge labels are one ``Cube`` object across all of them.
+``liveupdate.forget()``, so every caller of one formula shares one automaton.
 
 A specification becomes automata one way: one automaton for the negation of
 each top-level conjunct (``_conjunct_automata``).  Bounded synthesis encodes
@@ -147,8 +146,6 @@ def explore(initials: Iterable[Hashable], successors: Callable[[Hashable], Itera
 # (formula, max_states) -> automaton; formulas are hash-consed, so the key is
 # exact.  A budget that runs out raises and caches nothing.
 _NBA: dict[tuple[Formula, int], BuchiAutomaton] = {}
-# (atoms, letter) -> the one edge label that every automaton shares
-_CUBES: dict[tuple[frozenset[str], Letter], Cube] = {}
 # conjunct set -> its steps ((cube, pending untils), successor conjunct set), one
 # per letter and disjunct of the derivative; the pending untils are the until
 # units of the successor that the letter leaves unfulfilled
@@ -178,9 +175,7 @@ def _steps(units: frozenset[Formula]) -> tuple[Step, ...]:
         atoms = state_formula.atoms
         steps = []
         for letter in all_letters(sorted(atoms)):
-            cube = _CUBES.get((atoms, letter))
-            if cube is None:
-                cube = _CUBES[(atoms, letter)] = Cube(letter, atoms - letter)
+            cube = Cube(letter, atoms - letter)
             for d in dnf_units(af(state_formula, letter)):
                 pending = frozenset(u for u in d if u.kind == "U" and
                                     not any(rd <= d for rd in dnf_units(af(u.right, letter))))

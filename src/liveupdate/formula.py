@@ -6,7 +6,9 @@ is ``is`` and costs O(1), and its hash is the built-in identity hash.  The
 iteration order of a set of formulas therefore follows memory addresses, and
 no result may follow it.  Every formula also carries an integer ``key``, a
 hash of its structure alone, which orders the operands of ``and``/``or``, so
-no result depends on which formulas the process built before.
+no result depends on which formulas the process built before.  The key and
+the ``atoms``, the propositions that the formula mentions, are fixed when it
+is interned.
 
 Construction goes through the module-level builders (``atom``, ``f_and``,
 ``f_until``, ...) which keep terms in normal form: negation exists only on
@@ -17,10 +19,11 @@ logically equivalent formulas may still be distinct terms.
 
 Every walk over a formula is a ``fold``: one post-order pass over its
 distinct nodes that keeps its own stack, so a shared subterm is visited once
-and no nesting depth exhausts Python's recursion limit.  The atoms, the
-negation, the DNF and the canonical form of a formula are memoized in
-process-wide tables until ``liveupdate.forget()``; the intern table outlives
-it, so a formula built before is the one built after.
+and no nesting depth exhausts Python's recursion limit.  The negation, the
+DNF and the canonical form of a formula are memoized in process-wide tables
+until ``liveupdate.forget()``; the intern table, and with it each formula's
+``key`` and ``atoms``, outlives it, so a formula built before is the one
+built after.
 """
 
 from __future__ import annotations
@@ -64,10 +67,12 @@ class Formula:
 
     The interned object is the identity and the hash (no ``__eq__`` or
     ``__hash__`` is defined); ``key``, a 61-bit hash of the kind, the name
-    and the operands' keys, orders the operands of ``and``/``or``.
+    and the operands' keys, orders the operands of ``and``/``or``.  ``atoms``
+    is the set of proposition names occurring in the formula.  Both are set
+    when the node is interned and outlive ``forget()``.
     """
 
-    __slots__ = ("kind", "name", "left", "right", "children", "key")
+    __slots__ = ("kind", "name", "left", "right", "children", "key", "atoms")
 
     _intern: dict[tuple, "Formula"] = {}
 
@@ -77,18 +82,13 @@ class Formula:
     right: "Formula | None"
     children: tuple["Formula", ...]
     key: int
+    atoms: frozenset[str]
 
     def __str__(self) -> str:
         return to_str(self)
 
     def __repr__(self) -> str:
         return f"<Formula {to_str(self)}>"
-
-    @property
-    def atoms(self) -> frozenset[str]:
-        """Set of proposition names occurring in the formula."""
-        return fold(self, lambda g, below: frozenset((g.name,)) if g.name else frozenset().union(*below),
-                    memo=_ATOMS)
 
 
 def operands(f: Formula) -> tuple[Formula, ...]:
@@ -132,8 +132,7 @@ def fold(f: Formula, step: Callable[[Formula, list], T],
     return memo[f]
 
 
-# formula -> its atoms and its negation, until ``forget()``
-_ATOMS: dict[Formula, frozenset[str]] = {}
+# formula -> its negation, until ``forget()``
 _NEG: dict[Formula, Formula] = {}
 
 
@@ -153,10 +152,15 @@ def _mk(kind: str, name: str | None = None, left: Formula | None = None,
     f.left = left
     f.right = right
     f.children = children
+    below = operands(f)
     # hash() of ints and of tuples of ints ignores the string hash seed
     f.key = hash((_KIND_INDEX[kind], int.from_bytes(name.encode(), "big") if name else 0,
-                  *(g.key for g in (left, right) if g is not None),
-                  *(c.key for c in children))) & _KEY_MASK
+                  *[g.key for g in below])) & _KEY_MASK
+    atoms = frozenset((name,)) if name else frozenset()
+    for g in below:  # an operand's set is shared when it holds every other operand's
+        if not g.atoms <= atoms:
+            atoms = g.atoms if atoms <= g.atoms else atoms | g.atoms
+    f.atoms = atoms
     # setdefault keeps interning safe under concurrent construction (CPython).
     return Formula._intern.setdefault(sig, f)
 

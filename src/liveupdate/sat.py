@@ -62,7 +62,6 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.var_inc = 1.0
-        self.learned_from = 0  # clauses[i] for i >= learned_from are learned
         self.ok = True
         self.conflicts = self.work = 0  # work: the watch entries that propagation has scanned
         self._qhead = 0  # trail position of the next literal to propagate
@@ -86,6 +85,7 @@ class Solver:
                 self.ok = False
                 break
         self.cla_activity: list[float] = [0.0] * len(self.clauses)
+        self.learned_from = len(self.clauses)  # clauses[i] for i >= learned_from are learned
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = abs(lit)
@@ -272,13 +272,11 @@ class Solver:
                     ci = len(self.clauses)
                     self.clauses.append(learnt)
                     self.cla_activity.append(self.conflicts)
-                    if self.learned_from == 0:
-                        self.learned_from = ci
                     self.watches[learnt[0]].append(ci)
                     self.watches[learnt[1]].append(ci)
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= 0.95
-                if self.learned_from and len(self.clauses) - self.learned_from > self._reduce_at:
+                if len(self.clauses) - self.learned_from > self._reduce_at:
                     self._reduce_learned()
                     self._reduce_at = int(self._reduce_at * 1.3)
                 continue

@@ -335,17 +335,6 @@ def test_budget_counts_every_state_built():
     assert len(ltl_to_nba(f, max_states=3)) == 3
 
 
-def test_equal_cubes_are_one_object():
-    first = ltl_to_nba(parse_formula("G (a -> X (b U c)) && G F (a && !c)"))
-    second = ltl_to_nba(parse_formula("G F (a && b && c)"))
-    shared = {}
-    for nba in (first, second):
-        for row in nba.edges:
-            for cube, _ in row:
-                assert shared.setdefault(cube, cube) is cube
-    assert len(shared) < sum(len(row) for row in first.edges)
-
-
 def test_state_ids_are_breadth_first():
     # state 0 is the one initial state, and ids follow breadth-first discovery
     rng = random.Random(45)

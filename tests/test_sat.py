@@ -7,6 +7,7 @@ from liveupdate.benchmarks import family
 from liveupdate.sat import Solver, parse_dimacs_model, to_dimacs
 from liveupdate.synthesis import SynthesisProblem
 
+from ledger import shuffled
 from test_synthesis import emit_dimacs
 
 
@@ -230,9 +231,20 @@ def test_search_is_pinned():
     for nv, clauses in pinned_cnfs():
         s = Solver(nv, clauses)
         found = s.solve()
-        learned = s.clauses[s.learned_from:] if s.learned_from else []
+        learned = s.clauses[s.learned_from:]
         digest.update(repr((found, s.conflicts, learned, s.trail, sorted(s.model()))).encode())
     assert digest.hexdigest() == SEARCH_SHA256
+
+
+def test_a_shuffle_keeps_the_clauses_and_the_verdict():
+    # ``ledger.py --shuffle`` samples a search on reordered copies of a CNF:
+    # one seed gives one order, each clause keeps its literals, and the copy
+    # has the verdict of the CNF as given
+    nv, clauses = pinned_cnfs()[0]
+    once = shuffled(clauses, 1)
+    assert once == shuffled(clauses, 1) and once != clauses
+    assert sorted(map(sorted, once)) == sorted(map(sorted, clauses))
+    assert Solver(nv, once).solve() is Solver(nv, clauses).solve()
 
 
 def test_reasons_keep_their_implied_literal_first():
